@@ -21,10 +21,11 @@ __all__ = ["feasible_at", "exact_opt", "ENUMERATION_LIMIT"]
 ENUMERATION_LIMIT = 10**7
 
 
-def _solution_from_flow(inst, opened, d):
-    """Try to serve every vertex from `opened` at distance d.
+def _solution_from_flow(inst, opened, cutoff):
+    """Try to serve every vertex from `opened` within the scaled cutoff.
 
-    opened is a list of (vertex, multiplicity).  Returns the decoded
+    opened is a list of (vertex, multiplicity); cutoff is inst.cutoff(d)
+    for the queried distance d.  Returns the decoded
     Solution or None when the seat flow cannot place all clients.
     """
     n = inst.vertex_count
@@ -34,9 +35,9 @@ def _solution_from_flow(inst, opened, d):
     seat_arcs = []
     for i, (u, mult) in enumerate(opened):
         net.add_edge(0, 1 + i, inst.capacities[u] * mult)
-        row = inst.dist[u]
+        row = inst.scaled[u]
         for v in range(n):
-            if row[v] <= d:
+            if row[v] <= cutoff:
                 seat_arcs.append((u, v, net.add_edge(1 + i, base + v, 1)))
     for v in range(n):
         net.add_edge(base + v, sink, 1)
@@ -82,6 +83,7 @@ def feasible_at(inst, d, mode=None):
     n = inst.vertex_count
     k = inst.k
     candidates = [v for v in range(n) if inst.capacities[v] > 0]
+    cutoff = inst.cutoff(d)
 
     if mode == HARD:
         if k > n:
@@ -89,7 +91,7 @@ def feasible_at(inst, d, mode=None):
         size = min(k, len(candidates))
         _refuse_beyond_limit(math.comb(len(candidates), size))
         for chosen in combinations(candidates, size):
-            sol = _solution_from_flow(inst, [(u, 1) for u in chosen], d)
+            sol = _solution_from_flow(inst, [(u, 1) for u in chosen], cutoff)
             if sol is None:
                 continue
             taken = set(chosen)
@@ -110,7 +112,7 @@ def feasible_at(inst, d, mode=None):
                 opened[-1] = (u, opened[-1][1] + 1)
             else:
                 opened.append((u, 1))
-        sol = _solution_from_flow(inst, opened, d)
+        sol = _solution_from_flow(inst, opened, cutoff)
         if sol is not None:
             return sol
     return None

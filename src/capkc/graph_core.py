@@ -1,14 +1,18 @@
 """Unweighted graphs, hop metrics, power graphs, thresholding, instance I/O.
 
 Everything downstream works on hop distances of a thresholded graph, so this
-module is the single place that touches weighted input.  Distances are exact
-rationals; unreachable pairs are represented by the INF sentinel, which only
-ever participates in comparisons, never in arithmetic.
+module is the single place that touches weighted input.  The metric is kept
+as an int matrix over one positive int scale, the lcm of the input's
+denominators, so every threshold test is one int comparison; the exact
+rational view is built from it once.  Unreachable pairs are represented by
+the INF sentinel, which only ever participates in comparisons, never in
+arithmetic.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -61,9 +65,6 @@ class Graph:
     def closed_neighborhood(self, u):
         return [u] + self.adjacency[u]
 
-    def has_edge(self, u, v):
-        return ((u, v) if u < v else (v, u)) in self.edges
-
     def hop_distances(self):
         """All-pairs hop distances; INF for unreachable pairs."""
         if self._hops is None:
@@ -84,9 +85,6 @@ class Graph:
                 rows.append(dist)
             self._hops = rows
         return self._hops
-
-    def hop(self, u, v):
-        return self.hop_distances()[u][v]
 
     def is_connected(self):
         if self.vertex_count <= 1:
@@ -179,11 +177,16 @@ def power_graph(graph, delta):
 class WeightedMetricInstance:
     """A problem statement: metric distances, capacities, k, hard/soft mode.
 
-    dist is the exact shortest-path closure of the input edges; pairs in
-    different components hold INF.  Capacities are nonnegative integers.
+    The metric is kept once in ints: scaled[u][v] is d(u,v) times scale,
+    the lcm of the denominators of the input distances (1 for integer
+    input), and pairs in different components hold INF.  For an int d,
+    d / scale <= r holds iff d <= floor(r * scale), so every threshold
+    test compares scaled entries with cutoff(r).  dist is the exact view
+    of the same metric: the very same matrix when scale is 1, else
+    Fractions built once from it.  Capacities are nonnegative integers.
     """
 
-    def __init__(self, vertex_count, dist, capacities, k, mode, edges=None):
+    def __init__(self, vertex_count, scaled, scale, capacities, k, mode, edges=None):
         if mode not in (HARD, SOFT):
             raise InputError(f"mode must be '{HARD}' or '{SOFT}', got {mode!r}")
         if k < 1:
@@ -194,7 +197,14 @@ class WeightedMetricInstance:
             if not isinstance(c, int) or c < 0:
                 raise InputError(f"capacity of vertex {v} must be a nonnegative integer")
         self.vertex_count = vertex_count
-        self.dist = dist
+        self.scaled = scaled
+        self.scale = scale
+        if scale == 1:
+            self.dist = scaled
+        else:
+            self.dist = [
+                [d if d == INF else Fraction(d, scale) for d in row] for row in scaled
+            ]
         self.capacities = list(capacities)
         self.k = k
         self.mode = mode
@@ -209,12 +219,15 @@ class WeightedMetricInstance:
                     out.append((u, v, self.dist[u][v]))
         return out
 
+    def cutoff(self, r):
+        """floor(r * scale): the largest scaled distance that is <= r."""
+        r = Fraction(r)
+        return r.numerator * self.scale // r.denominator
+
     @classmethod
     def from_weighted_edges(cls, vertex_count, edges, capacities, k, mode):
         """Build the metric as the exact shortest-path closure of the edges."""
-        adj = [[] for _ in range(vertex_count)]
-        uniform = None
-        ok_uniform = True
+        normalized = []
         for u, v, w in edges:
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
@@ -223,54 +236,58 @@ class WeightedMetricInstance:
             w = Fraction(w)
             if w < 0:
                 raise InputError(f"negative edge weight on ({u},{v})")
+            normalized.append((u, v, w))
+        scale = math.lcm(*{w.denominator for _, _, w in normalized})
+        n = vertex_count
+        adj = [[] for _ in range(n)]
+        for u, v, w in normalized:
+            w = w.numerator * (scale // w.denominator)
             adj[u].append((v, w))
             adj[v].append((u, w))
-            if uniform is None:
-                uniform = w
-            elif w != uniform:
-                ok_uniform = False
-        n = vertex_count
-        dist = []
-        if ok_uniform and uniform is not None and uniform > 0:
+        weights = {w for row in adj for _, w in row}
+        step = weights.pop() if len(weights) == 1 else 0
+        scaled = []
+        if step > 0:
             # uniform positive weights: BFS scaled by the weight
-            plain = [[] for _ in range(n)]
-            for u, v, _ in edges:
-                plain[u].append(v)
-                plain[v].append(u)
             for s in range(n):
                 row = [INF] * n
-                row[s] = Fraction(0)
+                row[s] = 0
                 q = deque([s])
                 while q:
                     u = q.popleft()
-                    for w2 in plain[u]:
-                        if row[w2] == INF:
-                            row[w2] = row[u] + uniform
-                            q.append(w2)
-                dist.append(row)
+                    du = row[u] + step
+                    for v, _ in adj[u]:
+                        if row[v] == INF:
+                            row[v] = du
+                            q.append(v)
+                scaled.append(row)
         else:
             for s in range(n):
                 row = [INF] * n
-                row[s] = Fraction(0)
-                heap = [(Fraction(0), s)]
+                row[s] = 0
+                heap = [(0, s)]
                 while heap:
                     d, u = heapq.heappop(heap)
                     if d > row[u]:
                         continue
                     for v, w in adj[u]:
                         nd = d + w
-                        if row[v] == INF or nd < row[v]:
+                        if nd < row[v]:
                             row[v] = nd
                             heapq.heappush(heap, (nd, v))
-                dist.append(row)
-        normalized = [(u, v, Fraction(w)) for u, v, w in edges]
-        return cls(vertex_count, dist, capacities, k, mode, edges=normalized)
+                scaled.append(row)
+        return cls(vertex_count, scaled, scale, capacities, k, mode, edges=normalized)
 
     @classmethod
     def from_distance_matrix(cls, dist, capacities, k, mode):
         """Direct construction; validates symmetry, zero diagonal, triangle inequality."""
         n = len(dist)
-        mat = [[(INF if dist[i][j] == INF else Fraction(dist[i][j])) for j in range(n)] for i in range(n)]
+        exact = [[(INF if dist[i][j] == INF else Fraction(dist[i][j])) for j in range(n)] for i in range(n)]
+        scale = math.lcm(*{q.denominator for row in exact for q in row if q != INF})
+        mat = [
+            [(INF if q == INF else q.numerator * (scale // q.denominator)) for q in row]
+            for row in exact
+        ]
         for i in range(n):
             if mat[i][i] != 0:
                 raise InputError(f"d({i},{i}) must be 0")
@@ -286,32 +303,30 @@ class WeightedMetricInstance:
                 for h in range(n):
                     if mat[i][h] != INF and mat[h][j] != INF and mat[i][h] + mat[h][j] < mat[i][j]:
                         raise InputError(f"triangle inequality violated on ({i},{h},{j})")
-        return cls(n, mat, capacities, k, mode)
+        return cls(n, mat, scale, capacities, k, mode)
 
 
 def candidate_radii(inst):
     """Strictly increasing list of the distinct finite pairwise distances."""
     vals = set()
-    n = inst.vertex_count
-    for u in range(n):
-        row = inst.dist[u]
-        for v in range(u + 1, n):
-            if row[v] != INF:
-                vals.add(row[v])
-    return sorted(vals)
+    for u, row in enumerate(inst.scaled):
+        vals.update(row[u + 1 :])
+    vals.discard(INF)
+    return [Fraction(d, inst.scale) for d in sorted(vals)]
 
 
 def threshold_graph(inst, r):
     """Edge uv iff u != v and d(u,v) <= r; the bottleneck reduction step."""
     if r < 0:
         raise InputError("threshold radius must be >= 0")
+    cutoff = inst.cutoff(r)
     n = inst.vertex_count
-    edges = []
-    for u in range(n):
-        row = inst.dist[u]
-        for v in range(u + 1, n):
-            if row[v] != INF and row[v] <= r:
-                edges.append((u, v))
+    edges = [
+        (u, v)
+        for u, row in enumerate(inst.scaled)
+        for v in range(u + 1, n)
+        if row[v] <= cutoff
+    ]
     return Graph(n, edges)
 
 

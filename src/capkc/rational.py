@@ -2,23 +2,23 @@
 
 The public API of every module speaks fractions.Fraction, and every
 computation runs on Python ints and Fractions: the simplex tableau pivots
-on integer rows (see lp_feasibility.Phase1Tableau), and max-flow augments
-over the int and Fraction capacities its callers give it.  No floating
-point anywhere.
+on integer rows (see lp_feasibility.Phase1Tableau), the metric is an int
+matrix over one common denominator (see graph_core.WeightedMetricInstance),
+and max-flow augments over the int and Fraction capacities its callers give
+it.  No floating point anywhere.
 
-RAT is gmpy2.mpq when gmpy2 is installed, else Fraction; no module
-computes with it.  HAVE_GMPY2 records which one it is.  as_fraction still
-accepts mpq, so values built from either type normalize to Fraction.
+HAVE_GMPY2 only records whether gmpy2 is importable; no module uses it.
+as_fraction still accepts gmpy2's mpq, so values built from either type
+normalize to Fraction.
 """
 
 from fractions import Fraction
 
 try:
-    from gmpy2 import mpq as RAT
+    import gmpy2  # noqa: F401
 
     HAVE_GMPY2 = True
 except ImportError:  # pragma: no cover
-    RAT = Fraction
     HAVE_GMPY2 = False
 
 ZERO = Fraction(0)

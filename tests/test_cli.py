@@ -1,7 +1,10 @@
 """Command line behavior: subcommands, exit codes, file round trips."""
 
+import hashlib
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -127,6 +130,58 @@ class TestSolve:
         assert main(["solve", str(bad)]) == 3
         err = capsys.readouterr().err
         assert "error:" in err and "line" in err
+
+
+def pq_instance(tmp_path, seed=14, n=14, k=5):
+    """Seeded random connected instance with p/q edge weights (common denominator > 1)."""
+    rng = random.Random(seed)
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(n):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    edges = [(u, v, Fraction(rng.randint(1, 12), rng.randint(1, 6))) for u, v in sorted(pairs)]
+    caps = [rng.randint(1, 4) for _ in range(n)]
+    inst = WeightedMetricInstance.from_weighted_edges(n, edges, caps, k, HARD)
+    target = tmp_path / "pq.txt"
+    write_instance(inst, target)
+    return target
+
+
+def sha256(data):
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+class TestPinnedFractionalSolve:
+    """Every output of one solve on p/q weights, pinned byte for byte.
+
+    The digests were taken with the Fraction metric that preceded the
+    integer one; the threshold 9/5 and radius 109/20 are not integers.
+    """
+
+    def test_outputs_are_unchanged(self, tmp_path, capsys):
+        inst = pq_instance(tmp_path)
+        sol, cert, dump = (tmp_path / name for name in ("s.txt", "c.txt", "lp.txt"))
+        code = main(
+            [
+                "solve", str(inst), "--output", str(sol),
+                "--emit-certificate", str(cert), "--emit-lp-dump", str(dump),
+            ]
+        )
+        assert code == 0
+        report = capsys.readouterr().out
+        assert report.splitlines()[1:4] == ["threshold: 9/5", "stretch: 4", "radius: 109/20"]
+        assert {
+            "report": sha256(report),
+            "solution": sha256(sol.read_bytes()),
+            "certificate": sha256(cert.read_bytes()),
+            "lp dump": sha256(dump.read_bytes()),
+        } == {
+            "report": "0f78fa30e9795c3b1009db0e93b0288ae1ac37f54b47fefc2321d3079f0ee008",
+            "solution": "5367c4bdbebb7da01efa8f3f282b909219b9025d559ab96235838e85cacf2b80",
+            "certificate": "0d5b9a9536a7d7c6dd2bb713f43bc80dda87bd0295b318e4befd6107f85d7d38",
+            "lp dump": "203d7751d45483dedf7119ea3d389d289985362855da91159e8adc24a062e992",
+        }
 
 
 class TestVerify:

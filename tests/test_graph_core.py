@@ -1,9 +1,13 @@
+import heapq
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capkc.errors import InputError
+from capkc.exact_oracle import feasible_at
 from capkc.graph_core import (
     Graph,
     INF,
@@ -245,3 +249,129 @@ class TestInstanceIO:
         with pytest.raises(InputError) as err:
             parse_instance_text(GOOD.replace("e 0 1 1", "e 0 1 junk"))
         assert "line 5" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the integer metric against a plain-Fraction Dijkstra
+
+
+def reference_metric(n, edges):
+    """Shortest-path closure computed on Fractions alone; INF when unreachable."""
+    adj = [[] for _ in range(n)]
+    for u, v, w in edges:
+        adj[u].append((v, Fraction(w)))
+        adj[v].append((u, Fraction(w)))
+    rows = []
+    for s in range(n):
+        row = [INF] * n
+        row[s] = Fraction(0)
+        heap = [(Fraction(0), s)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > row[u]:
+                continue
+            for v, w in adj[u]:
+                if row[v] == INF or d + w < row[v]:
+                    row[v] = d + w
+                    heapq.heappush(heap, (d + w, v))
+        rows.append(row)
+    return rows
+
+
+def reference_edges(ref, r):
+    n = len(ref)
+    return {(u, v) for u in range(n) for v in range(u + 1, n) if ref[u][v] != INF and ref[u][v] <= r}
+
+
+# p/q weights with q <= 6; p = 0 gives zero-weight edges
+pq_weights = st.builds(Fraction, st.integers(0, 12), st.integers(1, 6))
+
+
+@st.composite
+def weighted_graphs(draw, connected=False):
+    """(n, edges): p/q weights, sometimes all equal; unless connected, often in several parts."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    if connected:
+        chosen |= {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    else:
+        split = draw(st.integers(0, n))  # drop every edge across the split
+        chosen = {(u, v) for u, v in chosen if (u < split) == (v < split)}
+    uniform = draw(st.none() | pq_weights)
+    edges = [
+        (u, v, uniform if uniform is not None else draw(pq_weights)) for u, v in sorted(chosen)
+    ]
+    return n, edges
+
+
+def radii_and_midpoints(radii):
+    return [Fraction(0)] + radii + [(a + b) / 2 for a, b in zip(radii, radii[1:])]
+
+
+METRIC_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestIntegerMetric:
+    @METRIC_SETTINGS
+    @given(weighted_graphs())
+    def test_closure_radii_and_thresholds_match_reference(self, graph):
+        n, edges = graph
+        ref = reference_metric(n, edges)
+        inst = WeightedMetricInstance.from_weighted_edges(n, edges, [1] * n, 1, "hard")
+        assert inst.dist == ref
+        radii = sorted({ref[u][v] for u in range(n) for v in range(u + 1, n)} - {INF})
+        assert candidate_radii(inst) == radii
+        assert all(type(r) is Fraction for r in candidate_radii(inst))
+        for r in radii_and_midpoints(radii):
+            assert threshold_graph(inst, r).edges == reference_edges(ref, r), r
+
+    @METRIC_SETTINGS
+    @given(weighted_graphs())
+    def test_distance_matrix_gives_the_same_radii_and_graphs(self, graph):
+        n, edges = graph
+        ref = reference_metric(n, edges)
+        inst = WeightedMetricInstance.from_weighted_edges(n, edges, [1] * n, 1, "hard")
+        again = WeightedMetricInstance.from_distance_matrix(ref, [1] * n, 1, "hard")
+        assert again.dist == ref
+        assert candidate_radii(again) == candidate_radii(inst)
+        for r in radii_and_midpoints(candidate_radii(inst)):
+            assert threshold_graph(again, r) == threshold_graph(inst, r)
+
+    @METRIC_SETTINGS
+    @given(weighted_graphs(connected=True), st.data())
+    def test_feasible_at_includes_pairs_at_exactly_the_radius(self, graph, data):
+        # one center c with room for everyone and k = 1: feasible at r iff
+        # every vertex lies within r of c, so the eccentricity of c is the
+        # exact threshold, whether or not it is an integer
+        n, edges = graph
+        ref = reference_metric(n, edges)
+        c = data.draw(st.integers(0, n - 1))
+        caps = [0] * n
+        caps[c] = n
+        inst = WeightedMetricInstance.from_weighted_edges(n, edges, caps, 1, "hard")
+        ecc = max(ref[c])
+        sol = feasible_at(inst, ecc)
+        assert sol is not None and sol.centers == {c: 1}
+        assert sol.radius == ecc
+        just_below = ecc - Fraction(1, 7 * inst.scale)
+        for r in radii_and_midpoints(candidate_radii(inst)) + [just_below]:
+            if r >= 0:
+                assert (feasible_at(inst, r) is not None) == (r >= ecc), r
+
+    def test_fractional_distance_is_its_own_threshold(self):
+        inst = WeightedMetricInstance.from_weighted_edges(
+            3, [(0, 1, Fraction(5, 3)), (1, 2, Fraction(1, 2))], [3, 0, 0], 1, "hard"
+        )
+        assert inst.scale == 6
+        assert inst.scaled[0] == [0, 10, 13]
+        assert inst.dist[0] == [0, Fraction(5, 3), Fraction(13, 6)]
+        assert candidate_radii(inst) == [Fraction(1, 2), Fraction(5, 3), Fraction(13, 6)]
+        assert threshold_graph(inst, Fraction(5, 3)).edges == frozenset({(0, 1), (1, 2)})
+        assert feasible_at(inst, Fraction(13, 6)).radius == Fraction(13, 6)
+        assert feasible_at(inst, Fraction(13, 6) - Fraction(1, 100)) is None
+
+    def test_integer_metric_is_the_exact_view(self):
+        inst = path_metric()
+        assert inst.scale == 1
+        assert inst.dist is inst.scaled
