@@ -7,7 +7,6 @@ positivity invariant can't silently break.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, PipelineError
@@ -111,17 +110,6 @@ def global_delta(assignment, graph):
             if d > best:
                 best = d
     return best
-
-
-@dataclass(frozen=True)
-class RadiusBound:
-    per_vertex: tuple
-    global_delta: int
-
-
-def radius_bound(assignment, graph):
-    per = tuple(radius_of(assignment, graph, u) for u in range(assignment.vertex_count))
-    return RadiusBound(per, max(per) if per else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,12 @@ would exceed ten million candidate sets.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .errors import InputError
-from .flownet import MaxFlowNetwork
 from .graph_core import HARD, SOFT, candidate_radii
-from .rational import Fraction, as_fraction
-from .x_rounding import Solution
+from .x_rounding import Solution, seat_flow
 
 __all__ = ["feasible_at", "exact_opt", "ENUMERATION_LIMIT"]
 
@@ -28,26 +27,12 @@ def _solution_from_flow(inst, opened, cutoff):
     for the queried distance d.  Returns the decoded
     Solution or None when the seat flow cannot place all clients.
     """
-    n = inst.vertex_count
-    base = 1 + len(opened)
-    net = MaxFlowNetwork(base + n + 1)
-    sink = base + n
-    seat_arcs = []
-    for i, (u, mult) in enumerate(opened):
-        net.add_edge(0, 1 + i, inst.capacities[u] * mult)
-        row = inst.scaled[u]
-        for v in range(n):
-            if row[v] <= cutoff:
-                seat_arcs.append((u, v, net.add_edge(1 + i, base + v, 1)))
-    for v in range(n):
-        net.add_edge(base + v, sink, 1)
-    if net.max_flow(0, sink) < n:
+    _, phi = seat_flow(
+        inst.scaled, cutoff, [(u, inst.capacities[u] * mult) for u, mult in opened]
+    )
+    if phi is None:
         return None
-    phi = [-1] * n
-    for u, v, arc in seat_arcs:
-        if net.flow_on(arc) > 0:
-            phi[v] = u
-    reach = max(as_fraction(inst.dist[phi[v]][v]) for v in range(n))
+    reach = Fraction(max(inst.scaled[u][v] for v, u in enumerate(phi)), inst.scale)
     if reach.denominator == 1:
         reach = int(reach)
     centers = {}

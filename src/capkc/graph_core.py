@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from fractions import Fraction
 
-from .errors import InputError, PipelineError
+from .errors import InputError
 from .rational import format_rational
 
 INF = float("inf")
@@ -68,39 +67,11 @@ class Graph:
     def hop_distances(self):
         """All-pairs hop distances; INF for unreachable pairs."""
         if self._hops is None:
-            n = self.vertex_count
-            adj = self.adjacency
-            rows = []
-            for s in range(n):
-                dist = [INF] * n
-                dist[s] = 0
-                q = deque([s])
-                while q:
-                    u = q.popleft()
-                    du = dist[u]
-                    for w in adj[u]:
-                        if dist[w] == INF:
-                            dist[w] = du + 1
-                            q.append(w)
-                rows.append(dist)
-            self._hops = rows
+            self._hops = _bfs_rows(self.adjacency, 1)
         return self._hops
 
     def is_connected(self):
-        if self.vertex_count <= 1:
-            return True
-        seen = [False] * self.vertex_count
-        seen[0] = True
-        q = deque([0])
-        count = 1
-        while q:
-            u = q.popleft()
-            for w in self.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    q.append(w)
-        return count == self.vertex_count
+        return self.vertex_count <= 1 or len(bfs(self.adjacency, 0)[0]) == self.vertex_count
 
     def __eq__(self, other):
         return (
@@ -121,25 +92,46 @@ def connected_components(graph):
 
     Returned as a list of ascending vertex lists, ordered by smallest member.
     """
-    n = graph.vertex_count
-    seen = [False] * n
+    seen = set()
     out = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = []
-        seen[s] = True
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            comp.append(u)
-            for w in graph.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    q.append(w)
-        comp.sort()
-        out.append(comp)
+    for s in range(graph.vertex_count):
+        if s not in seen:
+            comp = sorted(bfs(graph.adjacency, s)[0])
+            seen.update(comp)
+            out.append(comp)
     return out
+
+
+def bfs(adjacency, source):
+    """Breadth-first search from source; returns (order, parent).
+
+    adjacency is any indexable (list or dict) whose neighbour lists are
+    ascending, so ties go to the lower id.  order lists the vertices
+    reachable from source in visiting order; parent maps each of them to
+    the vertex that discovered it, with parent[source] None.
+    """
+    parent = {source: None}
+    order = [source]
+    for u in order:  # order grows behind the scan: it is the queue
+        for w in adjacency[u]:
+            if w not in parent:
+                parent[w] = u
+                order.append(w)
+    return order, parent
+
+
+def _bfs_rows(adjacency, step):
+    """All-pairs distances over list adjacency with every edge `step` long."""
+    n = len(adjacency)
+    rows = []
+    for s in range(n):
+        order, parent = bfs(adjacency, s)
+        row = [INF] * n
+        row[s] = 0
+        for v in order[1:]:
+            row[v] = row[parent[v]] + step
+        rows.append(row)
+    return rows
 
 
 def induced_subgraph(graph, vertices):
@@ -246,22 +238,11 @@ class WeightedMetricInstance:
             adj[v].append((u, w))
         weights = {w for row in adj for _, w in row}
         step = weights.pop() if len(weights) == 1 else 0
-        scaled = []
         if step > 0:
             # uniform positive weights: BFS scaled by the weight
-            for s in range(n):
-                row = [INF] * n
-                row[s] = 0
-                q = deque([s])
-                while q:
-                    u = q.popleft()
-                    du = row[u] + step
-                    for v, _ in adj[u]:
-                        if row[v] == INF:
-                            row[v] = du
-                            q.append(v)
-                scaled.append(row)
+            scaled = _bfs_rows([[v for v, _ in row] for row in adj], step)
         else:
+            scaled = []
             for s in range(n):
                 row = [INF] * n
                 row[s] = 0
@@ -344,27 +325,11 @@ def hamiltonian_path_in_cube(graph):
         raise InputError("empty graph has no Hamiltonian path")
     if not graph.is_connected():
         raise InputError("Hamiltonian path in the cube needs a connected graph")
-    if n == 1:
-        return [0]
-    # BFS tree from 0, children in ascending id order
-    parent = [-1] * n
-    order = [0]
-    seen = [False] * n
-    seen[0] = True
-    q = deque([0])
-    while q:
-        u = q.popleft()
-        for w in graph.adjacency[u]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = u
-                order.append(w)
-                q.append(w)
+    # BFS tree from 0; BFS discovers each vertex's children in ascending order
+    order, parent = bfs(graph.adjacency, 0)
     children = [[] for _ in range(n)]
     for v in order[1:]:
         children[parent[v]].append(v)
-    for lst in children:
-        lst.sort()
     path = [None] * n
     for v in reversed(order):
         seg = [v]

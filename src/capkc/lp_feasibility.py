@@ -27,7 +27,6 @@ from .assignment import Assignment
 from .errors import InputError, PipelineError
 from .flownet import MaxFlowNetwork
 from .graph_core import HARD, INF, SOFT
-from .rational import as_fraction
 
 _MAX_PIVOTS = 500_000
 _MAX_ROUNDS = 10_000
@@ -441,7 +440,7 @@ def _solve_cuts(model):
             for (u, v), arc in center_arcs.items():
                 q = net.flow_on(arc)
                 if q > 0:
-                    a.set_x(u, v, as_fraction(q))
+                    a.set_x(u, v, q)
             return _finish(model, a)
 
         reach = net.source_side_cut(s)

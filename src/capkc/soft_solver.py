@@ -13,15 +13,12 @@ All mass bookkeeping is exact rational arithmetic; the two flow
 computations are integral.
 """
 
-from collections import deque
 from fractions import Fraction
 
 from .errors import PipelineError, ValidationError
-from .flownet import MaxFlowNetwork
-from .graph_core import INF, induced_subgraph, power_graph
+from .graph_core import bfs, induced_subgraph, power_graph
 from .lp_feasibility import verify_assignment_feasible
-from .rational import as_fraction
-from .x_rounding import Solution, validate_solution
+from .x_rounding import Solution, seat_flow, validate_solution
 
 __all__ = ["ks_independent_set", "solve_soft"]
 
@@ -32,21 +29,6 @@ _ANCHOR_REACH = 2
 _SERVE_REACH = 5
 _RELOCATE_REACH = 6
 _SOFT_RADIUS = _SERVE_REACH + _RELOCATE_REACH
-
-
-def _bfs_order(adjacency, start):
-    """Vertices reachable from start, in BFS order with ascending-id ties."""
-    seen = {start}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in sorted(adjacency[v]):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-                queue.append(w)
-    return order
 
 
 def ks_independent_set(graph):
@@ -63,7 +45,7 @@ def ks_independent_set(graph):
         raise ValidationError("anchor selection needs a connected graph")
     hops = graph.hop_distances()
     chosen = []
-    for v in _bfs_order(graph.adjacency, 0):
+    for v in bfs(graph.adjacency, 0)[0]:
         if all(hops[v][s] > 2 for s in chosen):
             chosen.append(v)
     mesh, _ = induced_subgraph(power_graph(graph, 3), chosen)
@@ -94,19 +76,14 @@ def _fold_tree(hops, anchors, u):
     The tree spans the anchors with edges between pairs at most three
     hops apart; each anchor keeps the floor of its mass and hands the
     fractional part to its parent.  Totals are preserved exactly and no
-    anchor ever goes negative.
+    anchor ever goes negative.  anchors must be ascending.
     """
     neighbors = {
         s: [t for t in anchors if t != s and hops[s][t] <= 3] for s in anchors
     }
-    order = _bfs_order(neighbors, min(anchors))
+    order, parent = bfs(neighbors, anchors[0])
     if len(order) != len(anchors):
         raise PipelineError("anchor tree does not span the anchor set")
-    parent = {}
-    for s in order:
-        for t in sorted(neighbors[s]):
-            if t not in parent and t != order[0]:
-                parent[t] = s
     for s in reversed(order[1:]):
         spare = u[s] % 1
         if spare:
@@ -140,7 +117,7 @@ def solve_soft(graph, capacities, k, assignment):
     u = {s: Fraction(0) for s in anchors}
     anchor_of = [_anchor_of(hops, anchors, v) for v in range(n)]
     for v in range(n):
-        u[anchor_of[v]] += as_fraction(assignment.y[v])
+        u[anchor_of[v]] += assignment.y[v]
     for s in anchors:
         if u[s] < 1:
             raise PipelineError(f"anchor {s} gathered only {u[s]} opening mass")
@@ -164,28 +141,17 @@ def solve_soft(graph, capacities, k, assignment):
     # One flow serves every client within _SERVE_REACH of its anchor,
     # against the capacity the anchor will have after relocation.
     holders = sorted(opened)
-    base = 1 + len(holders)
-    net = MaxFlowNetwork(base + n + 1)
-    sink = base + n
-    seat_arcs = []
-    for i, s in enumerate(holders):
-        net.add_edge(0, 1 + i, opened[s] * capacities[new_home[s]])
-        for v in range(n):
-            if hops[s][v] != INF and hops[s][v] <= _SERVE_REACH:
-                seat_arcs.append((s, v, net.add_edge(1 + i, base + v, 1)))
-    for v in range(n):
-        net.add_edge(base + v, sink, 1)
-    moved = net.max_flow(0, sink)
-    if moved < n:
+    seated, phi = seat_flow(
+        hops,
+        _SERVE_REACH,
+        [(s, opened[s] * capacities[new_home[s]]) for s in holders],
+    )
+    if phi is None:
         raise PipelineError(
-            f"the distance-{_SERVE_REACH} assignment flow placed {moved}"
+            f"the distance-{_SERVE_REACH} assignment flow placed {seated}"
             f" of {n} clients"
         )
-
-    phi = [-1] * n
-    for s, v, arc in seat_arcs:
-        if net.flow_on(arc) > 0:
-            phi[v] = new_home[s]
+    phi = [new_home[s] for s in phi]
     centers = {}
     for s in holders:
         centers[new_home[s]] = centers.get(new_home[s], 0) + opened[s]

@@ -7,20 +7,23 @@ center within the allowed hop radius.  A maximum flow that saturates all
 clients always exists when the fractional assignment was feasible at the
 same radius, so anything short of that is an upstream bug, not bad input.
 
-The module also owns the Solution record, its independent validator, and
-the solution text format shared by the soft solver, the exact oracle and
-the command line tools.
+The soft solver and the exact oracle end with the same b-matching, so
+seat_flow is the one builder of that network.  The module also owns the
+Solution record, its independent validator, and the solution text format
+shared by the soft solver, the exact oracle and the command line tools.
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import InputError, PipelineError, ValidationError
 from .flownet import MaxFlowNetwork
-from .graph_core import INF, SOFT
-from .rational import as_fraction, format_rational, parse_rational
+from .graph_core import SOFT
+from .rational import format_rational, parse_rational
 
 __all__ = [
     "Solution",
+    "seat_flow",
     "round_x",
     "validate_solution",
     "format_solution",
@@ -96,7 +99,7 @@ def validate_solution(dist, capacities, k, solution, soft=False):
         raise ValidationError(
             f"solution: assigns {len(solution.phi)} clients, expected {n}"
         )
-    radius = as_fraction(solution.radius)
+    radius = Fraction(solution.radius)
     if radius < 0:
         raise ValidationError("solution: negative radius")
     loads = {u: 0 for u in solution.centers}
@@ -107,7 +110,7 @@ def validate_solution(dist, capacities, k, solution, soft=False):
             )
         loads[u] += 1
         d = dist[u][v]
-        if d == INF or as_fraction(d) > radius:
+        if d > radius:
             raise ValidationError(
                 f"solution: client {v} sits at distance {d} from center {u},"
                 f" beyond the radius {format_rational(radius)}"
@@ -121,16 +124,48 @@ def validate_solution(dist, capacities, k, solution, soft=False):
             )
 
 
+def seat_flow(dist, bound, offers):
+    """Seat every client at an offered center within `bound`, by one max flow.
+
+    offers lists (center, seats); client v may sit at center u iff
+    dist[u][v] <= bound, which INF never is.  The network is source ->
+    offer (seats) -> client -> sink, its arcs added in offer order, then
+    client order.  Returns (seated, phi): the flow value, and phi[v] the
+    center seating client v, or None when some client stays unseated.
+    """
+    n = len(dist)
+    # Node layout: 0 source, 1..len(offers) offers, then clients, then sink.
+    base = 1 + len(offers)
+    sink = base + n
+    net = MaxFlowNetwork(sink + 1)
+    seat_arcs = []
+    for i, (u, seats) in enumerate(offers):
+        net.add_edge(0, 1 + i, seats)
+        row = dist[u]
+        for v in range(n):
+            if row[v] <= bound:
+                seat_arcs.append((u, v, net.add_edge(1 + i, base + v, 1)))
+    for v in range(n):
+        net.add_edge(base + v, sink, 1)
+    seated = net.max_flow(0, sink)
+    if seated < n:
+        return seated, None
+    phi = [-1] * n
+    for u, v, arc in seat_arcs:
+        if net.flow_on(arc) > 0:
+            phi[v] = u
+    return seated, phi
+
+
 def round_x(graph, capacities, assignment, delta):
     """Assign every client to an open center within `delta` hops.
 
     The opening vector must already be integral (0/1 in hard mode,
-    any nonnegative integers in soft mode).  Builds the seat network
-    source -> center (capacity L times multiplicity) -> client -> sink
-    and decodes phi from a maximum flow.  A flow below the client count
-    means the caller handed over an opening vector that was never
-    delta-feasible, which the rounding pipeline rules out; that case
-    raises PipelineError.
+    any nonnegative integers in soft mode).  Each open center offers
+    capacity L times multiplicity seats in one seat_flow.  A flow below
+    the client count means the caller handed over an opening vector that
+    was never delta-feasible, which the rounding pipeline rules out; that
+    case raises PipelineError.
     """
     n = graph.vertex_count
     centers = []
@@ -151,30 +186,14 @@ def round_x(graph, capacities, assignment, delta):
         centers.append((v, mult))
 
     hops = graph.hop_distances()
-    # Node layout: 0 source, 1..c centers, then clients, then sink.
-    base = 1 + len(centers)
-    net = MaxFlowNetwork(base + n + 1)
-    sink = base + n
-    seat_arcs = []
-    for i, (u, mult) in enumerate(centers):
-        net.add_edge(0, 1 + i, capacities[u] * mult)
-        for v in range(n):
-            if hops[u][v] != INF and hops[u][v] <= delta:
-                seat_arcs.append((u, v, net.add_edge(1 + i, base + v, 1)))
-    for v in range(n):
-        net.add_edge(base + v, sink, 1)
-
-    moved = net.max_flow(0, sink)
-    if moved < n:
+    seated, phi = seat_flow(
+        hops, delta, [(u, capacities[u] * mult) for u, mult in centers]
+    )
+    if phi is None:
         raise PipelineError(
-            f"client flow placed {moved} of {n} clients at radius {delta};"
+            f"client flow placed {seated} of {n} clients at radius {delta};"
             " the opening vector was not feasible there"
         )
-
-    phi = [-1] * n
-    for u, v, arc in seat_arcs:
-        if net.flow_on(arc) > 0:
-            phi[v] = u
     reach = max(hops[phi[v]][v] for v in range(n))
     return Solution(
         k=sum(mult for _, mult in centers),

@@ -7,7 +7,6 @@ from capkc.assignment import (
     dump_assignment,
     global_delta,
     parse_assignment_text,
-    radius_bound,
     radius_of,
 )
 from capkc.errors import InputError, PipelineError
@@ -83,12 +82,6 @@ class TestRadius:
         a = small()
         with pytest.raises(PipelineError):
             radius_of(a, g, 1)
-
-    def test_radius_bound_reports_worst_center(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        b = radius_bound(small(), g)
-        assert b.per_vertex == (0, 1, 0)
-        assert b.global_delta == 1
 
 
 DUMP = """y 0 1/2

@@ -12,6 +12,7 @@ from capkc.assignment import read_assignment
 from capkc.cli import main
 from capkc.graph_core import (
     HARD,
+    SOFT,
     WeightedMetricInstance,
     read_instance,
     write_instance,
@@ -132,7 +133,7 @@ class TestSolve:
         assert "error:" in err and "line" in err
 
 
-def pq_instance(tmp_path, seed=14, n=14, k=5):
+def pq_instance(tmp_path, seed=14, n=14, k=5, mode=HARD):
     """Seeded random connected instance with p/q edge weights (common denominator > 1)."""
     rng = random.Random(seed)
     pairs = {(rng.randrange(v), v) for v in range(1, n)}
@@ -142,7 +143,7 @@ def pq_instance(tmp_path, seed=14, n=14, k=5):
             pairs.add((min(u, v), max(u, v)))
     edges = [(u, v, Fraction(rng.randint(1, 12), rng.randint(1, 6))) for u, v in sorted(pairs)]
     caps = [rng.randint(1, 4) for _ in range(n)]
-    inst = WeightedMetricInstance.from_weighted_edges(n, edges, caps, k, HARD)
+    inst = WeightedMetricInstance.from_weighted_edges(n, edges, caps, k, mode)
     target = tmp_path / "pq.txt"
     write_instance(inst, target)
     return target
@@ -181,6 +182,38 @@ class TestPinnedFractionalSolve:
             "solution": "5367c4bdbebb7da01efa8f3f282b909219b9025d559ab96235838e85cacf2b80",
             "certificate": "0d5b9a9536a7d7c6dd2bb713f43bc80dda87bd0295b318e4befd6107f85d7d38",
             "lp dump": "203d7751d45483dedf7119ea3d389d289985362855da91159e8adc24a062e992",
+        }
+
+
+class TestPinnedSoftAndOracle:
+    """Soft rounding and the brute-force oracle on p/q weights, pinned byte for byte.
+
+    The digests were taken before the three seat-flow networks were
+    folded into one builder.
+    """
+
+    def test_soft_solve_is_unchanged(self, tmp_path, capsys):
+        inst = pq_instance(tmp_path, mode=SOFT)
+        sol = tmp_path / "s.txt"
+        assert main(["solve", str(inst), "--mode", "soft", "--output", str(sol)]) == 0
+        report = capsys.readouterr().out
+        assert report.splitlines()[1:4] == ["threshold: 9/5", "stretch: 3", "radius: 127/30"]
+        assert "center 0 4" in sol.read_text()  # a stacked soft center
+        assert {"report": sha256(report), "solution": sha256(sol.read_bytes())} == {
+            "report": "590e16cf3651305d69471b8950df2ec3e87c74a9c049432ef27c3f38ebf3e7bf",
+            "solution": "b756a541f6d11d6cadd65e0362b10a1d5b828c80ca17dbefb248dde79a039779",
+        }
+
+    def test_oracle_is_unchanged(self, tmp_path, capsys):
+        inst = pq_instance(tmp_path)
+        assert main(["oracle", str(inst)]) == 0
+        optimum = capsys.readouterr().out
+        assert optimum.startswith("radius: 9/5\n")
+        assert main(["oracle", str(inst), "--radius", "5/2"]) == 0
+        at_radius = capsys.readouterr().out
+        assert {"optimum": sha256(optimum), "radius 5/2": sha256(at_radius)} == {
+            "optimum": "fe296e2d8be616f0f39d7b63795fb460398e8fc6bbed77e893eda12d27191df3",
+            "radius 5/2": "be6883250fc5537d11e42619a77576162fee3b024b29c0c8f84778f9d1a5e27c",
         }
 
 

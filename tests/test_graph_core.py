@@ -12,6 +12,7 @@ from capkc.graph_core import (
     Graph,
     INF,
     WeightedMetricInstance,
+    bfs,
     candidate_radii,
     connected_components,
     format_instance,
@@ -177,6 +178,60 @@ class TestGraphBasics:
         assert h[0][2] == 2 and h[2][0] == 2
         assert h[0][3] == INF
         assert h[1][1] == 0
+
+
+class TestBfs:
+    def test_dict_adjacency(self):
+        adj = {5: [2, 7], 2: [5, 9], 7: [5, 9], 9: [2, 7], 4: [8], 8: [4]}
+        order, parent = bfs(adj, 5)
+        assert order == [5, 2, 7, 9]
+        # 9 is a neighbour of both 2 and 7; the lower id discovers it
+        assert parent == {5: None, 2: 5, 7: 5, 9: 2}
+
+    def test_graph_adjacency(self):
+        g = Graph(7, [(0, 3), (0, 1), (1, 2), (3, 2), (2, 4), (5, 6)])
+        order, parent = bfs(g.adjacency, 0)
+        assert order == [0, 1, 3, 2, 4]
+        assert parent == {0: None, 1: 0, 3: 0, 2: 1, 4: 2}
+        assert 5 not in parent and 6 not in parent
+        assert bfs(g.adjacency, 6) == ([6, 5], {6: None, 5: 6})
+
+    def test_isolated_source(self):
+        assert bfs(Graph(3, [(1, 2)]).adjacency, 0) == ([0], {0: None})
+
+
+def reference_hops(n, edges):
+    """Floyd-Warshall hop distances; INF when unreachable."""
+    d = [[0 if u == v else INF for v in range(n)] for u in range(n)]
+    for u, v in edges:
+        d[u][v] = d[v][u] = 1
+    for h in range(n):
+        for u in range(n):
+            for v in range(n):
+                if d[u][h] + d[h][v] < d[u][v]:
+                    d[u][v] = d[u][h] + d[h][v]
+    return d
+
+
+@st.composite
+def plain_graphs(draw):
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return n, edges
+
+
+class TestTraversalsMatchReference:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(plain_graphs())
+    def test_hops_and_components_match_floyd_warshall(self, graph):
+        n, edges = graph
+        ref = reference_hops(n, edges)
+        g = Graph(n, edges)
+        assert g.hop_distances() == ref
+        classes = sorted({tuple(v for v in range(n) if ref[u][v] != INF) for u in range(n)})
+        assert connected_components(g) == [list(c) for c in classes]
+        assert g.is_connected() == (len(classes) <= 1)
 
 
 class TestMetric:

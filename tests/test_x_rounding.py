@@ -7,7 +7,7 @@ import pytest
 
 from capkc.assignment import Assignment
 from capkc.errors import InputError, PipelineError, ValidationError
-from capkc.graph_core import SOFT, Graph
+from capkc.graph_core import INF, SOFT, Graph
 from capkc.shifting import RoundingContext
 from capkc.caterpillar import round_y
 from capkc.x_rounding import (
@@ -16,6 +16,7 @@ from capkc.x_rounding import (
     parse_solution_text,
     read_solution,
     round_x,
+    seat_flow,
     validate_solution,
     write_solution,
 )
@@ -100,6 +101,29 @@ class TestRoundX:
             again = round_x(g, caps, a, 12)
             assert again.phi == first.phi
             assert again.centers == first.centers
+
+
+class TestSeatFlow:
+    def test_shortfall_returns_the_flow_value_and_no_phi(self):
+        dist = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        assert seat_flow(dist, 1, [(0, 5)]) == (2, None)
+        assert seat_flow(dist, 2, [(1, 2)]) == (2, None)
+
+    def test_infinite_entries_are_never_seated(self):
+        dist = [[0, INF, 1], [INF, 0, INF], [1, INF, 0]]
+        assert seat_flow(dist, 10**9, [(0, 3)]) == (2, None)
+        assert seat_flow(dist, 10**9, [(0, 2), (1, 1)]) == (3, [0, 1, 0])
+
+    def test_phi_follows_offer_order(self):
+        # every client fits at either center; the first offer's arcs are
+        # tried first, so it takes as many clients as it has seats
+        dist = [[0] * 4 for _ in range(4)]
+        assert seat_flow(dist, 0, [(1, 3), (2, 3)]) == (4, [1, 1, 1, 2])
+        assert seat_flow(dist, 0, [(2, 3), (1, 3)]) == (4, [2, 2, 2, 1])
+
+    def test_zero_seats_serve_nobody(self):
+        dist = [[0, 0], [0, 0]]
+        assert seat_flow(dist, 0, [(0, 0), (1, 2)]) == (2, [1, 1])
 
 
 class TestAfterYRounding:
