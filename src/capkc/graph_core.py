@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 
 from .errors import InputError
-from .rational import format_rational
+from .rational import format_rational, parse_rational
 
 INF = float("inf")
 
@@ -411,8 +411,8 @@ def parse_instance_text(text):
         except ValueError:
             fail(lineno, "edge endpoints must be integers")
         try:
-            w = Fraction(parts[3])
-        except (ValueError, ZeroDivisionError):
+            w = parse_rational(parts[3])
+        except ValueError:
             fail(lineno, f"bad weight {parts[3]!r}")
         if u == v:
             fail(lineno, f"self-loop at vertex {u}")

@@ -4,12 +4,14 @@ The public API of every module speaks fractions.Fraction, and every
 computation runs on Python ints and Fractions: the simplex tableau pivots
 on integer rows (see lp_feasibility.Phase1Tableau), the metric is an int
 matrix over one common denominator (see graph_core.WeightedMetricInstance),
-and max-flow augments over the int and Fraction capacities its callers give
-it.  No floating point anywhere.
+and the LP's separation max-flow runs on ints over the master point's
+common denominator (see lp_feasibility._solve_cuts).  MaxFlowNetwork itself
+takes int or Fraction capacities.  No floating point anywhere.
 
 HAVE_GMPY2 only records whether gmpy2 is importable; no module uses it.
 """
 
+import re
 from fractions import Fraction
 
 try:
@@ -20,9 +22,26 @@ except ImportError:  # pragma: no cover
     HAVE_GMPY2 = False
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(token):
-    """Parse 'p/q' or integer text to Fraction.  Raises ValueError on junk."""
-    return Fraction(token)
+    """Parse an integer or 'p/q' token to Fraction.
+
+    Accepts exactly [+-]?digits(/digits)? with ASCII digits and a nonzero
+    denominator, so no decimal point, exponent, underscore or whitespace.
+    Raises ValueError on anything else.
+    """
+    m = _RATIONAL.fullmatch(token)
+    if m is None:
+        raise ValueError(f"expected an integer or p/q, got {token!r}")
+    num, den = m.groups()
+    if den is None:
+        return Fraction(int(num))
+    den = int(den)
+    if den == 0:
+        raise ValueError(f"zero denominator in {token!r}")
+    return Fraction(int(num), den)
 
 
 def format_rational(q):

@@ -316,6 +316,35 @@ class TestOracle:
         assert "bad --radius" in capsys.readouterr().err
 
 
+# each is outside the integer-or-p/q grammar; no test may use a large
+# exponent, since a lenient parser would build that number in full
+BAD_RATIONALS = ["1e3", "1.5", "1_000", "1/0"]
+
+
+class TestStrictRationals:
+    @pytest.mark.parametrize("token", BAD_RATIONALS)
+    def test_solve_rejects_weight(self, tmp_path, capsys, token):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"capkc 1 3 2 1 hard\nv 0 5\nv 1 5\nv 2 5\ne 0 1 1\ne 1 2 {token}\n")
+        assert main(["solve", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert "line 6: bad weight" in err and repr(token) in err
+
+    @pytest.mark.parametrize("token", BAD_RATIONALS)
+    def test_verify_rejects_solution_radius(self, tmp_path, capsys, token):
+        inst = path_instance(tmp_path, [5, 5, 5], 1)
+        sol = tmp_path / "sol.txt"
+        sol.write_text(f"solution 1 {token}\ncenter 1 1\nassign 0 1\nassign 1 1\nassign 2 1\n")
+        assert main(["verify", str(inst), str(sol)]) == 3
+        assert "line 1:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", BAD_RATIONALS)
+    def test_oracle_rejects_radius(self, tmp_path, capsys, token):
+        inst = path_instance(tmp_path, [5, 5, 5], 1)
+        assert main(["oracle", str(inst), "--radius", token]) == 3
+        assert "bad --radius" in capsys.readouterr().err
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "capkc", "gen", "fig1"],

@@ -1,15 +1,20 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capkc.assignment import Assignment, dump_assignment
 from capkc.errors import InputError
+from capkc.flownet import MaxFlowNetwork
 from capkc.graph_core import Graph, threshold_graph
 from capkc.instances import gen_fig1, gen_random_connected
 from capkc.lp_feasibility import (
     Phase1Tableau,
+    _separation_network,
     build_lp1,
     format_lp_dump,
     phase1_feasible,
@@ -321,6 +326,81 @@ class TestPinnedOutputs:
         assert lines[:3] == ["0 0 69/20 0 0", "1 3/2 9/5 3/5", "3/2 4"]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == RATIONAL_DIGEST
+
+
+def fraction_separation_network(centers, caps, nbhd, y):
+    """The separation network over the rational point y itself: Fraction
+    capacities and unit sink arcs.  The scaled int network must be scale
+    times this one, flow for flow."""
+    m, n = len(centers), len(nbhd)
+    net = MaxFlowNetwork(2 + m + n)
+    for i, u in enumerate(centers):
+        if y[i] == 0:
+            continue
+        net.add_edge(0, 1 + i, caps[u] * y[i])
+        for v in nbhd[u]:
+            net.add_edge(1 + i, 1 + m + v, y[i])
+    for v in range(n):
+        net.add_edge(1 + m + v, 1 + m + n, 1)
+    return net
+
+
+@st.composite
+def separation_inputs(draw):
+    """(centers, caps, nbhd, y): a small graph, capacities 0..4 and p/q y."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph(n, edges)
+    nbhd = [sorted([v] + g.neighbors(v)) for v in range(n)]
+    caps = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    centers = [u for u in range(n) if caps[u] > 0] or [0]
+    q = st.builds(F, st.integers(0, 9), st.integers(1, 12))
+    y = draw(st.lists(q, min_size=len(centers), max_size=len(centers)))
+    return centers, caps, nbhd, y
+
+
+SEPARATION_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+class TestIntegerSeparation:
+    @SEPARATION_SETTINGS
+    @given(separation_inputs())
+    def test_scaled_network_is_scale_times_the_fraction_one(self, inputs):
+        centers, caps, nbhd, y = inputs
+        scale = math.lcm(*(q.denominator for q in y))
+        ys = [q.numerator * (scale // q.denominator) for q in y]
+        net, center_arcs = _separation_network(centers, caps, nbhd, ys, scale)
+        ref = fraction_separation_network(centers, caps, nbhd, y)
+        assert all(type(c) is int for c in net.orig)
+        assert len(net.orig) == len(ref.orig)
+        t = net.node_count - 1
+        total, ref_total = net.max_flow(0, t), ref.max_flow(0, t)
+        assert total == scale * ref_total
+        for arc in range(0, len(net.orig), 2):
+            assert net.to[arc] == ref.to[arc]
+            assert net.flow_on(arc) == scale * ref.flow_on(arc)
+        assert net.source_side_cut(0) == ref.source_side_cut(0)
+        m = len(centers)
+        for (u, v), arc in center_arcs.items():
+            assert net.to[arc] == 1 + m + v and net.to[arc ^ 1] == 1 + centers.index(u)
+
+    def test_cut_loop_builds_only_int_capacities(self, monkeypatch):
+        seen = []
+        original = MaxFlowNetwork.add_edge
+
+        def spy(net, u, v, capacity):
+            seen.append((capacity, v == net.node_count - 1))
+            return original(net, u, v, capacity)
+
+        monkeypatch.setattr(MaxFlowNetwork, "add_edge", spy)
+        for inst, k in [(gen_fig1()[0], 3), (gen_random_connected(30, 0.5, (2, 5), 9, 3), 9)]:
+            g = threshold_graph(inst, 1)
+            assert solve_feasibility(build_lp1(g, list(inst.capacities), k), "cuts").feasible
+        assert seen and all(type(c) is int for c, _ in seen)
+        # a sink arc holds the round's common denominator: rounds with
+        # fractional points ran, over ints
+        assert max(c for c, to_sink in seen if to_sink) > 1
 
 
 class TestVerify:

@@ -9,7 +9,7 @@ from capkc.assignment import Assignment
 from capkc.errors import PipelineError, ValidationError
 from capkc.graph_core import SOFT, Graph, power_graph
 from capkc.lp_feasibility import build_lp1, solve_feasibility
-from capkc.soft_solver import ks_independent_set, solve_soft
+from capkc.soft_solver import _fold_tree, ks_independent_set, solve_soft
 from capkc.x_rounding import validate_solution
 
 from helpers import rand_connected_graph
@@ -51,6 +51,21 @@ class TestAnchorSet:
                     assert hops[a][b] > 2
             for v in range(g.vertex_count):
                 assert any(hops[v][a] <= 2 for a in s)
+
+
+class TestFoldTree:
+    def test_root_is_the_smallest_anchor(self):
+        # anchors 0 - 3 - 6 form a chain in G^3; both halves of the
+        # remainder flow toward the root, so the root keeps the mass
+        anchors = [0, 3, 6]
+        u = {0: Fraction(1, 2), 3: Fraction(1), 6: Fraction(1, 2)}
+        _fold_tree(path(7).hop_distances(), anchors, u)
+        assert u == {0: 1, 3: 1, 6: 0}
+
+    def test_anchors_out_of_reach_are_rejected(self):
+        u = {0: Fraction(1), 4: Fraction(1)}
+        with pytest.raises(PipelineError, match="does not span"):
+            _fold_tree(path(5).hop_distances(), [0, 4], u)
 
 
 class TestSolveSoft:
