@@ -124,11 +124,10 @@ def _stitch(inst, plans, soft):
     spent = 0
     for sub, old_ids, budget, assignment in plans:
         spent += budget
+        caps = [inst.capacities[v] for v in old_ids]
         if soft:
-            caps = [inst.capacities[v] for v in old_ids]
             sol = solve_soft(sub, caps, budget, assignment)
         else:
-            caps = [inst.capacities[v] for v in old_ids]
             trace = TraceLog()
             ctx = RoundingContext(sub, caps, trace=trace)
             delta = round_y(ctx, assignment, budget)
@@ -160,12 +159,9 @@ def _stitch(inst, plans, soft):
                     f" on {n} vertices"
                 )
 
-    reach = max(Fraction(inst.dist[phi[v]][v]) for v in range(n))
-    if reach.denominator == 1:
-        reach = int(reach)
     solution = Solution(
         k=inst.k,
-        radius=reach,
+        radius=inst.reach(phi),
         centers=centers,
         phi=tuple(phi),
         trace="".join(sections),
@@ -173,9 +169,13 @@ def _stitch(inst, plans, soft):
     return solution, hop_radius
 
 
-def _emit_solution(inst, solution, args):
-    soft = inst.mode == SOFT
-    validate_solution(inst.dist, inst.capacities, inst.k, solution, soft=soft)
+def _validate(inst, solution, soft):
+    validate_solution(inst.scaled, inst.capacities, inst.k, solution, soft, inst.scale)
+
+
+def _emit_solution(inst, solution, args, soft):
+    """Validate the solution under the solved mode, then write it out."""
+    _validate(inst, solution, soft)
     if getattr(args, "emit_certificate", None):
         with open(args.emit_certificate, "w", encoding="ascii") as fh:
             fh.write(solution.trace or "")
@@ -183,6 +183,13 @@ def _emit_solution(inst, solution, args):
         write_solution(solution, args.output)
     else:
         sys.stdout.write(format_solution(solution))
+
+
+def _dump_lp(inst, r, soft, path):
+    """Write the whole-instance LP1 at radius r to path, if one is given."""
+    if path:
+        g = threshold_graph(inst, r)
+        write_lp_dump(build_lp1(g, list(inst.capacities), inst.k, soft=soft), path)
 
 
 def _cmd_solve(args):
@@ -199,7 +206,7 @@ def _cmd_solve(args):
         _print("status: solved")
         _print(f"radius: {format_rational(radius)}")
         _print("method: exact")
-        _emit_solution(inst, solution, args)
+        _emit_solution(inst, solution, args, inst.mode == SOFT)
         return 0
 
     soft = mode == SOFT
@@ -223,12 +230,7 @@ def _cmd_solve(args):
             if budget is not None
         ] + shortfall
         if shortfall or needed > inst.k:
-            if args.emit_lp_dump:
-                g = threshold_graph(inst, r)
-                write_lp_dump(
-                    build_lp1(g, list(inst.capacities), inst.k, soft=soft),
-                    args.emit_lp_dump,
-                )
+            _dump_lp(inst, r, soft, args.emit_lp_dump)
             continue
 
         solution, hops = _stitch(inst, plans, soft)
@@ -243,13 +245,8 @@ def _cmd_solve(args):
         _print(f"radius: {format_rational(solution.radius)}")
         if args.seed is not None:
             _print(f"seed: {args.seed}")
-        if args.emit_lp_dump:
-            g = threshold_graph(inst, r)
-            write_lp_dump(
-                build_lp1(g, list(inst.capacities), inst.k, soft=soft),
-                args.emit_lp_dump,
-            )
-        _emit_solution(inst, solution, args)
+        _dump_lp(inst, r, soft, args.emit_lp_dump)
+        _emit_solution(inst, solution, args, soft)
         return 0
 
     _print("status: infeasible")
@@ -264,13 +261,7 @@ def _cmd_verify(args):
     inst = read_instance(args.instance)
     solution = read_solution(args.solution)
     try:
-        validate_solution(
-            inst.dist,
-            inst.capacities,
-            inst.k,
-            solution,
-            soft=inst.mode == SOFT,
-        )
+        _validate(inst, solution, inst.mode == SOFT)
     except ValidationError as exc:
         _print(f"invalid: {exc}")
         return 2

@@ -32,15 +32,12 @@ def _solution_from_flow(inst, opened, cutoff):
     )
     if phi is None:
         return None
-    reach = Fraction(max(inst.scaled[u][v] for v, u in enumerate(phi)), inst.scale)
-    if reach.denominator == 1:
-        reach = int(reach)
     centers = {}
     for u, mult in opened:
         centers[u] = centers.get(u, 0) + mult
     return Solution(
         k=sum(m for _, m in opened),
-        radius=reach,
+        radius=inst.reach(phi),
         centers=centers,
         phi=tuple(phi),
     )

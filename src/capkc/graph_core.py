@@ -1,12 +1,14 @@
 """Unweighted graphs, hop metrics, power graphs, thresholding, instance I/O.
 
 Everything downstream works on hop distances of a thresholded graph, so this
-module is the single place that touches weighted input.  The metric is kept
-as an int matrix over one positive int scale, the lcm of the input's
-denominators, so every threshold test is one int comparison; the exact
-rational view is built from it once.  Unreachable pairs are represented by
-the INF sentinel, which only ever participates in comparisons, never in
-arithmetic.
+module is the single place that touches weighted input.  The metric is one
+table: an int matrix over one positive int scale, the lcm of the input's
+denominators, so every threshold test is one int comparison and a Fraction
+is built only where a distance is reported.  Unreachable pairs are
+represented by the INF sentinel, which only ever participates in
+comparisons, never in arithmetic.  The table is dense, so an instance may
+have at most MAX_VERTICES vertices; a larger one is refused with an
+InputError (exit 3) before any row is built.
 """
 
 from __future__ import annotations
@@ -22,6 +24,14 @@ INF = float("inf")
 
 HARD = "hard"
 SOFT = "soft"
+
+# Largest instance whose n x n metric table is built (about 4M entries).
+MAX_VERTICES = 2048
+
+
+def _check_vertex_count(n):
+    if n > MAX_VERTICES:
+        raise InputError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
 
 
 class Graph:
@@ -169,13 +179,13 @@ def power_graph(graph, delta):
 class WeightedMetricInstance:
     """A problem statement: metric distances, capacities, k, hard/soft mode.
 
-    The metric is kept once in ints: scaled[u][v] is d(u,v) times scale,
-    the lcm of the denominators of the input distances (1 for integer
-    input), and pairs in different components hold INF.  For an int d,
+    The metric is one int table: scaled[u][v] is d(u,v) times scale, the
+    lcm of the denominators of the input distances (1 for integer input),
+    and pairs in different components hold INF.  For an int d,
     d / scale <= r holds iff d <= floor(r * scale), so every threshold
-    test compares scaled entries with cutoff(r).  dist is the exact view
-    of the same metric: the very same matrix when scale is 1, else
-    Fractions built once from it.  Capacities are nonnegative integers.
+    test compares scaled entries with cutoff(r); an exact distance is
+    Fraction(scaled[u][v], scale), built only where one is reported.
+    Capacities are nonnegative integers.  At most MAX_VERTICES vertices.
     """
 
     def __init__(self, vertex_count, scaled, scale, capacities, k, mode, edges=None):
@@ -191,12 +201,6 @@ class WeightedMetricInstance:
         self.vertex_count = vertex_count
         self.scaled = scaled
         self.scale = scale
-        if scale == 1:
-            self.dist = scaled
-        else:
-            self.dist = [
-                [d if d == INF else Fraction(d, scale) for d in row] for row in scaled
-            ]
         self.capacities = list(capacities)
         self.k = k
         self.mode = mode
@@ -204,21 +208,27 @@ class WeightedMetricInstance:
         self.edges = list(edges) if edges is not None else self._complete_edges()
 
     def _complete_edges(self):
-        out = []
-        for u in range(self.vertex_count):
-            for v in range(u + 1, self.vertex_count):
-                if self.dist[u][v] != INF:
-                    out.append((u, v, self.dist[u][v]))
-        return out
+        return [
+            (u, v, Fraction(row[v], self.scale))
+            for u, row in enumerate(self.scaled)
+            for v in range(u + 1, self.vertex_count)
+            if row[v] != INF
+        ]
 
     def cutoff(self, r):
         """floor(r * scale): the largest scaled distance that is <= r."""
         r = Fraction(r)
         return r.numerator * self.scale // r.denominator
 
+    def reach(self, phi):
+        """Exact largest distance d(phi[v], v): an int when whole, else a Fraction."""
+        far = Fraction(max(self.scaled[u][v] for v, u in enumerate(phi)), self.scale)
+        return int(far) if far.denominator == 1 else far
+
     @classmethod
     def from_weighted_edges(cls, vertex_count, edges, capacities, k, mode):
         """Build the metric as the exact shortest-path closure of the edges."""
+        _check_vertex_count(vertex_count)
         normalized = []
         for u, v, w in edges:
             if u == v:
@@ -263,12 +273,9 @@ class WeightedMetricInstance:
     def from_distance_matrix(cls, dist, capacities, k, mode):
         """Direct construction; validates symmetry, zero diagonal, triangle inequality."""
         n = len(dist)
-        exact = [[(INF if dist[i][j] == INF else Fraction(dist[i][j])) for j in range(n)] for i in range(n)]
-        scale = math.lcm(*{q.denominator for row in exact for q in row if q != INF})
-        mat = [
-            [(INF if q == INF else q.numerator * (scale // q.denominator)) for q in row]
-            for row in exact
-        ]
+        _check_vertex_count(n)
+        scale = math.lcm(*{Fraction(d).denominator for row in dist for d in row if d != INF})
+        mat = [[(INF if d == INF else int(Fraction(d) * scale)) for d in row] for row in dist]
         for i in range(n):
             if mat[i][i] != 0:
                 raise InputError(f"d({i},{i}) must be 0")

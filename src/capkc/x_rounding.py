@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import InputError, PipelineError, ValidationError
 from .flownet import MaxFlowNetwork
-from .graph_core import SOFT
+from .graph_core import INF, SOFT
 from .rational import format_rational, parse_rational
 
 __all__ = [
@@ -68,12 +68,15 @@ class Solution:
         return out
 
 
-def validate_solution(dist, capacities, k, solution, soft=False):
+def validate_solution(dist, capacities, k, solution, soft=False, scale=1):
     """Re-derive every promise a Solution makes and raise on the first lie.
 
-    dist is any matrix-like table of pairwise distances (hop rows from
-    Graph.hop_distances or the exact metric of an instance); loads are
-    recounted from phi rather than trusted.  Raises ValidationError.
+    dist is an int table of pairwise distances times scale, INF where
+    unreachable: hop rows from Graph.hop_distances (scale 1) or an
+    instance's scaled metric with its scale.  Client v is within the
+    radius r of center u iff dist[u][v] <= floor(r * scale), one int
+    comparison.  Loads are recounted from phi rather than trusted.
+    Raises ValidationError.
     """
     n = len(capacities)
     if solution.k != k:
@@ -102,6 +105,7 @@ def validate_solution(dist, capacities, k, solution, soft=False):
     radius = Fraction(solution.radius)
     if radius < 0:
         raise ValidationError("solution: negative radius")
+    cutoff = radius.numerator * scale // radius.denominator
     loads = {u: 0 for u in solution.centers}
     for v, u in enumerate(solution.phi):
         if u not in loads:
@@ -110,9 +114,10 @@ def validate_solution(dist, capacities, k, solution, soft=False):
             )
         loads[u] += 1
         d = dist[u][v]
-        if d > radius:
+        if d > cutoff:
+            shown = d if d == INF else Fraction(d, scale)
             raise ValidationError(
-                f"solution: client {v} sits at distance {d} from center {u},"
+                f"solution: client {v} sits at distance {shown} from center {u},"
                 f" beyond the radius {format_rational(radius)}"
             )
     for u, mult in solution.centers.items():

@@ -4,8 +4,13 @@ import math
 from fractions import Fraction
 
 from capkc.assignment import Assignment
-from capkc.graph_core import Graph
+from capkc.graph_core import INF, Graph
 from capkc.shifting import YFlow
+
+
+def exact_metric(inst):
+    """An instance's metric as Fractions, rebuilt from its scaled int table."""
+    return [[d if d == INF else Fraction(d, inst.scale) for d in row] for row in inst.scaled]
 
 
 def rand_connected_graph(rng, n, extra=None):

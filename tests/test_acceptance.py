@@ -47,7 +47,7 @@ from capkc.instances import gap_layout
 from capkc.shifting import YFlow, chain_shift
 
 from conftest import acceptance_lines
-from helpers import rand_chain_case, rand_connected_graph
+from helpers import exact_metric, rand_chain_case, rand_connected_graph
 from test_shifting import CHAIN_PATHS, CHAIN_X1, CHAIN_Y1, chain_scenario
 
 
@@ -89,6 +89,13 @@ def solve_via_cli(inst, tmp_path, tag):
         if ":" in line
     }
     return report, read_solution(spath)
+
+
+def check_on_metric(inst, caps, k, sol, soft=False):
+    """Validate on the scaled ints; the radius is the exact largest distance."""
+    validate_solution(inst.scaled, caps, k, sol, soft=soft, scale=inst.scale)
+    exact = exact_metric(inst)
+    assert sol.radius == max(exact[u][v] for v, u in enumerate(sol.phi))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +225,7 @@ def test_criterion_4_hard_ratio_vs_oracle(tmp_path):
             inst = gen_random_connected(n, 0.9, (6, 8), k, seed=seed)
             opt_r, _ = exact_opt(inst)
             report, sol = solve_via_cli(inst, tmp_path, f"unit{seed}")
-            validate_solution(inst.dist, list(inst.capacities), k, sol)
+            check_on_metric(inst, list(inst.capacities), k, sol)
             ratio = Fraction(Fraction(report["radius"]), Fraction(opt_r))
             assert ratio <= int(report["stretch"]), (seed, ratio)
             max_ratio = max(max_ratio, ratio)
@@ -241,7 +248,7 @@ def test_criterion_4_hard_ratio_vs_oracle(tmp_path):
             inst = WeightedMetricInstance.from_weighted_edges(n, wedges, caps, k, HARD)
             opt_r, _ = exact_opt(inst)
             report, sol = solve_via_cli(inst, tmp_path, f"weighted{case}")
-            validate_solution(inst.dist, caps, k, sol)
+            check_on_metric(inst, caps, k, sol)
             ratio = Fraction(Fraction(report["radius"]), Fraction(opt_r))
             assert ratio <= int(report["stretch"]), (case, ratio)
             max_ratio = max(max_ratio, ratio)
@@ -280,7 +287,7 @@ def test_criterion_5_soft_radius_and_ratio(tmp_path):
             inst = gen_random_connected(n, 0.8, (4, 6), k, seed=8000 + seed, mode=SOFT)
             opt_r, _ = exact_opt(inst)
             report, sol = solve_via_cli(inst, tmp_path, f"soft{seed}")
-            validate_solution(inst.dist, list(inst.capacities), k, sol, soft=True)
+            check_on_metric(inst, list(inst.capacities), k, sol, soft=True)
             ratio = Fraction(Fraction(report["radius"]), Fraction(opt_r))
             if ratio > 11:
                 violations += 1

@@ -4,6 +4,7 @@ import hashlib
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,13 @@ from capkc.assignment import read_assignment
 from capkc.cli import main
 from capkc.graph_core import (
     HARD,
+    MAX_VERTICES,
     SOFT,
     WeightedMetricInstance,
     read_instance,
     write_instance,
 )
-from capkc.x_rounding import parse_solution_text, read_solution
+from capkc.x_rounding import parse_solution_text, read_solution, validate_solution
 
 
 def path_instance(tmp_path, caps, k, name="inst.txt"):
@@ -215,6 +217,42 @@ class TestPinnedSoftAndOracle:
             "optimum": "fe296e2d8be616f0f39d7b63795fb460398e8fc6bbed77e893eda12d27191df3",
             "radius 5/2": "be6883250fc5537d11e42619a77576162fee3b024b29c0c8f84778f9d1a5e27c",
         }
+
+
+class TestSolvedModeIsValidated:
+    def test_soft_solve_of_a_hard_instance_validates_as_soft(self, tmp_path, capsys):
+        inst = tmp_path / "hard.txt"
+        sol = tmp_path / "soft.txt"
+        assert main(["gen", "random", "--n", "14", "--k", "4", "--seed", "3",
+                     "--out", str(inst)]) == 0
+        assert main(["solve", str(inst), "--mode", "soft", "--output", str(sol)]) == 0
+        assert capsys.readouterr().out.startswith("status: solved\n")
+        solution = read_solution(sol)
+        assert max(solution.centers.values()) > 1  # a stacked center
+        hard = read_instance(inst)
+        validate_solution(
+            hard.scaled, hard.capacities, hard.k, solution, soft=True, scale=hard.scale
+        )
+        assert main(["verify", str(inst), str(sol)]) == 2
+        assert "hard mode cannot open" in capsys.readouterr().out
+
+
+class TestVertexLimit:
+    def test_oversized_instance_exits_three_before_building_rows(self, tmp_path, capsys):
+        n = MAX_VERTICES + 1
+        inst = tmp_path / "big.txt"
+        inst.write_text(
+            f"capkc 1 {n} 0 1 hard\n" + "".join(f"v {v} 1\n" for v in range(n))
+        )
+        tracemalloc.start()
+        try:
+            code = main(["solve", str(inst)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert f"exceed the limit of {MAX_VERTICES}" in capsys.readouterr().err
+        assert peak < n * n * 8 // 20  # one n x n table of pointers is n * n * 8 bytes
 
 
 class TestVerify:

@@ -10,6 +10,8 @@ from capkc.graph_core import HARD, SOFT, WeightedMetricInstance, candidate_radii
 from capkc.instances import gen_fig1, gen_random_connected
 from capkc.x_rounding import validate_solution
 
+from helpers import exact_metric
+
 
 def line_instance(caps, k, mode=HARD):
     n = len(caps)
@@ -24,7 +26,7 @@ class TestFeasibleAt:
         sol = feasible_at(inst, 1)
         assert sol.centers == {1: 1}
         assert sol.phi == (1, 1, 1)
-        validate_solution(inst.dist, inst.capacities, 1, sol)
+        validate_solution(inst.scaled, inst.capacities, 1, sol, scale=inst.scale)
 
     def test_lexicographic_first_set_wins(self):
         # both {0} and {1} serve a 2-path at radius 1; 0 comes first
@@ -36,13 +38,13 @@ class TestFeasibleAt:
         sol = feasible_at(inst, 2)
         assert sol.centers == {0: 1, 1: 1, 2: 1}
         assert sol.loads()[2] == 0
-        validate_solution(inst.dist, inst.capacities, 3, sol)
+        validate_solution(inst.scaled, inst.capacities, 3, sol, scale=inst.scale)
 
     def test_soft_multiset(self):
         inst = line_instance([2, 1, 1], 2, mode=SOFT)
         sol = feasible_at(inst, 1)
         assert sol.centers == {0: 1, 1: 1}
-        validate_solution(inst.dist, inst.capacities, 2, sol, soft=True)
+        validate_solution(inst.scaled, inst.capacities, 2, sol, soft=True, scale=inst.scale)
 
     def test_k_beyond_vertex_count_hard(self):
         inst = line_instance([9, 9], 3)
@@ -96,6 +98,9 @@ class TestExactOpt:
         radius, sol = exact_opt(inst)
         assert radius == Fraction(3, 2)
         assert sol.centers == {0: 1}
+        assert exact_metric(inst) == dist
+        assert sol.radius == max(exact_metric(inst)[u][v] for v, u in enumerate(sol.phi))
+        validate_solution(inst.scaled, inst.capacities, 1, sol, scale=inst.scale)
 
     def test_matches_linear_scan(self):
         for seed in range(6):
@@ -110,5 +115,5 @@ class TestExactOpt:
             else:
                 assert found[0] == radii[answers.index(True)]
                 validate_solution(
-                    inst.dist, inst.capacities, inst.k, found[1]
+                    inst.scaled, inst.capacities, inst.k, found[1], scale=inst.scale
                 )

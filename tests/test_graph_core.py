@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from capkc.errors import InputError
 from capkc.exact_oracle import feasible_at
+from capkc.x_rounding import validate_solution
 from capkc.graph_core import (
     Graph,
     INF,
+    MAX_VERTICES,
     WeightedMetricInstance,
     bfs,
     candidate_radii,
@@ -23,7 +25,7 @@ from capkc.graph_core import (
     threshold_graph,
 )
 
-from helpers import rand_connected_graph
+from helpers import exact_metric, rand_connected_graph
 
 
 def path_metric():
@@ -239,13 +241,13 @@ class TestMetric:
         inst = WeightedMetricInstance.from_weighted_edges(
             3, [(0, 1, Fraction(1, 2)), (1, 2, Fraction(1, 2)), (0, 2, 7)], [1, 1, 1], 1, "hard"
         )
-        assert inst.dist[0][2] == 1
+        assert exact_metric(inst)[0][2] == 1
 
     def test_disconnected_pairs_are_infinite(self):
         inst = WeightedMetricInstance.from_weighted_edges(
             3, [(0, 1, 1)], [1, 1, 1], 1, "hard"
         )
-        assert inst.dist[0][2] == INF
+        assert exact_metric(inst)[0][2] == INF
         assert candidate_radii(inst) == [1]
 
     def test_matrix_validation(self):
@@ -275,7 +277,7 @@ class TestInstanceIO:
         assert inst.capacities == [2, 0, 1]
         assert inst.k == 1
         assert inst.mode == "hard"
-        assert inst.dist[0][2] == Fraction(5, 2)
+        assert exact_metric(inst)[0][2] == Fraction(5, 2)
         assert format_instance(inst) == GOOD
 
     def test_comments_and_blanks_skipped(self):
@@ -374,7 +376,7 @@ class TestIntegerMetric:
         n, edges = graph
         ref = reference_metric(n, edges)
         inst = WeightedMetricInstance.from_weighted_edges(n, edges, [1] * n, 1, "hard")
-        assert inst.dist == ref
+        assert exact_metric(inst) == ref
         radii = sorted({ref[u][v] for u in range(n) for v in range(u + 1, n)} - {INF})
         assert candidate_radii(inst) == radii
         assert all(type(r) is Fraction for r in candidate_radii(inst))
@@ -388,7 +390,7 @@ class TestIntegerMetric:
         ref = reference_metric(n, edges)
         inst = WeightedMetricInstance.from_weighted_edges(n, edges, [1] * n, 1, "hard")
         again = WeightedMetricInstance.from_distance_matrix(ref, [1] * n, 1, "hard")
-        assert again.dist == ref
+        assert exact_metric(again) == ref
         assert candidate_radii(again) == candidate_radii(inst)
         for r in radii_and_midpoints(candidate_radii(inst)):
             assert threshold_graph(again, r) == threshold_graph(inst, r)
@@ -420,13 +422,93 @@ class TestIntegerMetric:
         )
         assert inst.scale == 6
         assert inst.scaled[0] == [0, 10, 13]
-        assert inst.dist[0] == [0, Fraction(5, 3), Fraction(13, 6)]
+        assert exact_metric(inst)[0] == [0, Fraction(5, 3), Fraction(13, 6)]
         assert candidate_radii(inst) == [Fraction(1, 2), Fraction(5, 3), Fraction(13, 6)]
         assert threshold_graph(inst, Fraction(5, 3)).edges == frozenset({(0, 1), (1, 2)})
         assert feasible_at(inst, Fraction(13, 6)).radius == Fraction(13, 6)
         assert feasible_at(inst, Fraction(13, 6) - Fraction(1, 100)) is None
 
-    def test_integer_metric_is_the_exact_view(self):
-        inst = path_metric()
-        assert inst.scale == 1
-        assert inst.dist is inst.scaled
+
+class TestVertexLimit:
+    def test_limit_admits_the_largest_built_instance(self):
+        assert MAX_VERTICES >= 523  # gen gap --k 24
+
+    def test_constructors_refuse_beyond_the_limit(self):
+        n = MAX_VERTICES + 1
+        with pytest.raises(InputError, match=f"limit of {MAX_VERTICES}"):
+            WeightedMetricInstance.from_weighted_edges(n, [], [1] * n, 1, "hard")
+        with pytest.raises(InputError, match=f"limit of {MAX_VERTICES}"):
+            WeightedMetricInstance.from_distance_matrix([[0]] * n, [1] * n, 1, "hard")
+
+    def test_limit_itself_is_accepted(self):
+        inst = WeightedMetricInstance.from_weighted_edges(
+            MAX_VERTICES, [], [1] * MAX_VERTICES, 1, "hard"
+        )
+        assert len(inst.scaled) == MAX_VERTICES
+
+
+class TestReach:
+    def test_reach_is_exact_and_whole_values_are_ints(self):
+        inst = WeightedMetricInstance.from_weighted_edges(
+            3, [(0, 1, Fraction(1, 2)), (1, 2, Fraction(3, 2))], [3, 0, 0], 1, "hard"
+        )
+        assert inst.scale == 2
+        assert inst.reach((1, 1, 1)) == Fraction(3, 2)
+        for phi, far in [((0, 0, 0), 2), ((0, 1, 2), 0)]:
+            assert inst.reach(phi) == far and type(inst.reach(phi)) is int
+
+
+@st.composite
+def instance_texts(draw, from_matrix=False):
+    """Canonical instance text over p/q weights; from_matrix lists every finite pair."""
+    n, edges = draw(weighted_graphs())
+    caps = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    k = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(["hard", "soft"]))
+    if from_matrix:
+        inst = WeightedMetricInstance.from_distance_matrix(reference_metric(n, edges), caps, k, mode)
+    else:
+        inst = WeightedMetricInstance.from_weighted_edges(n, edges, caps, k, mode)
+    return format_instance(inst), reference_metric(n, edges)
+
+
+class TestInstanceRoundTrip:
+    @METRIC_SETTINGS
+    @given(instance_texts())
+    def test_format_of_parse_is_the_identity(self, drawn):
+        text, ref = drawn
+        inst = parse_instance_text(text)
+        assert format_instance(inst) == text
+        assert exact_metric(inst) == ref
+
+    @METRIC_SETTINGS
+    @given(instance_texts(from_matrix=True))
+    def test_edges_rebuilt_from_the_scaled_table_round_trip(self, drawn):
+        # a from_distance_matrix instance writes every finite pair, rebuilt
+        # as Fraction(scaled, scale); parsing that closes to the same metric
+        text, ref = drawn
+        inst = parse_instance_text(text)
+        assert format_instance(inst) == text
+        assert exact_metric(inst) == ref
+
+
+class TestFeasibleAtIsMonotone:
+    @METRIC_SETTINGS
+    @given(weighted_graphs(connected=True) | weighted_graphs(), st.data())
+    def test_feasibility_only_grows_with_the_radius(self, graph, data):
+        n, edges = graph
+        caps = data.draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
+        k = data.draw(st.integers(1, min(n, 4)))
+        mode = data.draw(st.sampled_from(["hard", "soft"]))
+        inst = WeightedMetricInstance.from_weighted_edges(n, edges, caps, k, mode)
+        radii = sorted(radii_and_midpoints(candidate_radii(inst)))
+        answers = []
+        for r in radii:
+            sol = feasible_at(inst, r)
+            answers.append(sol is not None)
+            if sol is not None:
+                assert sol.radius <= r
+                validate_solution(
+                    inst.scaled, inst.capacities, k, sol, soft=mode == "soft", scale=inst.scale
+                )
+        assert answers == sorted(answers), list(zip(radii, answers))

@@ -7,7 +7,7 @@ import pytest
 
 from capkc.assignment import Assignment
 from capkc.errors import InputError, PipelineError, ValidationError
-from capkc.graph_core import INF, SOFT, Graph
+from capkc.graph_core import INF, SOFT, Graph, WeightedMetricInstance
 from capkc.shifting import RoundingContext
 from capkc.caterpillar import round_y
 from capkc.x_rounding import (
@@ -200,15 +200,31 @@ class TestValidator:
             validate_solution(self.hops, self.caps, 1, sol)
 
     def test_metric_distances_accepted(self):
-        dist = [
-            [Fraction(0), Fraction(3, 2)],
-            [Fraction(3, 2), Fraction(0)],
-        ]
+        scaled = [[0, 3], [3, 0]]  # d(0, 1) = 3/2 over scale 2
         sol = Solution(k=1, radius=Fraction(3, 2), centers={0: 1}, phi=(0, 0))
-        validate_solution(dist, [2, 2], 1, sol)
+        validate_solution(scaled, [2, 2], 1, sol, scale=2)
         sol = Solution(k=1, radius=Fraction(4, 3), centers={0: 1}, phi=(0, 0))
         with pytest.raises(ValidationError, match="beyond the radius"):
-            validate_solution(dist, [2, 2], 1, sol)
+            validate_solution(scaled, [2, 2], 1, sol, scale=2)
+
+    def test_weighted_solution_at_exactly_its_fractional_radius(self):
+        # d(0, 1) = 5/3 and d(0, 2) = 13/6 over scale 6
+        inst = WeightedMetricInstance.from_weighted_edges(
+            3, [(0, 1, Fraction(5, 3)), (1, 2, Fraction(1, 2))], [3, 0, 0], 1, "hard"
+        )
+        assert inst.scale == 6
+        sol = Solution(k=1, radius=Fraction(13, 6), centers={0: 1}, phi=(0, 0, 0))
+        validate_solution(inst.scaled, inst.capacities, 1, sol, scale=inst.scale)
+        sol.radius = Fraction(13, 6) - Fraction(1, 7 * inst.scale)
+        with pytest.raises(ValidationError) as err:
+            validate_solution(inst.scaled, inst.capacities, 1, sol, scale=inst.scale)
+        assert "client 2 sits at distance 13/6 from center 0" in str(err.value)
+
+    def test_unreachable_client_reports_inf(self):
+        scaled = [[0, INF], [INF, 0]]
+        sol = Solution(k=1, radius=5, centers={0: 1}, phi=(0, 0))
+        with pytest.raises(ValidationError, match="distance inf from center 0"):
+            validate_solution(scaled, [2, 2], 1, sol, scale=3)
 
 
 class TestSolutionFormat:
