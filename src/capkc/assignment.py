@@ -11,7 +11,9 @@ from fractions import Fraction
 
 from .errors import InputError, PipelineError
 from .graph_core import HARD, INF, SOFT
-from .rational import format_rational, parse_rational
+from .rational import (
+    format_rational, parse_int, parse_rational, read_text, records, write_text
+)
 
 
 class Assignment:
@@ -127,25 +129,20 @@ def dump_assignment(assignment):
 
 
 def write_assignment(assignment, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_assignment(assignment))
+    write_text(path, dump_assignment(assignment))
 
 
 def parse_assignment_text(text, vertex_count, mode=HARD):
     a = Assignment(vertex_count, mode)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in records(text):
         try:
             if parts[0] == "y" and len(parts) == 3:
-                v = int(parts[1])
+                v = parse_int(parts[1])
                 if not 0 <= v < vertex_count:
                     raise InputError(f"line {lineno}: vertex {v} out of range")
                 a.y[v] = parse_rational(parts[2])
             elif parts[0] == "x" and len(parts) == 4:
-                u, v = int(parts[1]), int(parts[2])
+                u, v = parse_int(parts[1]), parse_int(parts[2])
                 if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                     raise InputError(f"line {lineno}: pair ({u},{v}) out of range")
                 q = parse_rational(parts[3])
@@ -160,9 +157,4 @@ def parse_assignment_text(text, vertex_count, mode=HARD):
 
 
 def read_assignment(path, vertex_count, mode=HARD):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read assignment file {path}: {exc}") from exc
-    return parse_assignment_text(text, vertex_count, mode)
+    return parse_assignment_text(read_text(path, "assignment"), vertex_count, mode)

@@ -300,7 +300,6 @@ def build_caterpillar(ctx, assignment):
             shift(ctx, assignment, u, f, min(y[u], 1 - y[f]))
 
     nodes = sorted(anchors)
-    index = {s: t for t, s in enumerate(nodes)}
     hops = graph.hop_distances()
     edges = [
         (a, b)

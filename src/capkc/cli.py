@@ -7,7 +7,8 @@ Subcommands:
   gen      write one of the built-in instance families
   oracle   query the brute-force exact solver
 
-Exit codes: 0 solved or valid, 2 infeasible or invalid, 3 bad input.
+Exit codes: 0 solved or valid, 2 infeasible or invalid, 3 bad input: a file
+that is malformed or cannot be read, decoded or written, or a usage error.
 
 The solver sweeps candidate radii in ascending order.  At each radius it
 splits the threshold graph into connected components, binary-searches
@@ -30,10 +31,10 @@ from .graph_core import (
     SOFT,
     candidate_radii,
     connected_components,
+    format_instance,
     induced_subgraph,
     read_instance,
     threshold_graph,
-    write_instance,
 )
 from .instances import (
     gen_fig1,
@@ -42,7 +43,7 @@ from .instances import (
     gen_x3c,
 )
 from .lp_feasibility import build_lp1, solve_feasibility, write_lp_dump
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_int, parse_rational, write_text
 from .shifting import RoundingContext, TraceLog
 from .soft_solver import solve_soft
 from .x_rounding import (
@@ -177,8 +178,7 @@ def _emit_solution(inst, solution, args, soft):
     """Validate the solution under the solved mode, then write it out."""
     _validate(inst, solution, soft)
     if getattr(args, "emit_certificate", None):
-        with open(args.emit_certificate, "w", encoding="ascii") as fh:
-            fh.write(solution.trace or "")
+        write_text(args.emit_certificate, solution.trace or "")
     if args.output:
         write_solution(solution, args.output)
     else:
@@ -274,10 +274,8 @@ def _cmd_verify(args):
 
 def _write_or_print_instance(inst, out):
     if out:
-        write_instance(inst, out)
+        write_text(out, format_instance(inst))
     else:
-        from .graph_core import format_instance
-
         sys.stdout.write(format_instance(inst))
 
 
@@ -335,8 +333,15 @@ def _cmd_oracle(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors (exit 3)."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="capkc",
         description="capacitated k-center solver toolkit",
     )
@@ -350,11 +355,11 @@ def build_parser():
     solve.add_argument("--emit-lp-dump", default=None, metavar="PATH")
     solve.add_argument(
         "--seed",
-        type=int,
+        type=parse_int,
         default=None,
         help="recorded in the report; the pipeline itself is deterministic",
     )
-    solve.add_argument("--max-stretch-assert", type=int, default=None)
+    solve.add_argument("--max-stretch-assert", type=parse_int, default=None)
     solve.set_defaults(func=_cmd_solve)
 
     verify = sub.add_parser("verify", help="validate a solution file")
@@ -367,18 +372,18 @@ def build_parser():
 
     fig1 = fam.add_parser("fig1")
     gap = fam.add_parser("gap")
-    gap.add_argument("--k", type=int, required=True)
+    gap.add_argument("--k", type=parse_int, required=True)
     gap.add_argument("--nonuniform", action="store_true")
     x3c = fam.add_parser("x3c")
     x3c.add_argument("--universe", required=True, help="comma-separated labels")
     x3c.add_argument("--sets", required=True, help="semicolon-separated triples")
     rnd = fam.add_parser("random")
-    rnd.add_argument("--n", type=int, required=True)
+    rnd.add_argument("--n", type=parse_int, required=True)
     rnd.add_argument("--density", type=float, default=0.5)
-    rnd.add_argument("--cap-lo", type=int, default=1)
-    rnd.add_argument("--cap-hi", type=int, default=4)
-    rnd.add_argument("--k", type=int, required=True)
-    rnd.add_argument("--seed", type=int, default=0)
+    rnd.add_argument("--cap-lo", type=parse_int, default=1)
+    rnd.add_argument("--cap-hi", type=parse_int, default=4)
+    rnd.add_argument("--k", type=parse_int, required=True)
+    rnd.add_argument("--seed", type=parse_int, default=0)
     rnd.add_argument("--mode", choices=[HARD, SOFT], default=HARD)
     for p in (fig1, gap, x3c, rnd):
         p.add_argument("--out", default=None)
@@ -395,8 +400,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,9 @@ import math
 from fractions import Fraction
 
 from .errors import InputError
-from .rational import format_rational, parse_rational
+from .rational import (
+    format_rational, parse_int, parse_rational, read_text, records, write_text
+)
 
 INF = float("inf")
 
@@ -354,30 +356,25 @@ def hamiltonian_path_in_cube(graph):
 #   v <id> <capacity>          (n lines, each id exactly once)
 #   e <u> <v> <weight>         (m lines; weight rational p/q or integer)
 #
-# Blank lines and lines starting with '#' are skipped.
+# A '#' starts a comment that runs to the end of its line; blank lines are
+# skipped (rational.records).
 
 
 def parse_instance_text(text):
-    lines = text.splitlines()
-    items = [
-        (i + 1, line.strip())
-        for i, line in enumerate(lines)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    items = list(records(text))
     if not items:
         raise InputError("empty instance file")
 
     def fail(lineno, msg):
         raise InputError(f"line {lineno}: {msg}")
 
-    lineno, header = items[0]
-    parts = header.split()
+    lineno, parts = items[0]
     if len(parts) != 6 or parts[0] != "capkc":
         fail(lineno, "header must be 'capkc 1 <n> <m> <k> <hard|soft>'")
     if parts[1] != "1":
         fail(lineno, f"unsupported format version {parts[1]!r}")
     try:
-        n, m, k = int(parts[2]), int(parts[3]), int(parts[4])
+        n, m, k = parse_int(parts[2]), parse_int(parts[3]), parse_int(parts[4])
     except ValueError:
         fail(lineno, "n, m, k must be integers")
     mode = parts[5]
@@ -391,12 +388,11 @@ def parse_instance_text(text):
         fail(lineno, f"expected {n} vertex lines and {m} edge lines, found {len(items) - 1}")
 
     caps = [None] * n
-    for lineno, line in items[1 : 1 + n]:
-        parts = line.split()
+    for lineno, parts in items[1 : 1 + n]:
         if len(parts) != 3 or parts[0] != "v":
             fail(lineno, "expected 'v <id> <capacity>'")
         try:
-            vid, cap = int(parts[1]), int(parts[2])
+            vid, cap = parse_int(parts[1]), parse_int(parts[2])
         except ValueError:
             fail(lineno, "vertex id and capacity must be integers")
         if not 0 <= vid < n:
@@ -409,12 +405,11 @@ def parse_instance_text(text):
 
     edges = []
     seen_pairs = set()
-    for lineno, line in items[1 + n :]:
-        parts = line.split()
+    for lineno, parts in items[1 + n :]:
         if len(parts) != 4 or parts[0] != "e":
             fail(lineno, "expected 'e <u> <v> <weight>'")
         try:
-            u, v = int(parts[1]), int(parts[2])
+            u, v = parse_int(parts[1]), parse_int(parts[2])
         except ValueError:
             fail(lineno, "edge endpoints must be integers")
         try:
@@ -437,12 +432,7 @@ def parse_instance_text(text):
 
 
 def read_instance(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read instance file {path}: {exc}") from exc
-    return parse_instance_text(text)
+    return parse_instance_text(read_text(path, "instance"))
 
 
 def format_instance(inst):
@@ -456,5 +446,4 @@ def format_instance(inst):
 
 
 def write_instance(inst, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_instance(inst))
+    write_text(path, format_instance(inst))

@@ -29,6 +29,7 @@ from .assignment import Assignment
 from .errors import InputError, PipelineError
 from .flownet import MaxFlowNetwork
 from .graph_core import HARD, INF, SOFT
+from .rational import write_text
 
 _MAX_PIVOTS = 500_000
 _MAX_ROUNDS = 10_000
@@ -151,8 +152,7 @@ class Phase1Tableau:
         self.art_cols = set()
 
     def add_row(self, coefs, sense, b):
-        b = Fraction(b)
-        coefs = {c: Fraction(v) for c, v in coefs.items() if v != 0}
+        coefs = {c: v for c, v in coefs.items() if v != 0}
         den = lcm(b.denominator, *(q.denominator for q in coefs.values()))
         d = {c: q.numerator * (den // q.denominator) for c, q in coefs.items()}
         rb = b.numerator * (den // b.denominator)
@@ -567,5 +567,4 @@ def format_lp_dump(model):
 
 
 def write_lp_dump(model, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_lp_dump(model))
+    write_text(path, format_lp_dump(model))

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic helpers.
+"""Exact rational arithmetic and the one text layer every capkc file goes through.
 
 The public API of every module speaks fractions.Fraction, and every
 computation runs on Python ints and Fractions: the simplex tableau pivots
@@ -8,11 +8,18 @@ and the LP's separation max-flow runs on ints over the master point's
 common denominator (see lp_feasibility._solve_cuts).  MaxFlowNetwork itself
 takes int or Fraction capacities.  No floating point anywhere.
 
+Every capkc file is UTF-8 text that read_text reads and write_text writes,
+turning an OS or decoding error into an InputError.  records() splits text
+into fields for every format ('#' starts a comment, blank lines are skipped),
+and parse_int and parse_rational share one strict ASCII grammar.
+
 HAVE_GMPY2 only records whether gmpy2 is importable; no module uses it.
 """
 
 import re
 from fractions import Fraction
+
+from .errors import InputError
 
 try:
     import gmpy2  # noqa: F401
@@ -23,6 +30,40 @@ except ImportError:  # pragma: no cover
 
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def read_text(path, what):
+    """The UTF-8 text of a file; InputError names `what` if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def write_text(path, text):
+    """Write text to path as UTF-8; InputError if the file cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def records(text):
+    """Yield (lineno, fields) per non-blank line; '#' starts a comment."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.partition("#")[0].split()
+        if fields:
+            yield lineno, fields
+
+
+def parse_int(token):
+    """Parse [+-]?digits in ASCII digits to int; ValueError on anything else."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected an integer, got {token!r}")
+    return int(token)
 
 
 def parse_rational(token):

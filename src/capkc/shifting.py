@@ -16,7 +16,7 @@ from .assignment import global_delta, radius_of
 from .errors import PipelineError, ValidationError
 from .graph_core import INF
 from .lp_feasibility import verify_assignment_feasible
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_int, parse_rational, records
 
 
 class TraceLog:
@@ -332,43 +332,46 @@ def chain_shift(ctx, assignment, flow, record=True):
 
 
 def replay_trace(ctx, assignment, text):
-    """Re-execute a trace on a copy of `assignment`; checks every recorded delta."""
+    """Re-execute a trace on a copy of `assignment`; checks every recorded delta.
+
+    '#' starts a comment, so a certificate's '# component' header is skipped.
+    """
     result = assignment.copy()
     quiet = RoundingContext(ctx.graph, ctx.capacities, ctx.soft, trace=None)
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [parts for _, parts in records(text)]
     i = 0
 
     def check_delta(expect):
         got = global_delta(result, ctx.graph)
-        if got != int(expect):
+        if got != parse_int(expect):
             raise ValidationError(
                 f"trace replay diverged: recorded delta {expect}, got {got}"
             )
 
     while i < len(lines):
-        parts = lines[i].split()
+        parts = lines[i]
         op = parts[0]
         if op == "shift":
             _, a, b, alpha, _kw, d = parts
-            shift(quiet, result, int(a), int(b), parse_rational(alpha))
+            shift(quiet, result, parse_int(a), parse_int(b), parse_rational(alpha))
             check_delta(d)
             i += 1
         elif op == "group":
-            count = int(parts[1])
-            members = [int(v) for v in parts[2 : 2 + count]]
+            count = parse_int(parts[1])
+            members = [parse_int(v) for v in parts[2 : 2 + count]]
             d = parts[2 + count + 1]
             group_shift(quiet, result, members)
             check_delta(d)
             i += 1
         elif op == "chain":
-            count = int(parts[1])
+            count = parse_int(parts[1])
             d = parts[3]
             paths = []
             for j in range(count):
-                p = lines[i + 1 + j].split()
+                p = lines[i + 1 + j]
                 if p[0] != "path":
                     raise ValidationError("trace replay: expected a path line")
-                paths.append((parse_rational(p[1]), tuple(int(v) for v in p[2:])))
+                paths.append((parse_rational(p[1]), tuple(parse_int(v) for v in p[2:])))
             chain_shift(quiet, result, YFlow.from_paths(paths))
             check_delta(d)
             i += 1 + count

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .graph_core import INF
+from .rational import parse_int, read_text, records, write_text
 
 __all__ = [
     "UniformWitness",
@@ -127,11 +128,7 @@ def format_witness(core):
 def parse_witness_text(text):
     core = []
     seen_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in records(text):
         if parts[0] == "witness":
             if seen_header:
                 raise InputError(f"line {lineno}: repeated witness header")
@@ -142,7 +139,7 @@ def parse_witness_text(text):
             if len(parts) != 2:
                 raise InputError(f"line {lineno}: expected 'v <id>'")
             try:
-                core.append(int(parts[1]))
+                core.append(parse_int(parts[1]))
             except ValueError as exc:
                 raise InputError(f"line {lineno}: {exc}") from exc
         else:
@@ -153,13 +150,8 @@ def parse_witness_text(text):
 
 
 def write_witness(core, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_witness(core))
+    write_text(path, format_witness(core))
 
 
 def read_witness(path):
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return parse_witness_text(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read witness file {path}: {exc}") from exc
+    return parse_witness_text(read_text(path, "witness"))

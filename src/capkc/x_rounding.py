@@ -19,7 +19,9 @@ from fractions import Fraction
 from .errors import InputError, PipelineError, ValidationError
 from .flownet import MaxFlowNetwork
 from .graph_core import INF, SOFT
-from .rational import format_rational, parse_rational
+from .rational import (
+    format_rational, parse_int, parse_rational, read_text, records, write_text
+)
 
 __all__ = [
     "Solution",
@@ -223,11 +225,7 @@ def parse_solution_text(text):
     radius = None
     centers = {}
     assigns = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in records(text):
         tag = parts[0]
         try:
             if tag == "solution":
@@ -237,14 +235,14 @@ def parse_solution_text(text):
                     raise InputError(
                         f"line {lineno}: expected 'solution <k> <radius>'"
                     )
-                k = int(parts[1])
+                k = parse_int(parts[1])
                 radius = parse_rational(parts[2])
             elif tag == "center":
                 if len(parts) != 3:
                     raise InputError(
                         f"line {lineno}: expected 'center <vertex> <multiplicity>'"
                     )
-                u, mult = int(parts[1]), int(parts[2])
+                u, mult = parse_int(parts[1]), parse_int(parts[2])
                 if u in centers:
                     raise InputError(f"line {lineno}: center {u} repeats")
                 centers[u] = mult
@@ -253,7 +251,7 @@ def parse_solution_text(text):
                     raise InputError(
                         f"line {lineno}: expected 'assign <client> <center>'"
                     )
-                v, u = int(parts[1]), int(parts[2])
+                v, u = parse_int(parts[1]), parse_int(parts[2])
                 if v in assigns:
                     raise InputError(f"line {lineno}: client {v} repeats")
                 assigns[v] = u
@@ -273,13 +271,8 @@ def parse_solution_text(text):
 
 
 def write_solution(solution, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_solution(solution))
+    write_text(path, format_solution(solution))
 
 
 def read_solution(path):
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return parse_solution_text(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read solution file {path}: {exc}") from exc
+    return parse_solution_text(read_text(path, "solution"))

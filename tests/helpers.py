@@ -3,6 +3,8 @@
 import math
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from capkc.assignment import Assignment
 from capkc.graph_core import INF, Graph
 from capkc.shifting import YFlow
@@ -11,6 +13,22 @@ from capkc.shifting import YFlow
 def exact_metric(inst):
     """An instance's metric as Fractions, rebuilt from its scaled int table."""
     return [[d if d == INF else Fraction(d, inst.scale) for d in row] for row in inst.scaled]
+
+
+# A comment may hold anything but a line break: str.splitlines also breaks
+# on control characters and on the Unicode line and paragraph separators.
+COMMENTS = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8)
+
+
+def with_comments(data, text):
+    """text with a drawn '#' comment at the end of some of its lines."""
+    out = []
+    for line in text.splitlines():
+        comment = data.draw(st.none() | COMMENTS)
+        if comment is not None:
+            line += data.draw(st.sampled_from(["", " ", "\t"])) + "#" + comment
+        out.append(line)
+    return "\n".join(out) + "\n"
 
 
 def rand_connected_graph(rng, n, extra=None):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capkc.assignment import (
     Assignment,
@@ -11,6 +13,8 @@ from capkc.assignment import (
 )
 from capkc.errors import InputError, PipelineError
 from capkc.graph_core import Graph
+
+from helpers import with_comments
 
 
 def small():
@@ -106,6 +110,24 @@ class TestAssignmentIO:
     def test_missing_y_defaults_to_zero(self):
         a = parse_assignment_text("y 1 1\nx 1 1 1\n", 3, "hard")
         assert a.y == [Fraction(0), Fraction(1), Fraction(0)]
+
+    def test_inline_comments(self):
+        a = parse_assignment_text("y 0 1  # open\nx 0 1 1 # serves 1\n", 3, "hard")
+        assert a.y == [Fraction(1), Fraction(0), Fraction(0)]
+        assert list(a.x_items()) == [(0, 1, Fraction(1))]
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_dump_of_parse_is_the_identity_under_comments(self, data):
+        n = data.draw(st.integers(1, 6))
+        values = st.fractions(min_value=0, max_value=3, max_denominator=12)
+        a = Assignment(n)
+        a.y = data.draw(st.lists(values, min_size=n, max_size=n))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for (u, v), q in data.draw(st.dictionaries(pairs, values.filter(bool))).items():
+            a.set_x(u, v, q)
+        text = dump_assignment(a)
+        assert dump_assignment(parse_assignment_text(with_comments(data, text), n)) == text
 
     @pytest.mark.parametrize(
         "bad",

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,17 +10,22 @@ from fractions import Fraction
 
 import pytest
 
-from capkc.assignment import read_assignment
-from capkc.cli import main
+from capkc.assignment import global_delta, read_assignment
+from capkc.cli import _minimal_budget, main
 from capkc.graph_core import (
     HARD,
     MAX_VERTICES,
     SOFT,
     WeightedMetricInstance,
+    induced_subgraph,
     read_instance,
+    threshold_graph,
     write_instance,
 )
-from capkc.x_rounding import parse_solution_text, read_solution, validate_solution
+from capkc.instances import gen_random_connected
+from capkc.rational import parse_rational
+from capkc.shifting import RoundingContext, replay_trace
+from capkc.x_rounding import parse_solution_text, read_solution, round_x, validate_solution
 
 
 def path_instance(tmp_path, caps, k, name="inst.txt"):
@@ -381,6 +387,127 @@ class TestStrictRationals:
         inst = path_instance(tmp_path, [5, 5, 5], 1)
         assert main(["oracle", str(inst), "--radius", token]) == 3
         assert "bad --radius" in capsys.readouterr().err
+
+
+# The text layer: every file is UTF-8 read and written through one helper
+# pair, '#' starts a comment on any line, integers are ASCII [+-]?digits,
+# and a file that cannot be read, decoded or written, like a usage error,
+# is an input error.  "{d}" in an argument is the test's directory; the
+# "missing" directory under it is never made.
+PATH5 = b"capkc 1 5 4 1 hard\nv 0 5\nv 1 5\nv 2 5\nv 3 5\nv 4 5\ne 0 1 1\ne 1 2 1\ne 2 3 1\ne 3 4 1\n"
+PATH5_SOLUTION = b"solution 1 2\ncenter 2 1\nassign 0 2\nassign 1 2\nassign 2 2\nassign 3 2\nassign 4 2\n"
+UNDECODABLE = PATH5.replace(b"v 1 5", b"v 1 5 \xff")
+MISSING = "{d}/missing/out.txt"
+
+TEXT_LAYER_CASES = {
+    # name: (files, argv, exit code, part of the one stderr line or None)
+    "solve-undecodable-instance": (
+        {"i": UNDECODABLE}, ["solve", "{d}/i"], 3, "cannot read instance file"),
+    "oracle-undecodable-instance": (
+        {"i": UNDECODABLE}, ["oracle", "{d}/i"], 3, "cannot read instance file"),
+    "verify-utf8-solution-comment": (
+        {"i": PATH5, "s": PATH5_SOLUTION + "# centre à é\n".encode()},
+        ["verify", "{d}/i", "{d}/s"], 0, None),
+    "solve-unwritable-output": (
+        {"i": PATH5}, ["solve", "{d}/i", "-o", MISSING], 3, "cannot write"),
+    "solve-unwritable-certificate": (
+        {"i": PATH5}, ["solve", "{d}/i", "--emit-certificate", MISSING], 3, "cannot write"),
+    "solve-unwritable-lp-dump": (
+        {"i": PATH5}, ["solve", "{d}/i", "--emit-lp-dump", MISSING], 3, "cannot write"),
+    "gen-unwritable-out": ({}, ["gen", "fig1", "--out", MISSING], 3, "cannot write"),
+    "gen-unwritable-witness-out": (
+        {}, ["gen", "fig1", "--out", "{d}/f", "--witness-out", MISSING], 3, "cannot write"),
+    "solve-inline-comment-on-vertex": (
+        {"i": PATH5.replace(b"v 0 5", b"v 0 5  # hub")}, ["solve", "{d}/i"], 0, None),
+    "solve-underscore-in-k": (
+        {"i": PATH5.replace(b"4 1 hard", b"4 1_0 hard")}, ["solve", "{d}/i"], 3,
+        "line 1: n, m, k must be integers"),
+    "solve-arabic-indic-vertex-id": (
+        {"i": PATH5.replace(b"v 1 5", "v ١ 5".encode())}, ["solve", "{d}/i"], 3,
+        "line 3: vertex id and capacity must be integers"),
+    "usage-non-integer-n": ({}, ["gen", "random", "--n", "x", "--k", "3"], 3, "argument --n"),
+    "usage-arabic-indic-n": ({}, ["gen", "random", "--n", "١", "--k", "3"], 3, "argument --n"),
+    "usage-underscore-seed": (
+        {"i": PATH5}, ["solve", "{d}/i", "--seed", "1_0"], 3, "argument --seed"),
+    "usage-bad-mode": ({"i": PATH5}, ["solve", "{d}/i", "--mode", "bogus"], 3, "invalid choice"),
+    "usage-no-subcommand": ({}, [], 3, "required"),
+}
+
+
+class TestTextLayer:
+    @pytest.mark.parametrize("name", sorted(TEXT_LAYER_CASES))
+    def test_case(self, tmp_path, capsys, name):
+        files, argv, code, message = TEXT_LAYER_CASES[name]
+        for fname, data in files.items():
+            (tmp_path / fname).write_bytes(data)
+        assert main([a.replace("{d}", str(tmp_path)) for a in argv]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if message is None:
+            assert err == ""
+        else:
+            (line,) = err.splitlines()
+            assert line.startswith("error: ") and message in line
+
+    def test_usage_error_exits_three_from_the_process(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "capkc", "gen", "random", "--n", "x", "--k", "3"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
+def joined_instance(tmp_path, seeds):
+    """Seeded random parts (n=14, k=4 each) chained by edges of weight 50.
+
+    Each part solves at threshold 1 from a fractional LP point, so at that
+    threshold every part is its own component with a non-empty trace.
+    """
+    edges, caps = [], []
+    for t, seed in enumerate(seeds):
+        part = gen_random_connected(14, 0.6, (2, 5), 4, seed)
+        edges += [(u + 14 * t, v + 14 * t, w) for u, v, w in part.edges]
+        caps += part.capacities
+        if t:
+            edges.append((14 * (t - 1), 14 * t, 50))
+    inst = WeightedMetricInstance.from_weighted_edges(len(caps), edges, caps, 4 * len(seeds), HARD)
+    target = tmp_path / "joined.txt"
+    write_instance(inst, target)
+    return target
+
+
+class TestCertificateReplay:
+    @pytest.mark.parametrize("seeds", [(16, 4), (16,)])
+    def test_each_section_replays_to_the_emitted_assignment(self, tmp_path, capsys, seeds):
+        path = joined_instance(tmp_path, seeds)
+        sol_path, cert_path = tmp_path / "s.txt", tmp_path / "c.txt"
+        argv = ["solve", str(path), "-o", str(sol_path), "--emit-certificate", str(cert_path)]
+        assert main(argv) == 0
+        report = capsys.readouterr().out.splitlines()
+        assert report[1] == "threshold: 1"
+        inst = read_instance(path)
+        emitted = read_solution(sol_path)
+        g = threshold_graph(inst, parse_rational(report[1].split()[1]))
+        # each section keeps its '# component' header, which replay skips
+        sections = re.split(r"(?m)^(?=# component )", cert_path.read_text())[1:]
+        assert len(sections) == len(seeds)
+        for section in sections:
+            assert section.count("\n") > 1
+            ids = [int(v) for v in section.split("\n", 1)[0].split()[2:]]
+            sub, old_ids = induced_subgraph(g, ids)
+            caps = [inst.capacities[v] for v in old_ids]
+            budget, point = _minimal_budget(sub, caps, min(inst.k, sub.vertex_count), False)
+            replayed = replay_trace(RoundingContext(sub, caps), point, section)
+            sol = round_x(sub, caps, replayed, global_delta(replayed, sub))
+            assert [old_ids[c] for c in sol.phi] == [emitted.phi[v] for v in old_ids]
 
 
 def test_module_entry_point(tmp_path):

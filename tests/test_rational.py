@@ -1,10 +1,13 @@
-"""The exact rational grammar every reader shares: [+-]?digits(/digits)?."""
+"""The text layer every reader shares: [+-]?digits(/digits)?, fields, files."""
 
 from fractions import Fraction
 
 import pytest
 
-from capkc.rational import format_rational, parse_rational
+from capkc.errors import InputError
+from capkc.rational import (
+    format_rational, parse_int, parse_rational, read_text, records, write_text
+)
 
 
 @pytest.mark.parametrize(
@@ -41,3 +44,36 @@ def test_rejects_everything_else_with_value_error(token):
 def test_format_round_trips():
     for q in [Fraction(0), Fraction(5), Fraction(-5, 3), Fraction(22, 7)]:
         assert parse_rational(format_rational(q)) == q
+
+
+@pytest.mark.parametrize("token, value", [("0", 0), ("-3", -3), ("+7", 7), ("007", 7)])
+def test_parse_int_accepts_signed_ascii_digits(token, value):
+    got = parse_int(token)
+    assert type(got) is int and got == value
+
+
+@pytest.mark.parametrize(
+    "token", ["", "+", "1_0", "\u0661", "\uff11", "1/1", "1.0", "1e3", " 1", "1 ", "0x10"]
+)
+def test_parse_int_rejects_everything_else_with_value_error(token):
+    with pytest.raises(ValueError):
+        parse_int(token)
+
+
+def test_records_cut_comments_and_skip_blank_lines():
+    text = "# head\n\n  a 1  # x # y\nb\t2#z\n   \n#\nc\n"
+    assert list(records(text)) == [(3, ["a", "1"]), (4, ["b", "2"]), (7, ["c"])]
+
+
+def test_text_files_are_utf8_and_failures_are_input_errors(tmp_path):
+    path = tmp_path / "f.txt"
+    write_text(path, "v 0 1  # caf\u00e9\n")
+    assert path.read_bytes() == b"v 0 1  # caf\xc3\xa9\n"
+    assert read_text(path, "instance") == "v 0 1  # caf\u00e9\n"
+    path.write_bytes(b"v 0 1 \xff\n")
+    with pytest.raises(InputError, match="cannot read instance file"):
+        read_text(path, "instance")
+    with pytest.raises(InputError, match="cannot read solution file"):
+        read_text(tmp_path / "missing", "solution")
+    with pytest.raises(InputError, match="cannot write"):
+        write_text(tmp_path / "missing" / "f.txt", "")

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capkc.assignment import Assignment
 from capkc.errors import InputError, PipelineError, ValidationError
@@ -21,7 +23,7 @@ from capkc.x_rounding import (
     write_solution,
 )
 
-from helpers import rand_connected_graph, two_hub_gadget, two_hub_witness
+from helpers import rand_connected_graph, two_hub_gadget, two_hub_witness, with_comments
 
 
 def hard_assignment(n, ones):
@@ -270,6 +272,18 @@ class TestSolutionFormat:
     def test_bad_number_reports_line(self):
         with pytest.raises(InputError, match="line 2"):
             parse_solution_text("solution 1 1\ncenter zero 1\n")
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_format_of_parse_is_the_identity_under_comments(self, data):
+        n = data.draw(st.integers(1, 8))
+        centers = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, 3), min_size=1))
+        phi = tuple(data.draw(st.lists(st.sampled_from(sorted(centers)), min_size=n, max_size=n)))
+        radius = data.draw(st.fractions(min_value=0, max_denominator=12))
+        radius = int(radius) if radius.denominator == 1 else radius
+        sol = Solution(k=sum(centers.values()), radius=radius, centers=centers, phi=phi)
+        text = format_solution(sol)
+        assert format_solution(parse_solution_text(with_comments(data, text))) == text
 
     def test_comments_and_blanks_ignored(self):
         text = "# cert\n\nsolution 1 0\ncenter 0 1  # hub\nassign 0 0\n"
