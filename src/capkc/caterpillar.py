@@ -74,11 +74,8 @@ class Caterpillar:
         """Spine vertex at 1-based position i."""
         return self.spine[i - 1]
 
-    def anchor_index(self, slot):
-        return min(max(slot, 1), self.p)
-
     def anchor(self, slot):
-        return self.spine[self.anchor_index(slot) - 1]
+        return self.vertex(_anchor_index(self.p, slot))
 
     def live_slots(self):
         return [j for j, u in enumerate(self.leaves) if u is not None]
@@ -88,6 +85,32 @@ class Caterpillar:
 
     def reverse(self):
         return Caterpillar(self.delta, self.spine[::-1], self.leaves[::-1])
+
+
+def _anchor_index(p, slot):
+    """Spine position that leaf slot `slot` hangs from, on a spine of length p."""
+    return min(max(slot, 1), p)
+
+
+def _walk(spine, a, b):
+    """Spine vertices from 1-based position a to b, inclusive, in walking order."""
+    step = 1 if b >= a else -1
+    return tuple(spine[t - 1] for t in range(a, b + step, step))
+
+
+def _regroup(ctx, assignment, group):
+    """Group-shift the group (None entries dropped) if two or more members are fractional.
+
+    Returns the one member left fractional, or None.
+    """
+    y = assignment.y
+    group = [u for u in group if u is not None]
+    if sum(1 for u in group if 0 < y[u] < 1) >= 2:
+        group_shift(ctx, assignment, group)
+    frac = [u for u in group if 0 < y[u] < 1]
+    if len(frac) > 1:
+        raise PipelineError(f"regrouping {group} left two fractional vertices")
+    return frac[0] if frac else None
 
 
 def validate_caterpillar(ctx, assignment, cat):
@@ -321,18 +344,9 @@ def build_caterpillar(ctx, assignment):
     for u in range(n):
         if phi[u] in region and u not in anchor_set:
             region[phi[u]].append(u)
-    for v in picks:
-        members = region[anchor_of[v]]
-        if sum(1 for u in members if 0 < y[u] < 1) >= 2:
-            group_shift(ctx, assignment, members)
-
-    row = []
-    for s in spine:
-        frac = [u for u in region[s] if 0 < y[u] < 1]
-        if len(frac) > 1:
-            raise PipelineError(f"regrouping left two fractional vertices near {s}")
-        row.append(frac[0] if frac else None)
-    cat = Caterpillar(_SPINE_DELTA, spine, (None, *row, None))
+    # regroup in sweep order: each certificate line records the delta so far
+    leaf = {anchor_of[v]: _regroup(ctx, assignment, region[anchor_of[v]]) for v in picks}
+    cat = Caterpillar(_SPINE_DELTA, spine, (None, *(leaf[s] for s in spine), None))
 
     _revalidate(ctx, assignment, cat, "construction")
     members = set(cat.vertices())
@@ -348,10 +362,28 @@ def build_caterpillar(ctx, assignment):
 # separation
 
 
-def _spine_walk(cat, a_idx, b_idx):
-    """Spine vertices from 1-based position a_idx to b_idx, inclusive."""
-    step = 1 if b_idx >= a_idx else -1
-    return tuple(cat.spine[t - 1] for t in range(a_idx, b_idx + step, step))
+def _push_to_leaves(ctx, assignment, cat, i, slots, amount):
+    """Move `amount` of y from spine position i into the leaves at `slots` that outgrow v_i.
+
+    Leaves fill to y = 1 in slot order, each along the spine walk from v_i to
+    its anchor; the whole move is one chain shift.
+    """
+    y = assignment.y
+    caps = ctx.capacities
+    vi = cat.vertex(i)
+    paths = []
+    for j in slots:
+        u = cat.leaves[j]
+        if amount == 0:
+            break
+        if u is None or caps[u] <= caps[vi]:
+            continue
+        take = min(1 - y[u], amount)
+        paths.append((take, _walk(cat.spine, i, _anchor_index(cat.p, j)) + (u,)))
+        amount -= take
+    if amount != 0:
+        raise PipelineError(f"the leaves outgrowing {vi} lack {amount} of headroom")
+    chain_shift(ctx, assignment, YFlow.from_paths(paths))
 
 
 def _live(assignment, u):
@@ -412,7 +444,6 @@ def _split_at(ctx, assignment, cat, w, gset, depth):
     """One round of splitting at a right-side witness."""
     i, p = w.index, cat.p
     y = assignment.y
-    caps = ctx.capacities
 
     if w.s2.denominator == 1:
         left = Caterpillar(cat.delta, cat.spine[:i], cat.leaves[: i + 1] + (None,))
@@ -422,22 +453,7 @@ def _split_at(ctx, assignment, cat, w, gset, depth):
         )
 
     # push the right side's leaf mass up to the next integer, drawing on v_i
-    vi = cat.vertex(i)
-    target = ceil(w.s2) - w.s2
-    rem = target
-    paths = []
-    for j in range(i + 1, p + 2):
-        u = cat.leaves[j]
-        if u is None or caps[u] <= caps[vi]:
-            continue
-        take = min(1 - y[u], rem)
-        paths.append((take, _spine_walk(cat, i, cat.anchor_index(j)) + (u,)))
-        rem -= take
-        if rem == 0:
-            break
-    if rem != 0:
-        raise PipelineError("witness promised more headroom than the leaves hold")
-    chain_shift(ctx, assignment, YFlow.from_paths(paths))
+    _push_to_leaves(ctx, assignment, cat, i, range(i + 1, p + 2), ceil(w.s2) - w.s2)
 
     out = []
     if i < p:
@@ -449,14 +465,11 @@ def _split_at(ctx, assignment, cat, w, gset, depth):
         out += _separate(ctx, assignment, right, gset, depth + 1)
 
     if i == 1:
-        group = [u for u in (cat.leaves[0], cat.spine[0], cat.leaves[1]) if u is not None]
-        if sum(1 for u in group if 0 < y[u] < 1) >= 2:
-            group_shift(ctx, assignment, group)
-        for u in group:
-            if y[u].denominator != 1:
-                raise PipelineError("regrouping at the spine head left fractional mass")
+        if _regroup(ctx, assignment, (cat.leaves[0], cat.spine[0], cat.leaves[1])) is not None:
+            raise PipelineError("regrouping at the spine head left fractional mass")
         return out
 
+    vi = cat.vertex(i)
     li = cat.leaves[i]
     if li is not None:
         shift(ctx, assignment, li, vi, min(y[li], 1 - y[vi]))
@@ -511,35 +524,11 @@ def _defuse(ctx, assignment, cat):
     a_idx = min(idxs, key=lambda i: (caps[cat.vertex(i)], cat.vertex(i)))
     va = cat.vertex(a_idx)
 
-    budget = Fraction(0)
-    slots = []
-    for j in range(p + 2):
-        u = cat.leaves[j]
-        if u is not None and caps[u] > caps[va]:
-            slots.append(j)
-            budget += 1 - y[u]
-    budget = min(Fraction(1), budget)
-    rem = budget
-    paths = []
-    for j in slots:
-        u = cat.leaves[j]
-        take = min(1 - y[u], rem)
-        if take > 0:
-            paths.append((take, _spine_walk(cat, a_idx, cat.anchor_index(j)) + (u,)))
-            rem -= take
-        if rem == 0:
-            break
-    if rem != 0:
-        raise PipelineError("defusing found less leaf headroom than counted")
-    chain_shift(ctx, assignment, YFlow.from_paths(paths))
-
-    group = [u for u in (va, cat.leaves[a_idx], cat.leaves[a_idx - 1]) if u is not None]
-    if sum(1 for u in group if 0 < y[u] < 1) >= 2:
-        group_shift(ctx, assignment, group)
-    frac = [u for u in group if 0 < y[u] < 1]
-    if len(frac) > 1:
-        raise PipelineError("defusing regroup left two fractional vertices")
-    merged = frac[0] if frac else None
+    headroom = sum(
+        (1 - y[u] for u in cat.leaves if u is not None and caps[u] > caps[va]), Fraction(0)
+    )
+    _push_to_leaves(ctx, assignment, cat, a_idx, range(p + 2), min(Fraction(1), headroom))
+    merged = _regroup(ctx, assignment, (va, cat.leaves[a_idx], cat.leaves[a_idx - 1]))
 
     spine = cat.spine[: a_idx - 1] + cat.spine[a_idx:]
     leaves = (
@@ -648,10 +637,7 @@ def build_rounding_flow(cat, assignment, capacities):
 def _leaf_path(spine, leaves, j, m, weight):
     """Path from the leaf at slot j to the leaf at slot m along the spine."""
     p = len(spine)
-    a = min(max(j, 1), p)
-    b = min(max(m, 1), p)
-    step = 1 if b >= a else -1
-    walk = tuple(spine[t - 1] for t in range(a, b + step, step))
+    walk = _walk(spine, _anchor_index(p, j), _anchor_index(p, m))
     return (weight, (leaves[j],) + walk + (leaves[m],))
 
 
@@ -710,9 +696,8 @@ def _rflow(st, spine, leaves, depth):
             # the recursion filled ui; keep 1 - z of that and divert the rest
             need = 1 - z
             kept = []
-            tail = tuple(
-                spine[t - 1] for t in range(i - 1, min(max(i0, 1), p) - 1, -1)
-            ) + (leaves[i0],)
+            # v_{i-1} down to i0's anchor; empty when i == 1 and i0 == 0
+            tail = _walk(spine, i, _anchor_index(p, i0))[1:] + (leaves[i0],)
             for w, path in sub:
                 if path[-1] != ui:
                     kept.append((w, path))
@@ -769,8 +754,7 @@ def _rflow(st, spine, leaves, depth):
                     take = min(w, have)
                     budgets[bi][1] -= take
                     w -= take
-                    a = min(max(j, 1), p)
-                    prefix = (leaves[j],) + tuple(spine[t - 1] for t in range(a, i + 1))
+                    prefix = (leaves[j],) + _walk(spine, _anchor_index(p, j), i)
                     moved.append((take, prefix + rest))
             leftovers = [
                 _leaf_path(spine, leaves, j, i, have)
@@ -783,9 +767,7 @@ def _rflow(st, spine, leaves, depth):
         # synthetic leaf was filled: redirect that inflow to ui and the runner-up
         need = 1 - z
         out = []
-        tail1 = tuple(spine[t - 1] for t in range(i, min(max(i1, 1), p) - 1, -1)) + (
-            leaves[i1],
-        )
+        tail1 = _walk(spine, i, _anchor_index(p, i1)) + (leaves[i1],)
         for w, path in sub:
             if path[-1] != ua:
                 out.append((w, path))
@@ -848,9 +830,7 @@ def round_y(ctx, assignment, k):
                     f"vertex {v} kept after separation with radius above {_KEEP_RADIUS}"
                 )
     for c in make_safe(ctx, assignment, parts):
-        flow = build_rounding_flow(c, assignment, caps)
-        if not flow.is_empty():
-            chain_shift(ctx, assignment, flow)
+        chain_shift(ctx, assignment, build_rounding_flow(c, assignment, caps))
         for v in c.vertices():
             if y[v].denominator != 1:
                 raise PipelineError(f"vertex {v} still fractional after its structure drained")

@@ -66,9 +66,13 @@ def _minimal_budget(graph, capacities, k_cap, soft):
     """Smallest k' in [1, k_cap] whose relaxation is feasible, or None.
 
     Feasibility is monotone in k': extra opening mass can always sit on
-    a vertex with headroom.  Returns (k', assignment) for the leftmost
-    feasible budget.
+    a vertex with headroom.  In hard mode LP1 pins capacity-0 vertices at
+    y = 0, so every k' above the P positive-capacity vertices is
+    infeasible and the search stops at P.  Returns (k', assignment) for
+    the leftmost feasible budget.
     """
+    if not soft:
+        k_cap = min(k_cap, sum(1 for c in capacities if c > 0))
     if k_cap < 1:
         return None
     lo, hi = 1, k_cap
@@ -174,14 +178,19 @@ def _validate(inst, solution, soft):
     validate_solution(inst.scaled, inst.capacities, inst.k, solution, soft, inst.scale)
 
 
-def _emit_solution(inst, solution, args, soft):
-    """Validate the solution under the solved mode, then write it out."""
-    _validate(inst, solution, soft)
-    if getattr(args, "emit_certificate", None):
+def _emit_solution(solution, args, report):
+    """Write the certificate and solution files, then print the report.
+
+    Nothing reaches stdout unless every file was written; without -o the
+    solution follows the report there.
+    """
+    if args.emit_certificate:
         write_text(args.emit_certificate, solution.trace or "")
     if args.output:
         write_solution(solution, args.output)
-    else:
+    for line in report:
+        _print(line)
+    if not args.output:
         sys.stdout.write(format_solution(solution))
 
 
@@ -203,10 +212,9 @@ def _cmd_solve(args):
             _print("reason: no center set serves every client at any radius")
             return 2
         radius, solution = found
-        _print("status: solved")
-        _print(f"radius: {format_rational(radius)}")
-        _print("method: exact")
-        _emit_solution(inst, solution, args, inst.mode == SOFT)
+        _validate(inst, solution, inst.mode == SOFT)
+        report = ["status: solved", f"radius: {format_rational(radius)}", "method: exact"]
+        _emit_solution(solution, args, report)
         return 0
 
     soft = mode == SOFT
@@ -230,7 +238,6 @@ def _cmd_solve(args):
             if budget is not None
         ] + shortfall
         if shortfall or needed > inst.k:
-            _dump_lp(inst, r, soft, args.emit_lp_dump)
             continue
 
         solution, hops = _stitch(inst, plans, soft)
@@ -239,16 +246,20 @@ def _cmd_solve(args):
                 f"stretch assertion failed: {hops} hops"
                 f" > {args.max_stretch_assert}"
             )
-        _print("status: solved")
-        _print(f"threshold: {format_rational(r)}")
-        _print(f"stretch: {hops}")
-        _print(f"radius: {format_rational(solution.radius)}")
-        if args.seed is not None:
-            _print(f"seed: {args.seed}")
+        _validate(inst, solution, soft)
         _dump_lp(inst, r, soft, args.emit_lp_dump)
-        _emit_solution(inst, solution, args, soft)
+        report = [
+            "status: solved",
+            f"threshold: {format_rational(r)}",
+            f"stretch: {hops}",
+            f"radius: {format_rational(solution.radius)}",
+        ]
+        if args.seed is not None:
+            report.append(f"seed: {args.seed}")
+        _emit_solution(solution, args, report)
         return 0
 
+    _dump_lp(inst, r, soft, args.emit_lp_dump)  # the last radius probed
     _print("status: infeasible")
     _print(f"k: {inst.k}")
     _print("at the largest radius the relaxation still needs:")

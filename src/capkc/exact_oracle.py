@@ -9,7 +9,7 @@ would exceed ten million candidate sets.
 
 import math
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby
 
 from .errors import InputError
 from .graph_core import HARD, SOFT, candidate_radii
@@ -72,31 +72,24 @@ def feasible_at(inst, d, mode=None):
             return None
         size = min(k, len(candidates))
         _refuse_beyond_limit(math.comb(len(candidates), size))
-        for chosen in combinations(candidates, size):
-            sol = _solution_from_flow(inst, [(u, 1) for u in chosen], cutoff)
-            if sol is None:
-                continue
-            taken = set(chosen)
-            pad = [v for v in range(n) if v not in taken][: k - size]
-            for v in pad:
-                sol.centers[v] = 1
-            sol.k = k
-            return sol
-        return None
-
-    if not candidates:
-        return None
-    _refuse_beyond_limit(math.comb(len(candidates) + k - 1, k))
-    for chosen in combinations_with_replacement(candidates, k):
-        opened = []
-        for u in chosen:
-            if opened and opened[-1][0] == u:
-                opened[-1] = (u, opened[-1][1] + 1)
-            else:
-                opened.append((u, 1))
+        center_sets = combinations(candidates, size)
+    else:
+        if not candidates:
+            return None
+        size = k
+        _refuse_beyond_limit(math.comb(len(candidates) + k - 1, k))
+        center_sets = combinations_with_replacement(candidates, k)
+    for chosen in center_sets:
+        opened = [(u, len(list(copies))) for u, copies in groupby(chosen)]
         sol = _solution_from_flow(inst, opened, cutoff)
-        if sol is not None:
-            return sol
+        if sol is None:
+            continue
+        # a hard set smaller than k is padded with unused vertices
+        taken = set(chosen)
+        for v in [v for v in range(n) if v not in taken][: k - size]:
+            sol.centers[v] = 1
+        sol.k = k
+        return sol
     return None
 
 

@@ -1,12 +1,15 @@
-"""Exact max-flow (Dinic) over rational or integer capacities.
+"""Exact max-flow (Dinic) over integer capacities.
 
-Every capacity and flow value is exact (int or Fraction); no floating
-point.  Deterministic: arcs are scanned in insertion order, so two
-runs on identically built networks produce identical flows.
+capkc builds its networks with int capacities only (the seat flow and the
+LP's separation flow), so every flow value is an int; no floating point.
+Nothing here rounds, so exact Fractions would work too, but no caller
+passes them.
+Deterministic: arcs are scanned in insertion order, so two runs on
+identically built networks produce identical flows.
 
-Termination does not depend on capacities being integral: Dinic runs at most
-V phases and each blocking flow saturates at least one arc per augmenting
-path, giving at most E paths per phase.
+Termination: each phase raises the residual s-t distance, so there are at
+most V phases, and each augmenting path saturates an arc of the level
+graph, so a phase has at most E of them.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ class MaxFlowNetwork:
     def flow_on(self, arc):
         return self.orig[arc] - self.cap[arc]
 
-    def _levels(self, s, t):
+    def _levels(self, s):
+        """BFS levels of the residual network from s; -1 where unreachable."""
         level = [-1] * self.node_count
         level[s] = 0
         q = deque([s])
@@ -56,7 +60,7 @@ class MaxFlowNetwork:
                 if level[w] < 0 and cap[a] > 0:
                     level[w] = lu + 1
                     q.append(w)
-        return level if level[t] >= 0 else None
+        return level
 
     def max_flow(self, s, t):
         if s == t:
@@ -66,8 +70,8 @@ class MaxFlowNetwork:
         to = self.to
         adj = self.adj
         while True:
-            level = self._levels(s, t)
-            if level is None:
+            level = self._levels(s)
+            if level[t] < 0:
                 return total
             it = [0] * self.node_count
             # iterative blocking flow: walk forward along the level graph,
@@ -109,16 +113,4 @@ class MaxFlowNetwork:
 
     def source_side_cut(self, s):
         """Vertices reachable from s in the residual network (call after max_flow)."""
-        seen = [False] * self.node_count
-        seen[s] = True
-        q = deque([s])
-        cap = self.cap
-        to = self.to
-        while q:
-            u = q.popleft()
-            for a in self.adj[u]:
-                w = to[a]
-                if not seen[w] and cap[a] > 0:
-                    seen[w] = True
-                    q.append(w)
-        return {v for v in range(self.node_count) if seen[v]}
+        return {v for v, lv in enumerate(self._levels(s)) if lv >= 0}

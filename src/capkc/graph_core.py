@@ -161,23 +161,6 @@ def induced_subgraph(graph, vertices):
     return Graph(len(old_ids), edges), old_ids
 
 
-def power_graph(graph, delta):
-    """Graph with edge uv iff 1 <= hop distance <= delta.  Components never merge."""
-    if delta < 1:
-        raise InputError("power exponent must be >= 1")
-    if delta == 1:
-        return graph
-    hops = graph.hop_distances()
-    n = graph.vertex_count
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if hops[u][v] <= delta
-    ]
-    return Graph(n, edges)
-
-
 class WeightedMetricInstance:
     """A problem statement: metric distances, capacities, k, hard/soft mode.
 

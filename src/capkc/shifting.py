@@ -98,7 +98,7 @@ def shift(ctx, assignment, a, b, alpha, record=True):
         )
 
 
-def group_shift(ctx, assignment, group, record=True):
+def group_shift(ctx, assignment, group):
     """Concentrate the group's fractional y until at most one member is fractional.
 
     Members ordered by (capacity, id); mass always flows from the lowest
@@ -129,7 +129,7 @@ def group_shift(ctx, assignment, group, record=True):
         shift(ctx, assignment, a, b, alpha, record=False)
     if global_delta(assignment, graph) > pre_delta + max_pair:
         raise PipelineError("group shift exceeded the pairwise-distance radius law")
-    if record and ctx.trace is not None:
+    if ctx.trace is not None:
         ids = " ".join(str(v) for v in members)
         ctx.trace.record(
             f"group {len(members)} {ids} delta {global_delta(assignment, graph)}"
@@ -255,7 +255,7 @@ def build_flow_graph(flow, capacities):
     return FlowGraph(arcs, tuple(topo))
 
 
-def chain_shift(ctx, assignment, flow, record=True):
+def chain_shift(ctx, assignment, flow):
     """Apply a whole y-flow: x moves along every arc, y moves source -> sink.
 
     Per-arc x transfer is x[u][v] * fl(u, arc) / (L(u) * y_u), computed from
@@ -317,7 +317,7 @@ def chain_shift(ctx, assignment, flow, record=True):
         graph, ctx.capacities, k_pre, assignment, pre_delta + d_max, ctx.soft
     ):
         raise PipelineError("chain shift broke the LP constraints")
-    if record and ctx.trace is not None:
+    if ctx.trace is not None:
         ctx.trace.record(
             f"chain {len(flow.paths)} delta {global_delta(assignment, graph)}"
         )
@@ -331,6 +331,55 @@ def chain_shift(ctx, assignment, flow, record=True):
 # certificate replay
 
 
+def _malformed(lineno, exc):
+    return ValidationError(f"trace replay: line {lineno}: {exc}")
+
+
+def _parse_path(record):
+    """(weight, vertices) of a 'path' line of a chain step."""
+    lineno, parts = record
+    try:
+        if parts[0] != "path" or len(parts) < 2:
+            raise ValueError("expected a path line")
+        return parse_rational(parts[1]), tuple(parse_int(v) for v in parts[2:])
+    except ValueError as exc:
+        raise _malformed(lineno, exc) from exc
+
+
+def _parse_step(lines, i):
+    """The trace step at lines[i]: (primitive, arguments, recorded delta, lines used).
+
+    lines holds (lineno, fields) records; a chain step also reads the path
+    lines after it.  A malformed line raises ValidationError naming it.
+    """
+    lineno, parts = lines[i]
+    used = 1
+    try:
+        op = parts[0]
+        if op == "shift":
+            _, a, b, alpha, kw, d = parts
+            fn, args = shift, (parse_int(a), parse_int(b), parse_rational(alpha))
+        elif op == "group":
+            _, count, *members, kw, d = parts
+            if parse_int(count) != len(members):
+                raise ValueError(f"{count} members announced, {len(members)} listed")
+            fn, args = group_shift, ([parse_int(v) for v in members],)
+        elif op == "chain":
+            _, count, kw, d = parts
+            body = lines[i + 1 : i + 1 + parse_int(count)]
+            if parse_int(count) != len(body):  # too few lines left, or count < 0
+                raise ValueError(f"{count} paths announced, {len(body)} lines follow")
+            fn, args = chain_shift, (YFlow.from_paths(map(_parse_path, body)),)
+            used += len(body)
+        else:
+            raise ValueError(f"unknown op {op!r}")
+        if kw != "delta":
+            raise ValueError(f"expected 'delta', got {kw!r}")
+        return fn, args, parse_int(d), used
+    except ValueError as exc:
+        raise _malformed(lineno, exc) from exc
+
+
 def replay_trace(ctx, assignment, text):
     """Re-execute a trace on a copy of `assignment`; checks every recorded delta.
 
@@ -338,43 +387,15 @@ def replay_trace(ctx, assignment, text):
     """
     result = assignment.copy()
     quiet = RoundingContext(ctx.graph, ctx.capacities, ctx.soft, trace=None)
-    lines = [parts for _, parts in records(text)]
+    lines = list(records(text))
     i = 0
-
-    def check_delta(expect):
-        got = global_delta(result, ctx.graph)
-        if got != parse_int(expect):
-            raise ValidationError(
-                f"trace replay diverged: recorded delta {expect}, got {got}"
-            )
-
     while i < len(lines):
-        parts = lines[i]
-        op = parts[0]
-        if op == "shift":
-            _, a, b, alpha, _kw, d = parts
-            shift(quiet, result, parse_int(a), parse_int(b), parse_rational(alpha))
-            check_delta(d)
-            i += 1
-        elif op == "group":
-            count = parse_int(parts[1])
-            members = [parse_int(v) for v in parts[2 : 2 + count]]
-            d = parts[2 + count + 1]
-            group_shift(quiet, result, members)
-            check_delta(d)
-            i += 1
-        elif op == "chain":
-            count = parse_int(parts[1])
-            d = parts[3]
-            paths = []
-            for j in range(count):
-                p = lines[i + 1 + j]
-                if p[0] != "path":
-                    raise ValidationError("trace replay: expected a path line")
-                paths.append((parse_rational(p[1]), tuple(parse_int(v) for v in p[2:])))
-            chain_shift(quiet, result, YFlow.from_paths(paths))
-            check_delta(d)
-            i += 1 + count
-        else:
-            raise ValidationError(f"trace replay: unknown op {op!r}")
+        fn, args, delta, used = _parse_step(lines, i)
+        fn(quiet, result, *args)
+        got = global_delta(result, ctx.graph)
+        if got != delta:
+            raise ValidationError(
+                f"trace replay diverged: recorded delta {delta}, got {got}"
+            )
+        i += used
     return result

@@ -16,7 +16,7 @@ computations are integral.
 from fractions import Fraction
 
 from .errors import PipelineError, ValidationError
-from .graph_core import bfs, induced_subgraph, power_graph
+from .graph_core import bfs
 from .lp_feasibility import verify_assignment_feasible
 from .x_rounding import Solution, seat_flow, validate_solution
 
@@ -48,10 +48,22 @@ def ks_independent_set(graph):
     for v in bfs(graph.adjacency, 0)[0]:
         if all(hops[v][s] > 2 for s in chosen):
             chosen.append(v)
-    mesh, _ = induced_subgraph(power_graph(graph, 3), chosen)
-    if not mesh.is_connected():
+    anchors = sorted(chosen)
+    if len(_anchor_tree(hops, anchors)[0]) != len(anchors):
         raise PipelineError("anchor set spread across several G^3 components")
-    return sorted(chosen)
+    return anchors
+
+
+def _anchor_tree(hops, anchors):
+    """BFS over the ascending anchors, joining pairs at most three hops apart.
+
+    Rooted at the lowest id; returns (order, parent) as graph_core.bfs
+    does, so order misses any anchor the tree cannot reach.
+    """
+    neighbors = {
+        s: [t for t in anchors if t != s and hops[s][t] <= 3] for s in anchors
+    }
+    return bfs(neighbors, anchors[0])
 
 
 def _anchor_of(hops, anchors, v):
@@ -78,10 +90,7 @@ def _fold_tree(hops, anchors, u):
     fractional part to its parent.  Totals are preserved exactly and no
     anchor ever goes negative.  anchors must be ascending.
     """
-    neighbors = {
-        s: [t for t in anchors if t != s and hops[s][t] <= 3] for s in anchors
-    }
-    order, parent = bfs(neighbors, anchors[0])
+    order, parent = _anchor_tree(hops, anchors)
     if len(order) != len(anchors):
         raise PipelineError("anchor tree does not span the anchor set")
     for s in reversed(order[1:]):

@@ -9,6 +9,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capkc.assignment import global_delta, read_assignment
 from capkc.cli import _minimal_budget, main
@@ -16,6 +18,7 @@ from capkc.graph_core import (
     HARD,
     MAX_VERTICES,
     SOFT,
+    Graph,
     WeightedMetricInstance,
     induced_subgraph,
     read_instance,
@@ -23,6 +26,7 @@ from capkc.graph_core import (
     write_instance,
 )
 from capkc.instances import gen_random_connected
+from capkc.lp_feasibility import build_lp1, format_lp_dump, solve_feasibility
 from capkc.rational import parse_rational
 from capkc.shifting import RoundingContext, replay_trace
 from capkc.x_rounding import parse_solution_text, read_solution, round_x, validate_solution
@@ -101,6 +105,20 @@ class TestSolve:
         assert cert.read_text().startswith("# component 0 1 2 3 4 5")
         assert dump.read_text()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("caps, code, radius", [([5] * 5, 0, 2), ([1] * 3, 2, 2)])
+    def test_lp_dump_is_written_once_at_the_last_radius(
+        self, tmp_path, capsys, monkeypatch, caps, code, radius
+    ):
+        # the accepted radius when solved, the largest radius probed when not
+        inst = path_instance(tmp_path, caps, 1)
+        written = []
+        monkeypatch.setattr("capkc.cli.write_lp_dump", lambda lp, path: written.append(lp))
+        assert main(["solve", str(inst), "--emit-lp-dump", str(tmp_path / "lp.txt")]) == code
+        capsys.readouterr()
+        parsed = read_instance(inst)
+        expected = build_lp1(threshold_graph(parsed, radius), list(caps), 1)
+        assert [format_lp_dump(lp) for lp in written] == [format_lp_dump(expected)]
 
     def test_seed_recorded(self, tmp_path, capsys):
         inst = path_instance(tmp_path, [5, 5, 5], 1)
@@ -412,6 +430,8 @@ TEXT_LAYER_CASES = {
         {"i": PATH5}, ["solve", "{d}/i", "-o", MISSING], 3, "cannot write"),
     "solve-unwritable-certificate": (
         {"i": PATH5}, ["solve", "{d}/i", "--emit-certificate", MISSING], 3, "cannot write"),
+    "solve-exact-unwritable-output": (
+        {"i": PATH5}, ["solve", "{d}/i", "--mode", "exact", "-o", MISSING], 3, "cannot write"),
     "solve-unwritable-lp-dump": (
         {"i": PATH5}, ["solve", "{d}/i", "--emit-lp-dump", MISSING], 3, "cannot write"),
     "gen-unwritable-out": ({}, ["gen", "fig1", "--out", MISSING], 3, "cannot write"),
@@ -441,8 +461,10 @@ class TestTextLayer:
         for fname, data in files.items():
             (tmp_path / fname).write_bytes(data)
         assert main([a.replace("{d}", str(tmp_path)) for a in argv]) == code
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert "Traceback" not in err
+        if code == 3:  # nothing is reported before an input error
+            assert out == ""
         if message is None:
             assert err == ""
         else:
@@ -508,6 +530,83 @@ class TestCertificateReplay:
             replayed = replay_trace(RoundingContext(sub, caps), point, section)
             sol = round_x(sub, caps, replayed, global_delta(replayed, sub))
             assert [old_ids[c] for c in sol.phi] == [emitted.phi[v] for v in old_ids]
+
+
+@st.composite
+def budget_cases(draw):
+    """(graph, capacities, soft): a small graph, often with capacity-0 vertices."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    caps = draw(st.lists(st.sampled_from((0, 0, 0, 1, 2, 3, 4)), min_size=n, max_size=n))
+    return Graph(n, edges), caps, draw(st.booleans())
+
+
+def zero_capacity_instance(tmp_path, seed):
+    """Seeded connected hard instance, n 3..8, about 3/7 of capacities 0."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 8)
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(n // 2):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    edges = [(u, v, rng.randint(1, 3)) for u, v in sorted(pairs)]
+    caps = [rng.choice((0, 0, 0, 1, 2, 3, 4)) for _ in range(n)]
+    inst = WeightedMetricInstance.from_weighted_edges(n, edges, caps, rng.randint(1, n), HARD)
+    target = tmp_path / f"zero{seed}.txt"
+    write_instance(inst, target)
+    return target
+
+
+class TestBudgetSearch:
+    """_minimal_budget binary-searches k', so feasibility must only grow with it.
+
+    In hard mode LP1 pins capacity-0 vertices at y = 0: every k' above the
+    P positive-capacity vertices is infeasible, and the search stops at P.
+    """
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(budget_cases())
+    def test_feasibility_only_grows_with_the_budget(self, case):
+        g, caps, soft = case
+        top = g.vertex_count + soft  # hard-mode LP1 refuses k' > n
+        feasible = [
+            solve_feasibility(build_lp1(g, caps, kk, soft=soft)).feasible
+            for kk in range(1, top + 1)
+        ]
+        if not soft:
+            positive = sum(1 for c in caps if c > 0)
+            assert not any(feasible[positive:])
+            feasible = feasible[:positive]
+        assert feasible == sorted(feasible)
+        found = _minimal_budget(g, caps, top, soft)
+        first = feasible.index(True) + 1 if True in feasible else None
+        assert (found and found[0]) == first
+
+    def test_star_with_capacity_zero_leaves_solves(self, tmp_path, capsys):
+        # nine capacity-0 leaves: budgets above 1 are infeasible, yet k = 5
+        # is met by padding with unused leaves
+        inst = WeightedMetricInstance.from_weighted_edges(
+            10, [(0, v, 1) for v in range(1, 10)], [10] + [0] * 9, 5, HARD
+        )
+        path, out = tmp_path / "star.txt", tmp_path / "sol.txt"
+        write_instance(inst, path)
+        assert main(["solve", str(path), "-o", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == ["status: solved", "threshold: 1"]
+        validate_solution(inst.scaled, inst.capacities, 5, read_solution(out), False, inst.scale)
+
+    def test_solve_agrees_with_the_exact_oracle_on_zero_capacities(self, tmp_path, capsys):
+        solved = 0
+        for seed in range(40):
+            path, out = zero_capacity_instance(tmp_path, seed), tmp_path / "sol.txt"
+            code = main(["solve", str(path), "-o", str(out)])
+            assert code == main(["solve", str(path), "--mode", "exact"]), seed
+            if code == 0:
+                solved += 1
+                assert main(["verify", str(path), str(out)]) == 0
+        capsys.readouterr()
+        assert 10 <= solved < 40
 
 
 def test_module_entry_point(tmp_path):

@@ -21,7 +21,6 @@ from capkc.graph_core import (
     hamiltonian_path_in_cube,
     induced_subgraph,
     parse_instance_text,
-    power_graph,
     threshold_graph,
 )
 
@@ -80,29 +79,6 @@ class TestCandidateRadii:
             [[0, 0], [0, 0]], [1, 1], 1, "hard"
         )
         assert candidate_radii(inst) == [0]
-
-
-class TestPowerGraph:
-    def test_path_squared_is_triangle(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        assert power_graph(g, 2).edges == frozenset({(0, 1), (0, 2), (1, 2)})
-
-    def test_power_one_is_identity(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        assert power_graph(g, 1) == g
-
-    def test_components_never_merge(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        assert power_graph(g, 10).edges == g.edges
-
-    def test_composition_identity(self):
-        # hop distance in G^a is ceil(d/a), so (G^a)^b == G^(ab) when connected
-        rng = random.Random(3)
-        for _ in range(25):
-            g = rand_connected_graph(rng, rng.randint(2, 30))
-            a = rng.randint(2, 3)
-            b = rng.randint(2, 3)
-            assert power_graph(power_graph(g, a), b) == power_graph(g, a * b)
 
 
 class TestComponents:

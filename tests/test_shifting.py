@@ -377,6 +377,28 @@ class TestTraceReplay:
         with pytest.raises(ValidationError):
             replay_trace(ctx, start, "\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("chain 2 delta 1\npath 1/2 0 1\n", 1),  # one path line short
+            ("chain 1 delta 1\nshift 0 1 1/2 delta 1\n", 2),  # not a path line
+            ("chain 1 delta 1\npath 1/x 0 1\n", 2),
+            ("chain x delta 1\n", 1),
+            ("chain -1 delta 1\n", 1),
+            ("shift 0 1 1/2\n", 1),  # no recorded delta
+            ("shift 0 1 1/2 radius 1\n", 1),
+            ("group 2 0\n", 1),
+            ("group x 0 1 delta 0\n", 1),
+            ("group 3 0 1 delta 0\n", 1),
+            ("# component 0 1\n\nswap 0 1\n", 3),
+        ],
+    )
+    def test_malformed_line_is_named(self, text, line):
+        ctx = RoundingContext(path_graph(2), (1, 1))
+        a = Assignment(2, y=[F(1, 2), F(1, 2)])
+        with pytest.raises(ValidationError, match=f"^trace replay: line {line}: "):
+            replay_trace(ctx, a, text)
+
     def test_group_line_round_trip(self):
         g = path_graph(3)
         ctx = RoundingContext(g, (1, 2, 3), trace=TraceLog())

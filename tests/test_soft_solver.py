@@ -7,7 +7,7 @@ import pytest
 
 from capkc.assignment import Assignment
 from capkc.errors import PipelineError, ValidationError
-from capkc.graph_core import SOFT, Graph, power_graph
+from capkc.graph_core import SOFT, Graph
 from capkc.lp_feasibility import build_lp1, solve_feasibility
 from capkc.soft_solver import _fold_tree, ks_independent_set, solve_soft
 from capkc.x_rounding import validate_solution
@@ -51,6 +51,10 @@ class TestAnchorSet:
                     assert hops[a][b] > 2
             for v in range(g.vertex_count):
                 assert any(hops[v][a] <= 2 for a in s)
+            reached = {s[0]}
+            for _ in s:  # each round joins every anchor within 3 hops of one reached
+                reached |= {b for b in s if any(hops[a][b] <= 3 for a in reached)}
+            assert reached == set(s)
 
 
 class TestFoldTree:
