@@ -72,20 +72,22 @@ def feasible_at(inst, d, mode=None):
             return None
         size = min(k, len(candidates))
         _refuse_beyond_limit(math.comb(len(candidates), size))
-        center_sets = combinations(candidates, size)
+        center_sets = ([(u, 1) for u in c] for c in combinations(candidates, size))
     else:
         if not candidates:
             return None
         size = k
         _refuse_beyond_limit(math.comb(len(candidates) + k - 1, k))
-        center_sets = combinations_with_replacement(candidates, k)
-    for chosen in center_sets:
-        opened = [(u, len(list(copies))) for u, copies in groupby(chosen)]
+        center_sets = (
+            [(u, len(list(copies))) for u, copies in groupby(c)]
+            for c in combinations_with_replacement(candidates, k)
+        )
+    for opened in center_sets:
         sol = _solution_from_flow(inst, opened, cutoff)
         if sol is None:
             continue
         # a hard set smaller than k is padded with unused vertices
-        taken = set(chosen)
+        taken = {u for u, _ in opened}
         for v in [v for v in range(n) if v not in taken][: k - size]:
             sol.centers[v] = 1
         sol.k = k
