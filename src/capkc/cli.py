@@ -19,6 +19,7 @@ the reported hop radius bounds the stretch against it.
 """
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -351,7 +352,9 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser():
+    """The capkc argument parser, built on first use and then reused."""
     parser = _Parser(
         prog="capkc",
         description="capacitated k-center solver toolkit",

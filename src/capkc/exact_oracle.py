@@ -3,13 +3,21 @@
 Enumerates center sets in lexicographic order (k-subsets of the
 positive-capacity vertices for hard capacities, k-multisets for soft)
 and checks each with one bipartite seat flow at the queried distance.
-Deliberately simple and exact; refuses instances whose enumeration
-would exceed ten million candidate sets.
+Two necessary conditions rule a set out before its flow is built: every
+client lies within the cutoff of some chosen center, and the chosen
+centers offer at least n seats (Hall's condition on each single client
+and on the whole client set).  Coverage is an OR of per-candidate int
+bitmasks.  The enumeration also skips every set under a prefix that,
+together with all later candidates, cannot cover every client.  Neither
+test can reject a feasible set, and the surviving sets keep their
+lexicographic order, so the first feasible set is the same as without
+them.  Deliberately simple and exact; refuses instances whose
+enumeration would exceed ten million candidate sets.
 """
 
 import math
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, groupby
+from itertools import groupby
 
 from .errors import InputError
 from .graph_core import HARD, SOFT, candidate_radii
@@ -51,13 +59,48 @@ def _refuse_beyond_limit(count):
         )
 
 
+def _covering_sets(masks, seats, size, step, full, need):
+    """Covering center sets of `size` candidate indices, in lexicographic order.
+
+    Yields the index tuples that cover every client and offer at least
+    `need` seats.  masks[i] is the client bitmask of candidate i and
+    seats[i] its capacity; a set covers when the OR of its masks is
+    `full`.  step 1 draws strictly increasing indices (subsets), step 0
+    lets an index repeat (multisets).  A prefix whose cover, ORed with every mask from
+    its next index on, still misses a client has no covering set below
+    it, so the walk backs out of it; the suffix ORs only shrink as the
+    next index grows, so its later siblings are skipped too.
+    """
+    m = len(masks)
+    suffix = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | masks[i]
+    picks, covers = [], [0]
+    i = 0
+    while True:
+        t = len(picks)
+        if t == size:
+            if covers[t] == full and sum(seats[j] for j in picks) >= need:
+                yield tuple(picks)
+        elif i <= m - 1 - step * (size - t - 1) and covers[t] | suffix[i] == full:
+            picks.append(i)
+            covers.append(covers[t] | masks[i])
+            i += step
+            continue
+        if not picks:
+            return
+        i = picks.pop() + 1
+        covers.pop()
+
+
 def feasible_at(inst, d, mode=None):
     """First center set (lexicographic) serving everyone at distance d.
 
     Returns a Solution or None.  Hard mode enumerates k-subsets of the
     positive-capacity vertices, topping the set up to exactly k with
     unused vertices that simply carry no load; soft mode enumerates
-    k-multisets.
+    k-multisets.  Only sets that cover every client and offer n seats
+    reach the seat flow.
     """
     mode = inst.mode if mode is None else mode
     if mode not in (HARD, SOFT):
@@ -72,17 +115,20 @@ def feasible_at(inst, d, mode=None):
             return None
         size = min(k, len(candidates))
         _refuse_beyond_limit(math.comb(len(candidates), size))
-        center_sets = ([(u, 1) for u in c] for c in combinations(candidates, size))
     else:
         if not candidates:
             return None
         size = k
         _refuse_beyond_limit(math.comb(len(candidates) + k - 1, k))
-        center_sets = (
-            [(u, len(list(copies))) for u, copies in groupby(c)]
-            for c in combinations_with_replacement(candidates, k)
-        )
-    for opened in center_sets:
+    # client v is within reach of u iff scaled[u][v] <= cutoff, as in seat_flow
+    masks = [
+        sum(1 << v for v, dist in enumerate(inst.scaled[u]) if dist <= cutoff)
+        for u in candidates
+    ]
+    seats = [inst.capacities[u] for u in candidates]
+    step = 1 if mode == HARD else 0
+    for picks in _covering_sets(masks, seats, size, step, (1 << n) - 1, n):
+        opened = [(candidates[i], len(list(copies))) for i, copies in groupby(picks)]
         sol = _solution_from_flow(inst, opened, cutoff)
         if sol is None:
             continue
@@ -100,14 +146,16 @@ def exact_opt(inst, mode=None):
 
     Feasibility is monotone in the radius, so a binary search over the
     candidate radii (the pairwise distances, plus zero) finds the
-    leftmost feasible one.
+    leftmost feasible one.  The top radius is probed first; when it is
+    feasible its solution stands until a smaller radius beats it.
     """
     radii = [Fraction(0)]
     radii.extend(r for r in candidate_radii(inst) if r != 0)
-    lo, hi = 0, len(radii) - 1
-    if feasible_at(inst, radii[hi], mode) is None:
+    top = feasible_at(inst, radii[-1], mode)
+    if top is None:
         return None
-    best = None
+    best = (radii[-1], top)
+    lo, hi = 0, len(radii) - 2
     while lo <= hi:
         mid = (lo + hi) // 2
         sol = feasible_at(inst, radii[mid], mode)

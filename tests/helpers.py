@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from capkc.assignment import Assignment
@@ -29,6 +30,35 @@ def with_comments(data, text):
             line += data.draw(st.sampled_from(["", " ", "\t"])) + "#" + comment
         out.append(line)
     return "\n".join(out) + "\n"
+
+
+# p/q weights with q <= 6; p = 0 gives zero-weight edges
+pq_weights = st.builds(Fraction, st.integers(0, 12), st.integers(1, 6))
+
+
+@st.composite
+def weighted_graphs(draw, connected=False):
+    """(n, edges): p/q weights, sometimes all equal; unless connected, often in several parts."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    if connected:
+        chosen |= {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    else:
+        split = draw(st.integers(0, n))  # drop every edge across the split
+        chosen = {(u, v) for u, v in chosen if (u < split) == (v < split)}
+    uniform = draw(st.none() | pq_weights)
+    edges = [
+        (u, v, uniform if uniform is not None else draw(pq_weights)) for u, v in sorted(chosen)
+    ]
+    return n, edges
+
+
+def radii_and_midpoints(radii):
+    return [Fraction(0)] + radii + [(a + b) / 2 for a, b in zip(radii, radii[1:])]
+
+
+METRIC_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def rand_connected_graph(rng, n, extra=None):

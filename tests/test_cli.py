@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capkc.assignment import global_delta, read_assignment
-from capkc.cli import _minimal_budget, main
+from capkc.cli import _minimal_budget, build_parser, main
+from capkc.exact_oracle import exact_opt, feasible_at
 from capkc.graph_core import (
     HARD,
     MAX_VERTICES,
@@ -25,11 +26,17 @@ from capkc.graph_core import (
     threshold_graph,
     write_instance,
 )
-from capkc.instances import gen_random_connected
+from capkc.instances import gen_fig1, gen_random_connected
 from capkc.lp_feasibility import build_lp1, format_lp_dump, solve_feasibility
 from capkc.rational import parse_rational
 from capkc.shifting import RoundingContext, replay_trace
-from capkc.x_rounding import parse_solution_text, read_solution, round_x, validate_solution
+from capkc.x_rounding import (
+    format_solution,
+    parse_solution_text,
+    read_solution,
+    round_x,
+    validate_solution,
+)
 
 
 def path_instance(tmp_path, caps, k, name="inst.txt"):
@@ -378,6 +385,48 @@ class TestOracle:
         assert "bad --radius" in capsys.readouterr().err
 
 
+class TestParserIsBuiltOnce:
+    """main reuses one parser; no call may see another call's options."""
+
+    def test_import_builds_no_parser(self):
+        code = "import capkc.cli as c; print(c.build_parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.stdout == "0\n", proc.stderr
+
+    def test_usage_error_after_a_good_call(self, tmp_path, capsys):
+        inst = path_instance(tmp_path, [5, 5, 5], 1)
+        assert main(["oracle", str(inst)]) == 0
+        capsys.readouterr()
+        assert main(["oracle", str(inst), "--mode", "exact"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and "--mode" in line
+        assert build_parser() is build_parser()
+
+    def test_successive_calls_keep_their_own_options(self, tmp_path, capsys):
+        # hard mode pads with an idle vertex, soft mode stacks on vertex 0
+        path = path_instance(tmp_path, [3, 0, 0], 2)
+        inst = read_instance(path)
+        calls = [
+            (["--mode", "soft", "--radius", "2"], feasible_at(inst, 2, SOFT)),
+            ([], exact_opt(inst)),
+            (["--radius", "1"], None),
+            (["--mode", "soft"], exact_opt(inst, SOFT)),
+            (["--radius", "2"], feasible_at(inst, 2)),
+        ]
+        for extra, want in calls:
+            code = main(["oracle", str(path)] + extra)
+            out = capsys.readouterr().out
+            if want is None:
+                assert (code, out) == (2, "infeasible at radius 1\n")
+            elif isinstance(want, tuple):
+                assert (code, out) == (0, f"radius: {want[0]}\n" + format_solution(want[1]))
+            else:
+                assert (code, out) == (0, format_solution(want))
+        assert exact_opt(inst)[1].centers != exact_opt(inst, SOFT)[1].centers
+
+
 # each is outside the integer-or-p/q grammar; no test may use a large
 # exponent, since a lenient parser would build that number in full
 BAD_RATIONALS = ["1e3", "1.5", "1_000", "1/0"]
@@ -607,6 +656,70 @@ class TestBudgetSearch:
                 assert main(["verify", str(path), str(out)]) == 0
         capsys.readouterr()
         assert 10 <= solved < 40
+
+
+def bracket_instance(tmp_path, seed, mode):
+    """Seeded connected p/q instance, n 4..8, about 2/7 of capacities 0."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 8)
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(n // 2):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    edges = [(u, v, Fraction(rng.randint(1, 9), rng.randint(1, 4))) for u, v in sorted(pairs)]
+    caps = [rng.choice((0, 0, 1, 2, 3, 4, 5)) for _ in range(n)]
+    inst = WeightedMetricInstance.from_weighted_edges(n, edges, caps, rng.randint(1, n // 2), mode)
+    target = tmp_path / f"bracket-{mode}-{seed}.txt"
+    write_instance(inst, target)
+    return target
+
+
+def joined_fig1(tmp_path, weight, mode):
+    """gen_fig1's two hub gadgets joined hub to hub by one edge.
+
+    At the joining radius the relaxation fits k = 3 across the one
+    component, yet no integral placement does: threshold < optimum.
+    """
+    fig1, _ = gen_fig1()
+    edges = fig1.edges + [(0, 6, weight)]
+    inst = WeightedMetricInstance.from_weighted_edges(12, edges, fig1.capacities, 3, mode)
+    target = tmp_path / f"joined-{mode}-{weight}.txt"
+    write_instance(inst, target)
+    return target
+
+
+class TestOracleBracketsTheSolve:
+    """threshold <= oracle optimum <= reported radius <= stretch * threshold.
+
+    The threshold is the first radius whose relaxation fits in k, so it
+    is a lower bound on the integral optimum; every served client sits
+    within `stretch` threshold-graph hops of its center, each hop at most
+    the threshold long.  solve and the oracle agree on solvability.
+    """
+
+    @pytest.mark.parametrize("mode", [HARD, SOFT])
+    def test_seeded_instances(self, tmp_path, capsys, mode):
+        paths = [bracket_instance(tmp_path, seed, mode) for seed in range(60)]
+        paths += [joined_fig1(tmp_path, weight, mode) for weight in (1, 2, 5)]
+        solved = gaps = 0
+        for path in paths:
+            code = main(["solve", str(path), "--mode", mode, "-o", str(tmp_path / "sol.txt")])
+            report = capsys.readouterr().out
+            assert main(["oracle", str(path), "--mode", mode]) == code, path.name
+            optimum = capsys.readouterr().out.splitlines()[0]
+            if code != 0:
+                continue
+            solved += 1
+            report = dict(line.split(": ", 1) for line in report.splitlines())
+            threshold = parse_rational(report["threshold"])
+            radius = parse_rational(report["radius"])
+            stretch = int(report["stretch"])
+            best = parse_rational(optimum.removeprefix("radius: "))
+            assert threshold <= best <= radius <= stretch * threshold, path.name
+            gaps += threshold < best
+        assert 30 <= solved < len(paths)
+        assert gaps >= 3  # the joined gadgets, at least
 
 
 def test_module_entry_point(tmp_path):

@@ -1,16 +1,21 @@
-"""Brute-force oracle: golden answers, enumeration order, refusal guard."""
+"""Brute-force oracle: golden answers, enumeration order, refusal guard, set filter."""
 
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, groupby
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from capkc import exact_oracle
 from capkc.errors import InputError
-from capkc.exact_oracle import ENUMERATION_LIMIT, exact_opt, feasible_at
+from capkc.exact_oracle import ENUMERATION_LIMIT, _covering_sets, exact_opt, feasible_at
 from capkc.graph_core import HARD, SOFT, WeightedMetricInstance, candidate_radii
 from capkc.instances import gen_fig1, gen_random_connected
-from capkc.x_rounding import validate_solution
+from capkc.x_rounding import Solution, format_solution, seat_flow, validate_solution
 
-from helpers import exact_metric
+from helpers import METRIC_SETTINGS, exact_metric, radii_and_midpoints, weighted_graphs
 
 
 def line_instance(caps, k, mode=HARD):
@@ -117,3 +122,111 @@ class TestExactOpt:
                 validate_solution(
                     inst.scaled, inst.capacities, inst.k, found[1], scale=inst.scale
                 )
+
+
+def unfiltered_feasible_at(inst, d, mode):
+    """feasible_at as plain enumeration: every center set gets its seat flow."""
+    n, k = inst.vertex_count, inst.k
+    candidates = [v for v in range(n) if inst.capacities[v] > 0]
+    cutoff = inst.cutoff(d)
+    if mode == HARD:
+        if k > n:
+            return None
+        size = min(k, len(candidates))
+        center_sets = combinations(candidates, size)
+    else:
+        if not candidates:
+            return None
+        size = k
+        center_sets = combinations_with_replacement(candidates, k)
+    for chosen in center_sets:
+        opened = [(u, len(list(copies))) for u, copies in groupby(chosen)]
+        offers = [(u, inst.capacities[u] * mult) for u, mult in opened]
+        _, phi = seat_flow(inst.scaled, cutoff, offers)
+        if phi is None:
+            continue
+        centers = dict(opened)
+        spare = [v for v in range(n) if v not in centers][: k - size]
+        centers.update((v, 1) for v in spare)
+        return Solution(k=k, radius=inst.reach(phi), centers=centers, phi=phi)
+    return None
+
+
+@st.composite
+def oracle_cases(draw):
+    """(instance, mode, radii): p/q weights, capacity-0 vertices, k up to n + 1."""
+    n, edges = draw(weighted_graphs(connected=True) | weighted_graphs())
+    caps = draw(st.lists(st.sampled_from((0, 0, 1, 2, 3, 5)), min_size=n, max_size=n))
+    mode = draw(st.sampled_from((HARD, SOFT)))
+    k = draw(st.integers(1, n + 1 if mode == HARD else min(n, 4)))
+    inst = WeightedMetricInstance.from_weighted_edges(n, edges, caps, k, mode)
+    radii = radii_and_midpoints(candidate_radii(inst))
+    return inst, mode, draw(st.lists(st.sampled_from(radii), min_size=1, max_size=4))
+
+
+class TestFilterAndPruneAreExact:
+    """Coverage, seats and the prefix prune only skip sets that cannot be feasible."""
+
+    @METRIC_SETTINGS
+    @given(oracle_cases())
+    def test_same_solution_as_plain_enumeration(self, case):
+        inst, mode, radii = case
+        n = inst.vertex_count
+
+        def spy(dist, bound, offers):
+            assert sum(seats for _, seats in offers) >= n
+            for v in range(n):
+                assert any(dist[u][v] <= bound for u, _ in offers), v
+            return seat_flow(dist, bound, offers)
+
+        with mock.patch.object(exact_oracle, "seat_flow", spy):
+            for r in radii:
+                got = feasible_at(inst, r, mode)
+                want = unfiltered_feasible_at(inst, r, mode)
+                assert got == want, r
+                if got is not None:
+                    assert list(got.centers.items()) == list(want.centers.items())
+                    assert format_solution(got) == format_solution(want)
+
+    @METRIC_SETTINGS
+    @given(st.data())
+    def test_walk_enters_exactly_the_prefixes_that_can_still_cover(self, data):
+        clients = data.draw(st.integers(0, 5))
+        m = data.draw(st.integers(0, 6))
+        masks = data.draw(st.lists(st.integers(0, 2**clients - 1), min_size=m, max_size=m))
+        seats = data.draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+        step = data.draw(st.sampled_from((0, 1)))
+        size = data.draw(st.integers(0, m if step else 4))
+        need = data.draw(st.integers(0, 8))
+        full = 2**clients - 1
+
+        def union(indices):
+            cover = 0
+            for i in indices:
+                cover |= masks[i]
+            return cover
+
+        draws = combinations_with_replacement if step == 0 else combinations
+        want = [
+            c for c in draws(range(m), size)
+            if union(c) == full and sum(seats[i] for i in c) >= need
+        ]
+        # the walk reads masks[i] once per index while building the suffix
+        # ORs, then once per prefix it enters
+        entered = sum(
+            1
+            for length in range(1, size + 1)
+            for p in draws(range(m), length)
+            if (not step or p[-1] <= m - 1 - (size - length))
+            and all(union(p[:j]) | union(range(p[j], m)) == full for j in range(length))
+        )
+        reads = []
+
+        class CountedMasks(list):
+            def __getitem__(self, i):
+                reads.append(i)
+                return super().__getitem__(i)
+
+        got = list(_covering_sets(CountedMasks(masks), seats, size, step, full, need))
+        assert got == want
+        assert len(reads) == m + entered

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from capkc.errors import InputError
 from capkc.graph_core import Graph
@@ -18,7 +20,7 @@ from capkc.uniform_witness import (
     write_witness,
 )
 
-from helpers import rand_connected_graph
+from helpers import METRIC_SETTINGS, rand_connected_graph, with_comments
 
 
 def path(n):
@@ -119,6 +121,13 @@ class TestWitnessFormat:
         target = tmp_path / "w.witness"
         write_witness((6, 0), target)
         assert read_witness(target) == (0, 6)
+
+    @METRIC_SETTINGS
+    @given(st.data())
+    def test_format_of_parse_is_the_identity_under_comments(self, data):
+        core = data.draw(st.sets(st.integers(0, 2047), max_size=8))
+        text = format_witness(core)
+        assert format_witness(parse_witness_text(with_comments(data, text))) == text
 
     def test_empty_core(self):
         assert parse_witness_text("witness\n") == ()
