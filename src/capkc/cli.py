@@ -15,13 +15,17 @@ splits the threshold graph into connected components, binary-searches
 the smallest per-component budget whose relaxation is feasible, and
 accepts the radius once those budgets fit inside k.  The first accepted
 radius is therefore also a certified lower bound on the optimum, and
-the reported hop radius bounds the stretch against it.
+the reported hop radius bounds the stretch against it.  Seat counts
+(the largest capacities must add up to the clients) give each budget
+search its first probe, and pass over, without any LP, a radius below
+the largest whose counts alone already exceed k.
 """
 
 import argparse
 import functools
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 from .assignment import write_assignment
 from .caterpillar import round_y
@@ -63,55 +67,100 @@ def _print(line=""):
     sys.stdout.write(line + "\n")
 
 
+def _budget_range(capacities, k_cap, soft):
+    """The budgets k' that capacity alone does not rule out, as (lo, hi).
+
+    Summing LP1's serve rows (sum_u x_uv = 1) against its load rows
+    (sum_v x_uv <= L(u) y_u) gives sum_u L(u) y_u >= n.  With sum y = k'
+    and, in hard mode, y <= 1, the left side is at most the k' largest
+    capacities (soft mode: k' times the largest), so every k' below lo is
+    infeasible.  In hard mode LP1 pins capacity-0 vertices at y = 0, so
+    every k' above the P positive-capacity vertices is infeasible too and
+    hi = min(k_cap, P).  The range is empty (lo > hi) when no budget fits,
+    as for a component without positive capacity.
+    """
+    n = len(capacities)
+    caps = sorted((c for c in capacities if c > 0), reverse=True)
+    if not caps:
+        return 1, 0
+    if soft:
+        return -(-n // caps[0]), k_cap
+    seats = accumulate(caps)
+    lo = next((i for i, s in enumerate(seats, 1) if s >= n), len(caps) + 1)
+    return lo, min(k_cap, len(caps))
+
+
 def _minimal_budget(graph, capacities, k_cap, soft):
-    """Smallest k' in [1, k_cap] whose relaxation is feasible, or None.
+    """Smallest feasible k' in [1, k_cap], as (k', assignment), or None.
 
     Feasibility is monotone in k': extra opening mass can always sit on
-    a vertex with headroom.  In hard mode LP1 pins capacity-0 vertices at
-    y = 0, so every k' above the P positive-capacity vertices is
-    infeasible and the search stops at P.  Returns (k', assignment) for
-    the leftmost feasible budget.
+    a vertex with headroom.  So the search runs over _budget_range only:
+    it probes the seat-count floor lo first, which is often the answer,
+    then binary-searches (lo, hi].  Every probe is a fresh LP, so the
+    leftmost feasible k' and its assignment are the same whichever
+    budgets were probed before it.  None when the range is empty or
+    holds no feasible budget.
     """
-    if not soft:
-        k_cap = min(k_cap, sum(1 for c in capacities if c > 0))
-    if k_cap < 1:
-        return None
-    lo, hi = 1, k_cap
+    lo, hi = _budget_range(capacities, k_cap, soft)
     best = None
+    mid = lo
     while lo <= hi:
-        mid = (lo + hi) // 2
         res = solve_feasibility(build_lp1(graph, list(capacities), mid, soft=soft))
         if res.feasible:
             best = (mid, res.assignment)
             hi = mid - 1
         else:
             lo = mid + 1
+        mid = (lo + hi) // 2
     return best
 
 
-def _component_plan(inst, r, soft):
-    """Per-component minimal budgets at threshold radius r.
-
-    Returns (plans, shortfall): plans is a list of
-    (subgraph, old_ids, budget, assignment); shortfall collects report
-    lines for components whose relaxation never becomes feasible.
-    """
+def _components(inst, r, soft):
+    """Components of the threshold graph at r, as (subgraph, old_ids, caps, k_cap)."""
     g = threshold_graph(inst, r)
-    plans = []
-    shortfall = []
+    parts = []
     for comp in connected_components(g):
         sub, old_ids = induced_subgraph(g, comp)
         caps = [inst.capacities[v] for v in old_ids]
         k_cap = inst.k if soft else min(inst.k, sub.vertex_count)
+        parts.append((sub, old_ids, caps, k_cap))
+    return parts
+
+
+def _ruled_out(parts, k, soft):
+    """True when seat counts alone reject the radius, before any LP.
+
+    Some component's budget range is empty (a shortfall), or the floors
+    of all components add up to more than k.
+    """
+    floors = 0
+    for _, _, caps, k_cap in parts:
+        lo, hi = _budget_range(caps, k_cap, soft)
+        if lo > hi:
+            return True
+        floors += lo
+    return floors > k
+
+
+def _component_plan(parts, soft):
+    """Per-component minimal budgets for the components of one radius.
+
+    Returns (plans, shortfall): plans is a list of
+    (subgraph, old_ids, caps, budget, assignment); shortfall collects
+    report lines for components whose relaxation never becomes feasible.
+    """
+    plans = []
+    shortfall = []
+    for sub, old_ids, caps, k_cap in parts:
         found = _minimal_budget(sub, caps, k_cap, soft)
         if found is None:
             shortfall.append(
                 f"component of {old_ids[0]}: relaxation infeasible"
                 f" for every budget up to {k_cap}"
             )
-            plans.append((sub, old_ids, None, None))
+            plans.append((sub, old_ids, caps, None, None))
         else:
-            plans.append((sub, old_ids, found[0], found[1]))
+            plans.append((sub, old_ids, caps, found[0], found[1]))
     return plans, shortfall
 
 
@@ -128,9 +177,8 @@ def _stitch(inst, plans, soft):
     hop_radius = 0
     sections = []
     spent = 0
-    for sub, old_ids, budget, assignment in plans:
+    for sub, old_ids, caps, budget, assignment in plans:
         spent += budget
-        caps = [inst.capacities[v] for v in old_ids]
         if soft:
             sol = solve_soft(sub, caps, budget, assignment)
         else:
@@ -231,11 +279,16 @@ def _cmd_solve(args):
     radii.extend(r for r in candidate_radii(inst) if r != 0)
     last_report = []
     for r in radii:
-        plans, shortfall = _component_plan(inst, r, soft)
-        needed = sum(budget for _, _, budget, _ in plans if budget is not None)
+        parts = _components(inst, r, soft)
+        # a radius the seat counts reject is not worth its LPs; the largest
+        # one is planned in full, for the infeasible report
+        if r < radii[-1] and _ruled_out(parts, inst.k, soft):
+            continue
+        plans, shortfall = _component_plan(parts, soft)
+        needed = sum(budget for _, _, _, budget, _ in plans if budget is not None)
         last_report = [
             f"component of {old_ids[0]}: needs {budget} centers"
-            for _, old_ids, budget, _ in plans
+            for _, old_ids, _, budget, _ in plans
             if budget is not None
         ] + shortfall
         if shortfall or needed > inst.k:

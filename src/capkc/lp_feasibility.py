@@ -332,25 +332,32 @@ def phase1_feasible(num_vars, rows):
 
 
 def verify_assignment_feasible(graph, capacities, k, assignment, delta, soft=False):
+    """True iff the assignment meets LP1 with every x entry within delta hops.
+
+    y and x are put over their one common denominator, scale, first, so
+    every test runs on ints, both sides scale times the rational ones.
+    """
     n = graph.vertex_count
     if assignment.vertex_count != n or delta < 0:
         return False
-    y = assignment.y
-    for q in y:
-        if q < 0:
-            return False
-        if not soft and q > 1:
-            return False
-    if sum(y, Fraction(0)) != k:
+    y, xs = assignment.y, assignment.x
+    scale = lcm(
+        *(q.denominator for q in y),
+        *(q.denominator for row in xs.values() for q in row.values()),
+    )
+    ys = [q.numerator * (scale // q.denominator) for q in y]
+    if any(q < 0 for q in ys) or (not soft and any(q > scale for q in ys)):
+        return False
+    if sum(ys) != k * scale:
         return False
     hops = graph.hop_distances()
-    client_total = [Fraction(0)] * n
-    for u, row in assignment.x.items():
-        cap_u = capacities[u]
-        yu = y[u]
-        load = Fraction(0)
+    client_total = [0] * n
+    for u, row in xs.items():
+        yu = ys[u]
+        load = 0
         hu = hops[u]
         for v, q in row.items():
+            q = q.numerator * (scale // q.denominator)
             if q <= 0 or q > yu:
                 return False
             d = hu[v]
@@ -358,9 +365,9 @@ def verify_assignment_feasible(graph, capacities, k, assignment, delta, soft=Fal
                 return False
             load += q
             client_total[v] += q
-        if load > cap_u * yu:
+        if load > capacities[u] * yu:
             return False
-    return all(t == 1 for t in client_total)
+    return all(t == scale for t in client_total)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capkc import cli
 from capkc.assignment import global_delta, read_assignment
-from capkc.cli import _minimal_budget, build_parser, main
+from capkc.cli import (
+    _budget_range,
+    _component_plan,
+    _minimal_budget,
+    build_parser,
+    main,
+)
 from capkc.exact_oracle import exact_opt, feasible_at
 from capkc.graph_core import (
     HARD,
@@ -21,12 +28,13 @@ from capkc.graph_core import (
     SOFT,
     Graph,
     WeightedMetricInstance,
+    connected_components,
     induced_subgraph,
     read_instance,
     threshold_graph,
     write_instance,
 )
-from capkc.instances import gen_fig1, gen_random_connected
+from capkc.instances import gen_fig1, gen_gap_construction, gen_random_connected
 from capkc.lp_feasibility import build_lp1, format_lp_dump, solve_feasibility
 from capkc.rational import parse_rational
 from capkc.shifting import RoundingContext, replay_trace
@@ -613,6 +621,8 @@ class TestBudgetSearch:
 
     In hard mode LP1 pins capacity-0 vertices at y = 0: every k' above the
     P positive-capacity vertices is infeasible, and the search stops at P.
+    Below the seat-count floor no k' is feasible, and the search starts
+    there.
     """
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -632,6 +642,44 @@ class TestBudgetSearch:
         found = _minimal_budget(g, caps, top, soft)
         first = feasible.index(True) + 1 if True in feasible else None
         assert (found and found[0]) == first
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(budget_cases())
+    def test_no_budget_outside_the_seat_range_is_feasible(self, case):
+        g, caps, soft = case
+        top = g.vertex_count + soft
+        lo, hi = _budget_range(caps, top, soft)
+        for kk in range(1, top + 1):
+            if not lo <= kk <= hi:
+                assert not solve_feasibility(build_lp1(g, caps, kk, soft=soft)).feasible, kk
+
+    @pytest.mark.parametrize("family", ["fig1", "gap-24-nonuniform"])
+    def test_a_feasible_floor_costs_one_lp(self, monkeypatch, family):
+        if family == "fig1":
+            inst, _ = gen_fig1()
+        else:
+            inst, _ = gen_gap_construction(24, nonuniform=True)
+        probes = []
+        real = cli.solve_feasibility
+
+        def spy(model):
+            probes.append(model.k)
+            return real(model)
+
+        monkeypatch.setattr(cli, "solve_feasibility", spy)
+        g = threshold_graph(inst, Fraction(1))
+        for comp in connected_components(g):
+            sub, old_ids = induced_subgraph(g, comp)
+            caps = [inst.capacities[v] for v in old_ids]
+            # the widest range hard mode allows: the middle of (lo, hi) is
+            # not lo, so one LP means the floor was probed first
+            lo, hi = _budget_range(caps, sub.vertex_count, False)
+            assert (lo + hi) // 2 > lo
+            probes.clear()
+            budget, _ = _minimal_budget(sub, caps, sub.vertex_count, False)
+            assert budget == lo and probes == [lo]
+        # fig1: 6 clients, capacity 4 each; gap: 523 clients, capacity 23
+        assert lo == (2 if family == "fig1" else 23)
 
     def test_star_with_capacity_zero_leaves_solves(self, tmp_path, capsys):
         # nine capacity-0 leaves: budgets above 1 are infeasible, yet k = 5
@@ -656,6 +704,95 @@ class TestBudgetSearch:
                 assert main(["verify", str(path), str(out)]) == 0
         capsys.readouterr()
         assert 10 <= solved < 40
+
+
+def sweep_instance(tmp_path, seed):
+    """Seeded p/q instance, n 4..12, about 2/7 of capacities 0.
+
+    About a third of them fall apart into two parts that no radius joins,
+    so many are infeasible at every radius.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(4, 12)
+    half = n // 2 if rng.random() < 0.3 else 0
+    pairs = {(rng.randrange(half if v >= half else 0, v), v) for v in range(1, n) if v != half}
+    for _ in range(n // 2):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v and (u < half) == (v < half):
+            pairs.add((min(u, v), max(u, v)))
+    edges = [(u, v, Fraction(rng.randint(1, 9), rng.randint(1, 4))) for u, v in sorted(pairs)]
+    caps = [rng.choice((0, 0, 1, 2, 3, 4, 5)) for _ in range(n)]
+    inst = WeightedMetricInstance.from_weighted_edges(n, edges, caps, rng.randint(1, n // 2), HARD)
+    target = tmp_path / f"sweep-{seed}.txt"
+    write_instance(inst, target)
+    return target
+
+
+class TestRadiusSkip:
+    """solve passes over a radius whose seat counts exceed k, without its LPs.
+
+    Planning such a radius in full must reject it: a component has no
+    feasible budget, or the budgets add up to more than k.  The largest
+    radius is always planned in full, for the infeasible report.
+    """
+
+    def solve_all(self, tmp_path, capsys):
+        outputs = []
+        for seed in range(40):
+            path = sweep_instance(tmp_path, seed)
+            for mode in (HARD, SOFT):
+                code = main(["solve", str(path), "--mode", mode])
+                outputs.append((code, capsys.readouterr().out))
+        return outputs
+
+    def test_every_skipped_radius_is_rejected_in_full(self, tmp_path, capsys, monkeypatch):
+        skipped = []
+        real = cli._ruled_out
+
+        def spy(parts, k, soft):
+            out = real(parts, k, soft)
+            if out:
+                skipped.append((parts, k, soft))
+            return out
+
+        monkeypatch.setattr(cli, "_ruled_out", spy)
+        codes = {code for code, _ in self.solve_all(tmp_path, capsys)}
+        assert codes == {0, 2}
+        assert len(skipped) >= 100
+        for parts, k, soft in skipped:
+            plans, shortfall = _component_plan(parts, soft)
+            needed = sum(budget for _, _, _, budget, _ in plans if budget is not None)
+            assert shortfall or needed > k
+
+    def test_skipping_changes_no_output(self, tmp_path, capsys, monkeypatch):
+        skipping = self.solve_all(tmp_path, capsys)
+        monkeypatch.setattr(cli, "_ruled_out", lambda parts, k, soft: False)
+        assert self.solve_all(tmp_path, capsys) == skipping
+
+    def test_infeasible_report_and_lp_dump_are_pinned(self, tmp_path, capsys):
+        # a path with capacity, and a part with none: every radius is ruled
+        # out by counts; the largest is planned in full all the same.  The
+        # digests were taken before the skip.
+        inst = WeightedMetricInstance.from_weighted_edges(
+            7,
+            [(0, 1, 1), (1, 2, Fraction(3, 2)), (2, 3, 2),
+             (4, 5, Fraction(1, 2)), (5, 6, Fraction(5, 3))],
+            [2, 0, 3, 1, 0, 0, 0],
+            2,
+            HARD,
+        )
+        path, dump = tmp_path / "parts.txt", tmp_path / "lp.txt"
+        write_instance(inst, path)
+        assert main(["solve", str(path), "--emit-lp-dump", str(dump)]) == 2
+        report = capsys.readouterr().out
+        assert report.splitlines()[-2:] == [
+            "  component of 0: needs 2 centers",
+            "  component of 4: relaxation infeasible for every budget up to 2",
+        ]
+        assert {"report": sha256(report), "lp dump": sha256(dump.read_bytes())} == {
+            "report": "cb983a5aee24f6a98f50c31319085a65c8cd53aa36a1aa45c28725552ad559da",
+            "lp dump": "68309cd5f35274a1cbf181a5a1e87dd62973d78b51abeab782903312706898ab",
+        }
 
 
 def bracket_instance(tmp_path, seed, mode):
