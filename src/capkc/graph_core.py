@@ -1,4 +1,4 @@
-"""Unweighted graphs, hop metrics, power graphs, thresholding, instance I/O.
+"""Unweighted graphs, hop metrics, thresholding, instance I/O.
 
 Everything downstream works on hop distances of a thresholded graph, so this
 module is the single place that touches weighted input.  The metric is one
@@ -39,8 +39,8 @@ def _check_vertex_count(n):
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Treated as immutable after construction; adjacency and the all-pairs hop
-    matrix are computed lazily and cached.
+    Treated as immutable after construction; adjacency is computed lazily
+    and cached, and so is each row of the hop table, on its first read.
     """
 
     def __init__(self, vertex_count, edges):
@@ -77,9 +77,14 @@ class Graph:
         return [u] + self.adjacency[u]
 
     def hop_distances(self):
-        """All-pairs hop distances; INF for unreachable pairs."""
+        """Hop table: hops[u][v] is the hop distance, INF when unreachable.
+
+        Row u is one BFS from u, run on the first read of hops[u] and
+        cached; len(hops) is n, and an index outside 0..n-1 raises
+        IndexError.
+        """
         if self._hops is None:
-            self._hops = _bfs_rows(self.adjacency, 1)
+            self._hops = _HopRows(self.adjacency)
         return self._hops
 
     def is_connected(self):
@@ -132,18 +137,35 @@ def bfs(adjacency, source):
     return order, parent
 
 
-def _bfs_rows(adjacency, step):
-    """All-pairs distances over list adjacency with every edge `step` long."""
-    n = len(adjacency)
-    rows = []
-    for s in range(n):
-        order, parent = bfs(adjacency, s)
-        row = [INF] * n
-        row[s] = 0
-        for v in order[1:]:
-            row[v] = row[parent[v]] + step
-        rows.append(row)
-    return rows
+def _bfs_row(adjacency, s, step):
+    """Distances from s over list adjacency with every edge `step` long."""
+    order, parent = bfs(adjacency, s)
+    row = [INF] * len(adjacency)
+    row[s] = 0
+    for v in order[1:]:
+        row[v] = row[parent[v]] + step
+    return row
+
+
+class _HopRows:
+    """Unit-step distance rows over list adjacency, each built on first read."""
+
+    __slots__ = ("_adjacency", "_rows")
+
+    def __init__(self, adjacency):
+        self._adjacency = adjacency
+        self._rows = [None] * len(adjacency)
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, u):
+        if not 0 <= u < len(self._rows):  # a negative u must not wrap around
+            raise IndexError(f"hop row {u} out of range [0,{len(self._rows)})")
+        row = self._rows[u]
+        if row is None:
+            row = self._rows[u] = _bfs_row(self._adjacency, u, 1)
+        return row
 
 
 def induced_subgraph(graph, vertices):
@@ -233,11 +255,15 @@ class WeightedMetricInstance:
             adj[v].append((u, w))
         weights = {w for row in adj for _, w in row}
         step = weights.pop() if len(weights) == 1 else 0
+        scaled = []
         if step > 0:
-            # uniform positive weights: BFS scaled by the weight
-            scaled = _bfs_rows([[v for v, _ in row] for row in adj], step)
+            # uniform positive weights: BFS scaled by the weight (a loop: a
+            # comprehension would put hop_adj and step in cells, allocated
+            # on every call whichever branch runs)
+            hop_adj = [[v for v, _ in row] for row in adj]
+            for s in range(n):
+                scaled.append(_bfs_row(hop_adj, s, step))
         else:
-            scaled = []
             for s in range(n):
                 row = [INF] * n
                 row[s] = 0

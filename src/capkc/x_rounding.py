@@ -134,11 +134,14 @@ def validate_solution(dist, capacities, k, solution, soft=False, scale=1):
 def seat_flow(dist, bound, offers):
     """Seat every client at an offered center within `bound`, by one max flow.
 
-    offers lists (center, seats); client v may sit at center u iff
-    dist[u][v] <= bound, which INF never is.  The network is source ->
-    offer (seats) -> client -> sink, its arcs added in offer order, then
-    client order.  Returns (seated, phi): the flow value, and phi[v] the
-    center seating client v, or None when some client stays unseated.
+    dist is any table indexable by center with len n: Graph's hop table
+    (rows built on first read, so only the offered centers' rows are) or
+    an instance's scaled metric.  offers lists (center, seats); client v
+    may sit at center u iff dist[u][v] <= bound, which INF never is.  The
+    network is source -> offer (seats) -> client -> sink, its arcs added
+    in offer order, then client order.  Returns (seated, phi): the flow
+    value, and phi[v] the center seating client v, or None when some
+    client stays unseated.
     """
     n = len(dist)
     # Node layout: 0 source, 1..len(offers) offers, then clients, then sink.

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capkc import cli
+from capkc import cli, graph_core
 from capkc.assignment import global_delta, read_assignment
 from capkc.cli import (
     _budget_range,
@@ -704,6 +704,39 @@ class TestBudgetSearch:
                 assert main(["verify", str(path), str(out)]) == 0
         capsys.readouterr()
         assert 10 <= solved < 40
+
+
+class TestHopRowsOnDemand:
+    """A stage reads the hop rows it needs; a walk over every row would
+    bring back the dense n x n build."""
+
+    def test_the_accepted_component_reads_few_hop_rows(self, tmp_path, monkeypatch, capsys):
+        # `gen gap --k 24`, nonuniform: 523 vertices, capacity on the root and hubs
+        inst, _ = gen_gap_construction(24, nonuniform=True)
+        path = tmp_path / "gap.txt"
+        write_instance(inst, path)
+        graphs, built = [], []
+        real_table, real_row = Graph.hop_distances, graph_core._bfs_row
+
+        def table(graph):
+            graphs.append(graph)
+            return real_table(graph)
+
+        def row(adjacency, s, step):
+            built.append((adjacency, s))
+            return real_row(adjacency, s, step)
+
+        monkeypatch.setattr(Graph, "hop_distances", table)
+        monkeypatch.setattr(graph_core, "_bfs_row", row)
+        assert main(["solve", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("status: solved")
+        tables = {id(g): g for g in graphs}.values()
+        assert sum(g.vertex_count == inst.vertex_count for g in tables) == 1
+        for g in tables:
+            rows = [s for adjacency, s in built if adjacency is g.adjacency]
+            assert len(rows) == len(set(rows))  # each row built once
+            if g.vertex_count == inst.vertex_count:  # the accepted component
+                assert 0 < len(rows) <= g.vertex_count // 5, len(rows)
 
 
 def sweep_instance(tmp_path, seed):

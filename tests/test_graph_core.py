@@ -1,11 +1,13 @@
 import heapq
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capkc import graph_core
 from capkc.errors import InputError
 from capkc.exact_oracle import feasible_at
 from capkc.x_rounding import validate_solution
@@ -165,6 +167,45 @@ class TestGraphBasics:
         assert h[1][1] == 0
 
 
+def spy_bfs(monkeypatch):
+    """Record the source of every graph_core.bfs call from here on."""
+    sources = []
+    real = graph_core.bfs
+
+    def spy(adjacency, source):
+        sources.append(source)
+        return real(adjacency, source)
+
+    monkeypatch.setattr(graph_core, "bfs", spy)
+    return sources
+
+
+class TestHopRows:
+    def test_a_row_is_built_once_on_its_first_read(self, monkeypatch):
+        g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+        g.adjacency
+        sources = spy_bfs(monkeypatch)
+        hops = g.hop_distances()
+        assert sources == []
+        assert hops[2] == [2, 1, 0, INF, INF]
+        assert sources == [2]
+        assert hops[2][0] == 2 and hops[4][3] == 1 and hops[2][1] == 1
+        assert sources == [2, 4]
+        assert g.hop_distances() is hops
+
+    @pytest.mark.parametrize("u", [-1, -5, 5, 6])
+    def test_an_index_outside_the_graph_raises(self, monkeypatch, u):
+        g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+        sources = spy_bfs(monkeypatch)
+        with pytest.raises(IndexError):
+            g.hop_distances()[u]
+        assert sources == []
+
+    def test_iteration_stops_after_the_last_row(self):
+        g = Graph(3, [(0, 1)])
+        assert list(g.hop_distances()) == [[0, 1, INF], [1, 0, INF], [INF, INF, 0]]
+
+
 class TestBfs:
     def test_dict_adjacency(self):
         adj = {5: [2, 7], 2: [5, 9], 7: [5, 9], 9: [2, 7], 4: [8], 8: [4]}
@@ -213,7 +254,9 @@ class TestTraversalsMatchReference:
         n, edges = graph
         ref = reference_hops(n, edges)
         g = Graph(n, edges)
-        assert g.hop_distances() == ref
+        hops = g.hop_distances()
+        assert len(hops) == n
+        assert [hops[u] for u in range(n)] == ref
         classes = sorted({tuple(v for v in range(n) if ref[u][v] != INF) for u in range(n)})
         assert connected_components(g) == [list(c) for c in classes]
         assert g.is_connected() == (len(classes) <= 1)
@@ -393,6 +436,22 @@ class TestVertexLimit:
             WeightedMetricInstance.from_weighted_edges(n, [], [1] * n, 1, "hard")
         with pytest.raises(InputError, match=f"limit of {MAX_VERTICES}"):
             WeightedMetricInstance.from_distance_matrix([[0]] * n, [1] * n, 1, "hard")
+
+    def test_a_hop_row_of_a_maximal_component_costs_one_bfs(self, monkeypatch):
+        # the dense table of this path would hold 2048 x 2048 entries
+        # (tens of MiB); one row, the adjacency and one BFS stay well below
+        n = MAX_VERTICES
+        g = Graph(n, [(v, v + 1) for v in range(n - 1)])
+        sources = spy_bfs(monkeypatch)
+        tracemalloc.start()
+        try:
+            row = g.hop_distances()[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sources == [0]
+        assert row == list(range(n))
+        assert peak < 2**20
 
     def test_limit_itself_is_accepted(self):
         inst = WeightedMetricInstance.from_weighted_edges(
