@@ -10,19 +10,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError, PipelineError
-from .graph_core import HARD, INF, SOFT
+from .graph_core import INF
 from .rational import (
     format_rational, parse_int, parse_rational, read_text, records, write_text
 )
 
 
 class Assignment:
-    __slots__ = ("mode", "y", "x")
+    __slots__ = ("y", "x")
 
-    def __init__(self, vertex_count, mode=HARD, y=None):
-        if mode not in (HARD, SOFT):
-            raise InputError(f"bad mode {mode!r}")
-        self.mode = mode
+    def __init__(self, vertex_count, y=None):
         if y is None:
             self.y = [Fraction(0)] * vertex_count
         else:
@@ -74,13 +71,13 @@ class Assignment:
         return sum(self.y, Fraction(0))
 
     def copy(self):
-        dup = Assignment(self.vertex_count, self.mode, self.y)
+        dup = Assignment(self.vertex_count, self.y)
         dup.x = {u: dict(row) for u, row in self.x.items()}
         return dup
 
     def __repr__(self):
         nx = sum(len(r) for r in self.x.values())
-        return f"Assignment(n={self.vertex_count}, mode={self.mode}, |x|={nx})"
+        return f"Assignment(n={self.vertex_count}, |x|={nx})"
 
 
 def radius_of(assignment, graph, u):
@@ -132,8 +129,8 @@ def write_assignment(assignment, path):
     write_text(path, dump_assignment(assignment))
 
 
-def parse_assignment_text(text, vertex_count, mode=HARD):
-    a = Assignment(vertex_count, mode)
+def parse_assignment_text(text, vertex_count):
+    a = Assignment(vertex_count)
     for lineno, parts in records(text):
         try:
             if parts[0] == "y" and len(parts) == 3:
@@ -156,5 +153,5 @@ def parse_assignment_text(text, vertex_count, mode=HARD):
     return a
 
 
-def read_assignment(path, vertex_count, mode=HARD):
-    return parse_assignment_text(read_text(path, "assignment"), vertex_count, mode)
+def read_assignment(path, vertex_count):
+    return parse_assignment_text(read_text(path, "assignment"), vertex_count)

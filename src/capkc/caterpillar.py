@@ -273,8 +273,6 @@ def build_caterpillar(ctx, assignment):
     21-caterpillar with nil end slots, and every vertex outside it has
     integral y.
     """
-    if ctx.soft:
-        raise ValidationError("caterpillar construction needs hard-capacity mode")
     graph = ctx.graph
     if not graph.is_connected():
         raise ValidationError("caterpillar construction needs a connected graph")
@@ -805,8 +803,6 @@ def round_y(ctx, assignment, k):
     trace) and returns the achieved stretch: the maximum per-vertex radius of
     the rounded assignment.  The center total stays exactly k.
     """
-    if ctx.soft:
-        raise ValidationError("y-rounding needs hard-capacity mode")
     graph = ctx.graph
     caps = ctx.capacities
     if k < 1:

@@ -54,6 +54,7 @@ from .soft_solver import solve_soft
 from .x_rounding import (
     Solution,
     format_solution,
+    open_unused,
     read_solution,
     round_x,
     validate_solution,
@@ -167,9 +168,11 @@ def _component_plan(parts, soft):
 def _stitch(inst, plans, soft):
     """Round every component and merge into one full-instance Solution.
 
-    Returns (solution, hop_radius, certificate_text).  Budgets below k
-    in total are padded: hard mode opens unused vertices with zero load,
-    soft mode stacks extra multiplicity on the first opened center.
+    Returns (solution, hop_radius, certificate): the certificate holds
+    one '# component' section per hard component and is empty in soft
+    mode.  Budgets below k in total are padded: hard mode opens unused
+    vertices with zero load, soft mode stacks extra multiplicity on the
+    first opened center.
     """
     n = inst.vertex_count
     phi = [-1] * n
@@ -195,46 +198,26 @@ def _stitch(inst, plans, soft):
             old = old_ids[center]
             centers[old] = centers.get(old, 0) + mult
 
-    spare = inst.k - spent
-    if spare > 0:
-        if soft:
-            first = min(centers)
-            centers[first] += spare
-        else:
-            for v in range(n):
-                if spare == 0:
-                    break
-                if v not in centers:
-                    centers[v] = 1
-                    spare -= 1
-            if spare:
-                raise InputError(
-                    f"cannot open {inst.k} distinct centers"
-                    f" on {n} vertices"
-                )
-
-    solution = Solution(
-        k=inst.k,
-        radius=inst.reach(phi),
-        centers=centers,
-        phi=tuple(phi),
-        trace="".join(sections),
-    )
-    return solution, hop_radius
+    solution = Solution(k=inst.k, radius=inst.reach(phi), centers=centers, phi=phi)
+    if soft:
+        solution.centers[min(centers)] += inst.k - spent
+    else:
+        open_unused(solution, inst.k)
+    return solution, hop_radius, "".join(sections)
 
 
 def _validate(inst, solution, soft):
     validate_solution(inst.scaled, inst.capacities, inst.k, solution, soft, inst.scale)
 
 
-def _emit_solution(solution, args, report):
+def _emit_solution(solution, certificate, args, report):
     """Write the certificate and solution files, then print the report.
 
     Nothing reaches stdout unless every file was written; without -o the
     solution follows the report there.
     """
     if args.emit_certificate:
-        write_text(args.emit_certificate, solution.trace or "")
+        write_text(args.emit_certificate, certificate)
     if args.output:
         write_solution(solution, args.output)
     for line in report:
@@ -263,7 +246,7 @@ def _cmd_solve(args):
         radius, solution = found
         _validate(inst, solution, inst.mode == SOFT)
         report = ["status: solved", f"radius: {format_rational(radius)}", "method: exact"]
-        _emit_solution(solution, args, report)
+        _emit_solution(solution, "", args, report)
         return 0
 
     soft = mode == SOFT
@@ -294,7 +277,7 @@ def _cmd_solve(args):
         if shortfall or needed > inst.k:
             continue
 
-        solution, hops = _stitch(inst, plans, soft)
+        solution, hops, certificate = _stitch(inst, plans, soft)
         if args.max_stretch_assert is not None and hops > args.max_stretch_assert:
             raise CapkcError(
                 f"stretch assertion failed: {hops} hops"
@@ -310,7 +293,7 @@ def _cmd_solve(args):
         ]
         if args.seed is not None:
             report.append(f"seed: {args.seed}")
-        _emit_solution(solution, args, report)
+        _emit_solution(solution, certificate, args, report)
         return 0
 
     _dump_lp(inst, r, soft, args.emit_lp_dump)  # the last radius probed

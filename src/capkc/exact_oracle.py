@@ -21,7 +21,7 @@ from itertools import groupby
 
 from .errors import InputError
 from .graph_core import HARD, SOFT, candidate_radii
-from .x_rounding import Solution, seat_flow
+from .x_rounding import Solution, open_unused, seat_flow
 
 __all__ = ["feasible_at", "exact_opt", "ENUMERATION_LIMIT"]
 
@@ -132,11 +132,7 @@ def feasible_at(inst, d, mode=None):
         sol = _solution_from_flow(inst, opened, cutoff)
         if sol is None:
             continue
-        # a hard set smaller than k is padded with unused vertices
-        taken = {u for u, _ in opened}
-        for v in [v for v in range(n) if v not in taken][: k - size]:
-            sol.centers[v] = 1
-        sol.k = k
+        open_unused(sol, k)  # a hard set smaller than k opens unused vertices
         return sol
     return None
 

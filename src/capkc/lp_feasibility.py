@@ -2,8 +2,8 @@
 
 Two solver routes with the same contract (zero-tolerance rational answers):
 
-* "cuts" (default): a master LP over y only, solved by the exact phase-1
-  simplex below, with lazily separated client-set inequalities
+* solve_feasibility, the cut loop: a master LP over y only, solved by the
+  exact phase-1 simplex below, with lazily separated client-set inequalities
   sum_u min(L(u), |N[u] cap W|) * y_u >= |W|.  Separation is an exact
   max-flow on ints: the master point is put over its common denominator
   D, so every capacity, flow and cut is D times the rational one.  A
@@ -11,8 +11,8 @@ Two solver routes with the same contract (zero-tolerance rational answers):
   Every generated inequality is implied by LP1 (constraints 2+3+4), and each
   round adds an inequality violated by the current master point, so the loop
   terminates: there are finitely many client sets.
-* "dense": phase-1 simplex over the full (x, y) variable space.  Quadratic
-  blowup, used for cross-checking on small instances.
+* _solve_dense: phase-1 simplex over the full (x, y) variable space.
+  Quadratic blowup; tests compare it with the cut loop on small instances.
 
 Vertices with capacity 0 get y pinned to 0 up front; with the pin, k larger
 than the number of positive-capacity vertices is naturally infeasible in
@@ -28,7 +28,7 @@ from math import gcd, lcm
 from .assignment import Assignment
 from .errors import InputError, PipelineError
 from .flownet import MaxFlowNetwork
-from .graph_core import HARD, INF, SOFT
+from .graph_core import INF
 from .rational import write_text
 
 _MAX_PIVOTS = 500_000
@@ -44,10 +44,6 @@ class LPModel:
     soft: bool
     pinned: frozenset  # capacity-0 vertices, y fixed to 0
     x_pairs: tuple  # ordered (u, v) with hop distance <= 1
-
-    @property
-    def mode(self):
-        return SOFT if self.soft else HARD
 
 
 @dataclass(frozen=True)
@@ -125,8 +121,8 @@ class Phase1Tableau:
 
     Rows may be added between solves; the basis carries over, so re-solving
     after one extra row usually takes a handful of pivots.  The cut loop in
-    _solve_cuts leans on this: a fresh solve of its master costs seconds at
-    500+ vertices, a warm one does not.
+    solve_feasibility leans on this: a fresh solve of its master costs
+    seconds at 500+ vertices, a warm one does not.
     Anti-cycling: Dantzig entering, falling back to Bland's rule after a
     degenerate streak; leaving ties always break on the smallest basis column.
 
@@ -374,14 +370,6 @@ def verify_assignment_feasible(graph, capacities, k, assignment, delta, soft=Fal
 # solver routes
 
 
-def solve_feasibility(model, method="cuts"):
-    if method == "cuts":
-        return _solve_cuts(model)
-    if method == "dense":
-        return _solve_dense(model)
-    raise InputError(f"unknown method {method!r}")
-
-
 def _finish(model, assignment):
     ok = verify_assignment_feasible(
         model.graph, model.capacities, model.k, assignment, 1, model.soft
@@ -415,7 +403,8 @@ def _separation_network(centers, caps, nbhd, ys, scale):
     return net, center_arcs
 
 
-def _solve_cuts(model):
+def solve_feasibility(model):
+    """Decide LP1 by the cut loop; the FeasibilityResult holds a verified point."""
     graph, caps, k, soft = model.graph, model.capacities, model.k, model.soft
     n = graph.vertex_count
     centers = [u for u in range(n) if u not in model.pinned]
@@ -459,7 +448,7 @@ def _solve_cuts(model):
         s, t = 0, 1 + m + n
         total = net.max_flow(s, t)
         if total == n * scale:
-            a = Assignment(n, model.mode)
+            a = Assignment(n)
             for i, u in enumerate(centers):
                 a.y[u] = vals[i]
             for (u, v), arc in center_arcs.items():
@@ -520,7 +509,7 @@ def _solve_dense(model):
     vals = phase1_feasible(n + len(model.x_pairs), [(c, s, b) for c, s, b, _ in rows])
     if vals is None:
         return FeasibilityResult(None)
-    a = Assignment(n, model.mode)
+    a = Assignment(n)
     for u in range(n):
         a.y[u] = vals[u]
     for (u, v), c in pair_col.items():

@@ -5,8 +5,8 @@ computation runs on Python ints and Fractions: the simplex tableau pivots
 on integer rows (see lp_feasibility.Phase1Tableau), the metric is an int
 matrix over one common denominator (see graph_core.WeightedMetricInstance),
 and the LP's separation max-flow runs on ints over the master point's
-common denominator (see lp_feasibility._solve_cuts), so MaxFlowNetwork only
-ever sees int capacities.  No floating point anywhere.
+common denominator (see lp_feasibility.solve_feasibility), so
+MaxFlowNetwork only ever sees int capacities.  No floating point anywhere.
 
 Every capkc file is UTF-8 text that read_text reads and write_text writes,
 turning an OS or decoding error into an InputError.  records() splits text

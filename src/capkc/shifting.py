@@ -33,16 +33,15 @@ class TraceLog:
 
 
 class RoundingContext:
-    """Bundles the graph, capacities, mode, and optional trace for a rounding run."""
+    """Bundles the graph, capacities, and optional trace for a hard rounding run."""
 
-    __slots__ = ("graph", "capacities", "soft", "trace")
+    __slots__ = ("graph", "capacities", "trace")
 
-    def __init__(self, graph, capacities, soft=False, trace=None):
+    def __init__(self, graph, capacities, trace=None):
         if len(capacities) != graph.vertex_count:
             raise ValidationError("capacity list length mismatch")
         self.graph = graph
         self.capacities = tuple(capacities)
-        self.soft = soft
         self.trace = trace
 
     def L(self, v):
@@ -55,9 +54,8 @@ class RoundingContext:
 def shift(ctx, assignment, a, b, alpha, record=True):
     """Move alpha of y (and the proportional share of x) from a to b.
 
-    Requires L(a) <= L(b) and 0 < alpha <= min(y_a, 1 - y_b) (the 1 - y_b cap
-    drops in soft mode).  Radius law asserted: only b's radius may grow, by at
-    most radius(a) + dist(a, b).
+    Requires L(a) <= L(b) and 0 < alpha <= min(y_a, 1 - y_b).  Radius law
+    asserted: only b's radius may grow, by at most radius(a) + dist(a, b).
     """
     y = assignment.y
     if a == b:
@@ -68,7 +66,7 @@ def shift(ctx, assignment, a, b, alpha, record=True):
         raise ValidationError(f"shift source {a} has no y mass")
     if alpha <= 0 or alpha > y[a]:
         raise ValidationError(f"shift amount {alpha} outside (0, y_{a}]")
-    if not ctx.soft and alpha > 1 - y[b]:
+    if alpha > 1 - y[b]:
         raise ValidationError(f"shift amount {alpha} would push y_{b} above 1")
 
     graph = ctx.graph
@@ -125,7 +123,7 @@ def group_shift(ctx, assignment, group):
         if len(fractional) <= 1:
             break
         a, b = fractional[0], fractional[-1]
-        alpha = y[a] if ctx.soft else min(y[a], 1 - y[b])
+        alpha = min(y[a], 1 - y[b])
         shift(ctx, assignment, a, b, alpha, record=False)
     if global_delta(assignment, graph) > pre_delta + max_pair:
         raise PipelineError("group shift exceeded the pairwise-distance radius law")
@@ -314,7 +312,7 @@ def chain_shift(ctx, assignment, flow):
     if assignment.sum_y() != k_pre:
         raise PipelineError("chain shift changed the y total")
     if not verify_assignment_feasible(
-        graph, ctx.capacities, k_pre, assignment, pre_delta + d_max, ctx.soft
+        graph, ctx.capacities, k_pre, assignment, pre_delta + d_max
     ):
         raise PipelineError("chain shift broke the LP constraints")
     if ctx.trace is not None:
@@ -386,7 +384,7 @@ def replay_trace(ctx, assignment, text):
     '#' starts a comment, so a certificate's '# component' header is skipped.
     """
     result = assignment.copy()
-    quiet = RoundingContext(ctx.graph, ctx.capacities, ctx.soft, trace=None)
+    quiet = RoundingContext(ctx.graph, ctx.capacities)
     lines = list(records(text))
     i = 0
     while i < len(lines):

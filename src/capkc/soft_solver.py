@@ -38,6 +38,8 @@ def ks_independent_set(graph):
     the second property hold: when a vertex is taken, its BFS parent was
     already within two hops of an earlier pick, so every pick lands
     within three hops of a previous one.  Returns the set sorted by id.
+    Distances are read as hops[s][v] from anchor s (the table is
+    symmetric), so only the anchors' hop rows are ever built.
     """
     if graph.vertex_count == 0:
         raise ValidationError("anchor selection needs a non-empty graph")
@@ -46,7 +48,7 @@ def ks_independent_set(graph):
     hops = graph.hop_distances()
     chosen = []
     for v in bfs(graph.adjacency, 0)[0]:
-        if all(hops[v][s] > 2 for s in chosen):
+        if all(hops[s][v] > 2 for s in chosen):
             chosen.append(v)
     anchors = sorted(chosen)
     if len(_anchor_tree(hops, anchors)[0]) != len(anchors):
@@ -69,7 +71,7 @@ def _anchor_tree(hops, anchors):
 def _anchor_of(hops, anchors, v):
     # Within 1 hop the anchor is unique (anchors are G^2-independent);
     # at exactly 2 hops take the lowest id.
-    near = [s for s in anchors if hops[v][s] <= 1]
+    near = [s for s in anchors if hops[s][v] <= 1]
     if near:
         if len(near) > 1:
             raise PipelineError(
@@ -77,7 +79,7 @@ def _anchor_of(hops, anchors, v):
             )
         return near[0]
     for s in anchors:
-        if hops[v][s] <= _ANCHOR_REACH:
+        if hops[s][v] <= _ANCHOR_REACH:
             return s
     raise PipelineError(f"vertex {v} sits more than two hops from every anchor")
 

@@ -1,16 +1,17 @@
 """Turn an integral opening vector into a concrete center/client solution.
 
-Once every y value is a nonnegative integer, assigning clients to open
-centers is a bipartite b-matching: each center vertex offers capacity
-times multiplicity many seats, each client takes exactly one seat at a
-center within the allowed hop radius.  A maximum flow that saturates all
-clients always exists when the fractional assignment was feasible at the
-same radius, so anything short of that is an upstream bug, not bad input.
+Once every y value is 0 or 1, assigning clients to open centers is a
+bipartite b-matching: each open center offers as many seats as its
+capacity, each client takes exactly one seat at a center within the
+allowed hop radius.  A maximum flow that saturates all clients always
+exists when the fractional assignment was feasible at the same radius,
+so anything short of that is an upstream bug, not bad input.
 
 The soft solver and the exact oracle end with the same b-matching, so
 seat_flow is the one builder of that network.  The module also owns the
-Solution record, its independent validator, and the solution text format
-shared by the soft solver, the exact oracle and the command line tools.
+Solution record, the hard-mode top-up to k centers (open_unused), its
+independent validator, and the solution text format shared by the soft
+solver, the exact oracle and the command line tools.
 """
 
 from dataclasses import dataclass, field
@@ -18,13 +19,14 @@ from fractions import Fraction
 
 from .errors import InputError, PipelineError, ValidationError
 from .flownet import MaxFlowNetwork
-from .graph_core import INF, SOFT
+from .graph_core import INF
 from .rational import (
     format_rational, parse_int, parse_rational, read_text, records, write_text
 )
 
 __all__ = [
     "Solution",
+    "open_unused",
     "seat_flow",
     "round_x",
     "validate_solution",
@@ -43,16 +45,13 @@ class Solution:
     possibly larger in soft mode.  phi[v] is the center vertex serving
     client v.  radius bounds dist(v, phi[v]) for every client; it is a
     hop count when produced against an unweighted graph and an exact
-    rational when expressed in a weighted metric.  trace optionally
-    carries the replayable certificate of the rounding run that produced
-    the solution.
+    rational when expressed in a weighted metric.
     """
 
     k: int
     radius: object
     centers: dict = field(default_factory=dict)
     phi: tuple = ()
-    trace: str = ""
 
     def __post_init__(self):
         self.centers = dict(self.centers)
@@ -68,6 +67,23 @@ class Solution:
         for u in self.phi:
             out[u] = out.get(u, 0) + 1
         return out
+
+
+def open_unused(solution, k):
+    """Top a hard-mode solution up to k centers with unused, unloaded vertices.
+
+    Opens the lowest-id vertices that are not yet centers, once each,
+    and relabels the solution with k.  Raises InputError when too few
+    vertices are left.
+    """
+    n = len(solution.phi)
+    spare = k - solution.open_count()
+    free = [v for v in range(n) if v not in solution.centers][:spare]
+    if len(free) < spare:
+        raise InputError(f"cannot open {k} distinct centers on {n} vertices")
+    for v in free:
+        solution.centers[v] = 1
+    solution.k = k
 
 
 def validate_solution(dist, capacities, k, solution, soft=False, scale=1):
@@ -170,12 +186,11 @@ def seat_flow(dist, bound, offers):
 def round_x(graph, capacities, assignment, delta):
     """Assign every client to an open center within `delta` hops.
 
-    The opening vector must already be integral (0/1 in hard mode,
-    any nonnegative integers in soft mode).  Each open center offers
-    capacity L times multiplicity seats in one seat_flow.  A flow below
-    the client count means the caller handed over an opening vector that
-    was never delta-feasible, which the rounding pipeline rules out; that
-    case raises PipelineError.
+    The opening vector must already be 0/1.  Each open center offers
+    capacity L many seats in one seat_flow.  A flow below the client
+    count means the caller handed over an opening vector that was never
+    delta-feasible, which the rounding pipeline rules out; that case
+    raises PipelineError.
     """
     n = graph.vertex_count
     centers = []
@@ -186,19 +201,13 @@ def round_x(graph, capacities, assignment, delta):
                 f"client assignment needs integral openings, got y[{v}] = "
                 f"{format_rational(y)}"
             )
-        mult = int(y)
-        if mult == 0:
-            continue
-        if assignment.mode != SOFT and mult > 1:
-            raise ValidationError(
-                f"hard mode cannot open {mult} centers at {v}"
-            )
-        centers.append((v, mult))
+        if y > 1:
+            raise ValidationError(f"hard mode cannot open {y} centers at {v}")
+        if y == 1:
+            centers.append(v)
 
     hops = graph.hop_distances()
-    seated, phi = seat_flow(
-        hops, delta, [(u, capacities[u] * mult) for u, mult in centers]
-    )
+    seated, phi = seat_flow(hops, delta, [(u, capacities[u]) for u in centers])
     if phi is None:
         raise PipelineError(
             f"client flow placed {seated} of {n} clients at radius {delta};"
@@ -206,9 +215,9 @@ def round_x(graph, capacities, assignment, delta):
         )
     reach = max(hops[phi[v]][v] for v in range(n))
     return Solution(
-        k=sum(mult for _, mult in centers),
+        k=len(centers),
         radius=reach,
-        centers={u: mult for u, mult in centers},
+        centers=dict.fromkeys(centers, 1),
         phi=tuple(phi),
     )
 

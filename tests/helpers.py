@@ -61,6 +61,11 @@ def radii_and_midpoints(radii):
 METRIC_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
+def path_graph(n):
+    """The path 0 - 1 - ... - n-1."""
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
 def rand_connected_graph(rng, n, extra=None):
     """Random tree plus `extra` random chords; always connected."""
     edges = set()

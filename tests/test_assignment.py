@@ -103,16 +103,16 @@ class TestAssignmentIO:
         assert dump_assignment(small()) == DUMP
 
     def test_round_trip(self):
-        a = parse_assignment_text(DUMP, 3, "hard")
+        a = parse_assignment_text(DUMP, 3)
         assert a.y == small().y
         assert list(a.x_items()) == list(small().x_items())
 
     def test_missing_y_defaults_to_zero(self):
-        a = parse_assignment_text("y 1 1\nx 1 1 1\n", 3, "hard")
+        a = parse_assignment_text("y 1 1\nx 1 1 1\n", 3)
         assert a.y == [Fraction(0), Fraction(1), Fraction(0)]
 
     def test_inline_comments(self):
-        a = parse_assignment_text("y 0 1  # open\nx 0 1 1 # serves 1\n", 3, "hard")
+        a = parse_assignment_text("y 0 1  # open\nx 0 1 1 # serves 1\n", 3)
         assert a.y == [Fraction(1), Fraction(0), Fraction(0)]
         assert list(a.x_items()) == [(0, 1, Fraction(1))]
 
@@ -141,4 +141,4 @@ class TestAssignmentIO:
     )
     def test_parse_rejections(self, bad):
         with pytest.raises(InputError):
-            parse_assignment_text(bad, 3, "hard")
+            parse_assignment_text(bad, 3)

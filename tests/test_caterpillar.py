@@ -24,14 +24,10 @@ from capkc.graph_core import Graph
 from capkc.lp_feasibility import build_lp1, solve_feasibility, verify_assignment_feasible
 from capkc.shifting import RoundingContext, TraceLog, chain_shift, replay_trace
 
-from helpers import rand_connected_graph, two_hub_gadget, two_hub_witness
+from helpers import path_graph, rand_connected_graph, two_hub_gadget, two_hub_witness
 
 
 F = Fraction
-
-
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def star_assignment(n, spine, leaf_y, x_pairs=None):
@@ -261,12 +257,6 @@ class TestBuildCaterpillar:
         cat = build_caterpillar(ctx, a)
         assert cat == Caterpillar(21, (1,), (None, None, None))
         assert a.y == [F(0), F(1), F(0)]
-
-    def test_rejects_soft_mode(self):
-        g = path_graph(2)
-        ctx = RoundingContext(g, [2, 2], soft=True)
-        with pytest.raises(ValidationError, match="hard"):
-            build_caterpillar(ctx, Assignment(2))
 
     def test_rejects_disconnected(self):
         g = Graph(4, [(0, 1), (2, 3)])
@@ -527,11 +517,6 @@ class TestWidePipeline:
 
 
 class TestRoundY:
-    def test_rejects_soft_mode(self):
-        ctx = RoundingContext(path_graph(2), [2, 2], soft=True)
-        with pytest.raises(ValidationError, match="hard"):
-            round_y(ctx, Assignment(2), 1)
-
     def test_total_must_match_k(self):
         ctx = RoundingContext(path_graph(2), [2, 2])
         a = Assignment(2)

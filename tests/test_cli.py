@@ -121,6 +121,16 @@ class TestSolve:
         assert dump.read_text()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("mode", ["exact", SOFT])
+    def test_exact_and_soft_certificates_are_empty(self, tmp_path, capsys, mode):
+        inst = path_instance(tmp_path, [2, 2, 2, 2, 2, 2], 3)
+        cert = tmp_path / "cert.txt"
+        cert.write_text("stale\n")
+        argv = ["solve", str(inst), "--mode", mode, "--emit-certificate", str(cert)]
+        assert main(argv) == 0
+        assert cert.read_text() == ""
+        capsys.readouterr()
+
     @pytest.mark.parametrize("caps, code, radius", [([5] * 5, 0, 2), ([1] * 3, 2, 2)])
     def test_lp_dump_is_written_once_at_the_last_radius(
         self, tmp_path, capsys, monkeypatch, caps, code, radius
@@ -710,7 +720,7 @@ class TestHopRowsOnDemand:
     """A stage reads the hop rows it needs; a walk over every row would
     bring back the dense n x n build."""
 
-    def test_the_accepted_component_reads_few_hop_rows(self, tmp_path, monkeypatch, capsys):
+    def solve_and_check_rows(self, tmp_path, monkeypatch, capsys, options):
         # `gen gap --k 24`, nonuniform: 523 vertices, capacity on the root and hubs
         inst, _ = gen_gap_construction(24, nonuniform=True)
         path = tmp_path / "gap.txt"
@@ -728,7 +738,7 @@ class TestHopRowsOnDemand:
 
         monkeypatch.setattr(Graph, "hop_distances", table)
         monkeypatch.setattr(graph_core, "_bfs_row", row)
-        assert main(["solve", str(path)]) == 0
+        assert main(["solve", str(path), *options]) == 0
         assert capsys.readouterr().out.startswith("status: solved")
         tables = {id(g): g for g in graphs}.values()
         assert sum(g.vertex_count == inst.vertex_count for g in tables) == 1
@@ -737,6 +747,13 @@ class TestHopRowsOnDemand:
             assert len(rows) == len(set(rows))  # each row built once
             if g.vertex_count == inst.vertex_count:  # the accepted component
                 assert 0 < len(rows) <= g.vertex_count // 5, len(rows)
+
+    def test_the_accepted_component_reads_few_hop_rows(self, tmp_path, monkeypatch, capsys):
+        self.solve_and_check_rows(tmp_path, monkeypatch, capsys, [])
+
+    def test_a_soft_solve_reads_only_anchor_hop_rows(self, tmp_path, monkeypatch, capsys):
+        # the anchor stages read hops[s][v] from anchor s, never a row per vertex
+        self.solve_and_check_rows(tmp_path, monkeypatch, capsys, ["--mode", SOFT])
 
 
 def sweep_instance(tmp_path, seed):

@@ -15,6 +15,7 @@ from capkc.instances import gen_fig1, gen_random_connected
 from capkc.lp_feasibility import (
     Phase1Tableau,
     _separation_network,
+    _solve_dense,
     build_lp1,
     format_lp_dump,
     phase1_feasible,
@@ -22,7 +23,7 @@ from capkc.lp_feasibility import (
     verify_assignment_feasible,
 )
 
-from helpers import rand_connected_graph, two_hub_gadget, two_hub_witness
+from helpers import path_graph, rand_connected_graph, two_hub_gadget, two_hub_witness
 
 F = Fraction
 
@@ -31,12 +32,9 @@ F = Fraction
 RATIONAL_DIGEST = "55ea1c3fc8bc078c135bf6ab9d321e0482625a2762f3e5bd1779b7eb0074b960"
 
 
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def solve(graph, caps, k, soft=False, method="cuts"):
-    return solve_feasibility(build_lp1(graph, list(caps), k, soft), method)
+    model = build_lp1(graph, list(caps), k, soft)
+    return _solve_dense(model) if method == "dense" else solve_feasibility(model)
 
 
 def rational_systems(rng, count):
@@ -86,7 +84,7 @@ class TestModelShape:
             (1, 0), (1, 1), (1, 2),
             (2, 1), (2, 2),
         )
-        assert m.mode == "hard"
+        assert not m.soft
 
     @pytest.mark.parametrize(
         "caps,k,soft",
@@ -312,7 +310,7 @@ class TestPinnedOutputs:
         make, k, y_text, digest = self.CASES[name]
         inst = make()
         g = threshold_graph(inst, 1)
-        res = solve_feasibility(build_lp1(g, list(inst.capacities), k), "cuts")
+        res = solve_feasibility(build_lp1(g, list(inst.capacities), k))
         assert res.feasible
         assert " ".join(str(q) for q in res.assignment.y) == y_text
         # the digest pins x as well: the whole assignment file, y and x lines
@@ -396,7 +394,7 @@ class TestIntegerSeparation:
         monkeypatch.setattr(MaxFlowNetwork, "add_edge", spy)
         for inst, k in [(gen_fig1()[0], 3), (gen_random_connected(30, 0.5, (2, 5), 9, 3), 9)]:
             g = threshold_graph(inst, 1)
-            assert solve_feasibility(build_lp1(g, list(inst.capacities), k), "cuts").feasible
+            assert solve_feasibility(build_lp1(g, list(inst.capacities), k)).feasible
         assert seen and all(type(c) is int for c, _ in seen)
         # a sink arc holds the round's common denominator: rounds with
         # fractional points ran, over ints
@@ -445,7 +443,7 @@ class TestVerify:
 
     def test_soft_allows_y_above_one(self):
         g = path_graph(2)
-        a = Assignment(2, "soft")
+        a = Assignment(2)
         a.y[0] = F(2)
         a.set_x(0, 0, F(1))
         a.set_x(0, 1, F(1))

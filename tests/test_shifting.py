@@ -19,14 +19,10 @@ from capkc.shifting import (
     validate_yflow,
 )
 
-from helpers import rand_chain_case
+from helpers import path_graph, rand_chain_case
 
 
 F = Fraction
-
-
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +116,6 @@ class TestShift:
         with pytest.raises(ValidationError):
             shift(self.ctx, a, 0, 1, F(3, 4))
 
-    def test_soft_mode_may_overfill(self):
-        ctx = RoundingContext(self.graph, (1, 2), soft=True)
-        a = Assignment(2, "soft", [F(3, 4), F(1, 2)])
-        a.set_x(0, 0, F(3, 4))
-        shift(ctx, a, 0, 1, F(3, 4))
-        assert a.y == [F(0), F(5, 4)]
-
     def test_rejects_cross_component(self):
         g = Graph(2, [])
         ctx = RoundingContext(g, (1, 2))
@@ -146,7 +135,7 @@ class TestShift:
             pre = [sum(a.get_x(u, v) for u in range(4)) for v in range(4)]
             b_end = rng.randint(1, 3)
             a_end = rng.randrange(b_end)
-            room = a.y[a_end] if ctx.soft else min(a.y[a_end], 1 - a.y[b_end])
+            room = min(a.y[a_end], 1 - a.y[b_end])
             if room <= 0:
                 continue
             ksum = a.sum_y()

@@ -7,24 +7,20 @@ import pytest
 
 from capkc.assignment import Assignment
 from capkc.errors import PipelineError, ValidationError
-from capkc.graph_core import SOFT, Graph
+from capkc.graph_core import Graph
 from capkc.lp_feasibility import build_lp1, solve_feasibility
 from capkc.soft_solver import _fold_tree, ks_independent_set, solve_soft
 from capkc.x_rounding import validate_solution
 
-from helpers import rand_connected_graph
-
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+from helpers import path_graph, rand_connected_graph
 
 
 class TestAnchorSet:
     def test_path_of_five(self):
-        assert ks_independent_set(path(5)) == [0, 3]
+        assert ks_independent_set(path_graph(5)) == [0, 3]
 
     def test_path_of_seven(self):
-        assert ks_independent_set(path(7)) == [0, 3, 6]
+        assert ks_independent_set(path_graph(7)) == [0, 3, 6]
 
     def test_single_vertex(self):
         assert ks_independent_set(Graph(1, [])) == [0]
@@ -63,19 +59,19 @@ class TestFoldTree:
         # remainder flow toward the root, so the root keeps the mass
         anchors = [0, 3, 6]
         u = {0: Fraction(1, 2), 3: Fraction(1), 6: Fraction(1, 2)}
-        _fold_tree(path(7).hop_distances(), anchors, u)
+        _fold_tree(path_graph(7).hop_distances(), anchors, u)
         assert u == {0: 1, 3: 1, 6: 0}
 
     def test_anchors_out_of_reach_are_rejected(self):
         u = {0: Fraction(1), 4: Fraction(1)}
         with pytest.raises(PipelineError, match="does not span"):
-            _fold_tree(path(5).hop_distances(), [0, 4], u)
+            _fold_tree(path_graph(5).hop_distances(), [0, 4], u)
 
 
 class TestSolveSoft:
     def test_single_anchor_star(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        a = Assignment(4, mode=SOFT)
+        a = Assignment(4)
         a.y[0] = Fraction(1)
         for v in range(4):
             a.set_x(0, v, Fraction(1))
@@ -85,8 +81,8 @@ class TestSolveSoft:
         assert sol.radius == 1
 
     def test_relocation_moves_centers_to_roomy_vertex(self):
-        g = path(3)
-        a = Assignment(3, mode=SOFT)
+        g = path_graph(3)
+        a = Assignment(3)
         a.y[0], a.y[2] = Fraction(1), Fraction(1)
         a.set_x(0, 0, Fraction(1))
         a.set_x(2, 1, Fraction(1))
@@ -100,9 +96,9 @@ class TestSolveSoft:
         # Anchors 0 and 3 both gather 3/2; the child keeps its floor and
         # the root absorbs the remainder, then everything relocates to
         # the lowest-id vertex of the uniform-capacity ball.
-        g = path(6)
+        g = path_graph(6)
         caps = [3] * 6
-        a = Assignment(6, mode=SOFT)
+        a = Assignment(6)
         y = [1, Fraction(1, 2), Fraction(1, 2), 0, 1, 0]
         for v, q in enumerate(y):
             a.y[v] = Fraction(q)
@@ -125,13 +121,13 @@ class TestSolveSoft:
         validate_solution(g.hop_distances(), caps, 3, sol, soft=True)
 
     def test_disconnected_rejected(self):
-        a = Assignment(4, mode=SOFT)
+        a = Assignment(4)
         with pytest.raises(ValidationError, match="connected"):
             solve_soft(Graph(4, [(0, 1), (2, 3)]), [2] * 4, 2, a)
 
     def test_infeasible_assignment_rejected(self):
-        g = path(3)
-        a = Assignment(3, mode=SOFT)
+        g = path_graph(3)
+        a = Assignment(3)
         a.y[0] = Fraction(3)
         with pytest.raises(ValidationError, match="not feasible"):
             solve_soft(g, [1, 1, 1], 3, a)

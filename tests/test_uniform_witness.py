@@ -20,47 +20,43 @@ from capkc.uniform_witness import (
     write_witness,
 )
 
-from helpers import METRIC_SETTINGS, rand_connected_graph, with_comments
-
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+from helpers import METRIC_SETTINGS, path_graph, rand_connected_graph, with_comments
 
 
 class TestVerify:
     def test_far_pair_on_path_certifies(self):
-        assert verify_uniform_witness(path(7), 1, 2, [0, 6])
+        assert verify_uniform_witness(path_graph(7), 1, 2, [0, 6])
 
     def test_remote_set_carries_fractional_weight(self):
         # remote = {3}; 2 + 1/3 > 2 certifies even though capacity 3
         # leaves slack in each ball.
-        assert verify_uniform_witness(path(7), 3, 2, [0, 6])
-        assert not verify_uniform_witness(path(7), 3, 3, [0, 6])
+        assert verify_uniform_witness(path_graph(7), 3, 2, [0, 6])
+        assert not verify_uniform_witness(path_graph(7), 3, 3, [0, 6])
 
     def test_close_pair_rejected(self):
-        assert not verify_uniform_witness(path(7), 1, 2, [0, 2])
+        assert not verify_uniform_witness(path_graph(7), 1, 2, [0, 2])
 
     def test_bound_must_clear_k_strictly(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
         assert not verify_uniform_witness(g, 4, 1, [])
 
     def test_empty_core_counts_heads(self):
-        assert verify_uniform_witness(path(5), 1, 4, [])
+        assert verify_uniform_witness(path_graph(5), 1, 4, [])
 
     def test_disconnected_components_are_far(self):
         g = Graph(4, [(0, 1), (2, 3)])
         assert verify_uniform_witness(g, 1, 1, [0, 2])
 
     def test_duplicate_core_entries_collapse(self):
-        assert verify_uniform_witness(path(7), 1, 2, [0, 0, 6])
+        assert verify_uniform_witness(path_graph(7), 1, 2, [0, 0, 6])
 
     def test_capacity_below_one_rejected(self):
         with pytest.raises(InputError, match="at least 1"):
-            verify_uniform_witness(path(3), 0, 1, [])
+            verify_uniform_witness(path_graph(3), 0, 1, [])
 
     def test_out_of_range_vertex_rejected(self):
         with pytest.raises(InputError, match="outside the graph"):
-            verify_uniform_witness(path(3), 1, 1, [5])
+            verify_uniform_witness(path_graph(3), 1, 1, [5])
 
     def test_bound_is_exact_rational(self):
         w = UniformWitness((0, 6), (3,))
@@ -69,16 +65,16 @@ class TestVerify:
 
 class TestGreedySearch:
     def test_finds_path_witness(self):
-        w = greedy_witness_search(path(7), 1, 2)
+        w = greedy_witness_search(path_graph(7), 1, 2)
         assert w is not None
-        assert verify_uniform_witness(path(7), 1, 2, w.core)
+        assert verify_uniform_witness(path_graph(7), 1, 2, w.core)
 
     def test_returns_none_on_feasible_star(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
         assert greedy_witness_search(g, 4, 1) is None
 
     def test_empty_core_shortcut(self):
-        w = greedy_witness_search(path(5), 1, 4)
+        w = greedy_witness_search(path_graph(5), 1, 4)
         assert w is not None and w.core == ()
 
 

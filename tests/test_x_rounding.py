@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from capkc.assignment import Assignment
 from capkc.errors import InputError, PipelineError, ValidationError
-from capkc.graph_core import INF, SOFT, Graph, WeightedMetricInstance
+from capkc.graph_core import INF, Graph, WeightedMetricInstance
 from capkc.shifting import RoundingContext
 from capkc.caterpillar import round_y
 from capkc.x_rounding import (
@@ -52,15 +52,6 @@ class TestRoundX:
         loads = sol.loads()
         assert loads[0] + loads[1] == 6
         assert max(loads.values()) <= 4
-
-    def test_soft_multiplicity_opens_stacked_centers(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        a = Assignment(3, mode=SOFT)
-        a.y[1] = Fraction(3)
-        sol = round_x(g, [1, 1, 1], a, 1)
-        assert sol.centers == {1: 3}
-        assert sol.phi == (1, 1, 1)
-        validate_solution(g.hop_distances(), [1, 1, 1], 3, sol, soft=True)
 
     def test_radius_reports_reach_not_budget(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
