@@ -10,21 +10,22 @@ Subcommands:
 Exit codes: 0 solved or valid, 2 infeasible or invalid, 3 bad input: a file
 that is malformed or cannot be read, decoded or written, or a usage error.
 
-The solver sweeps candidate radii in ascending order.  At each radius it
-splits the threshold graph into connected components, binary-searches
-the smallest per-component budget whose relaxation is feasible, and
-accepts the radius once those budgets fit inside k.  The first accepted
-radius is therefore also a certified lower bound on the optimum, and
-the reported hop radius bounds the stretch against it.  Seat counts
-(the largest capacities must add up to the clients) give each budget
-search its first probe, and pass over, without any LP, a radius below
-the largest whose counts alone already exceed k.
+The solver sweeps the candidate radii (the pairwise distances, 0
+included) in ascending order.  At each radius it plans: it splits the
+threshold graph into connected components, binary-searches the smallest
+per-component budget whose relaxation is feasible, and accepts the
+radius once those budgets fit inside k.  The first accepted radius is
+therefore also a certified lower bound on the optimum, and the reported
+hop radius bounds the stretch against it.  Seat counts (the largest
+capacities must add up to the clients) give each budget search its
+first probe, and pass over, without any LP, a radius below the largest
+whose counts alone already exceed k.  The largest radius is always
+planned in full: its plan is the infeasible report.
 """
 
 import argparse
 import functools
 import sys
-from fractions import Fraction
 from itertools import accumulate
 
 from .assignment import write_assignment
@@ -128,45 +129,28 @@ def _components(inst, r, soft):
     return parts
 
 
-def _ruled_out(parts, k, soft):
-    """True when seat counts alone reject the radius, before any LP.
+def _plan(inst, r, soft, last):
+    """One (subgraph, old_ids, caps, k_cap, found) per component of G_r.
 
-    Some component's budget range is empty (a shortfall), or the floors
-    of all components add up to more than k.
+    found is _minimal_budget's (k', assignment), or None when no budget
+    up to k_cap is feasible.  Unless r is the last (largest) radius, the
+    plan is None, without any LP, when seat counts alone reject r: a
+    component has an empty budget range, or the floors add up to more
+    than k.  G_r itself goes with _components' frame, before the first LP.
     """
-    floors = 0
-    for _, _, caps, k_cap in parts:
-        lo, hi = _budget_range(caps, k_cap, soft)
-        if lo > hi:
-            return True
-        floors += lo
-    return floors > k
+    parts = _components(inst, r, soft)
+    if not last:
+        ranges = [_budget_range(caps, k_cap, soft) for _, _, caps, k_cap in parts]
+        if any(lo > hi for lo, hi in ranges) or sum(lo for lo, _ in ranges) > inst.k:
+            return None
+    return [
+        (sub, old_ids, caps, k_cap, _minimal_budget(sub, caps, k_cap, soft))
+        for sub, old_ids, caps, k_cap in parts
+    ]
 
 
-def _component_plan(parts, soft):
-    """Per-component minimal budgets for the components of one radius.
-
-    Returns (plans, shortfall): plans is a list of
-    (subgraph, old_ids, caps, budget, assignment); shortfall collects
-    report lines for components whose relaxation never becomes feasible.
-    """
-    plans = []
-    shortfall = []
-    for sub, old_ids, caps, k_cap in parts:
-        found = _minimal_budget(sub, caps, k_cap, soft)
-        if found is None:
-            shortfall.append(
-                f"component of {old_ids[0]}: relaxation infeasible"
-                f" for every budget up to {k_cap}"
-            )
-            plans.append((sub, old_ids, caps, None, None))
-        else:
-            plans.append((sub, old_ids, caps, found[0], found[1]))
-    return plans, shortfall
-
-
-def _stitch(inst, plans, soft):
-    """Round every component and merge into one full-instance Solution.
+def _stitch(inst, plan, soft):
+    """Round every component of an accepted plan into one full-instance Solution.
 
     Returns (solution, hop_radius, certificate): the certificate holds
     one '# component' section per hard component and is empty in soft
@@ -180,7 +164,7 @@ def _stitch(inst, plans, soft):
     hop_radius = 0
     sections = []
     spent = 0
-    for sub, old_ids, caps, budget, assignment in plans:
+    for sub, old_ids, caps, _, (budget, assignment) in plan:
         spent += budget
         if soft:
             sol = solve_soft(sub, caps, budget, assignment)
@@ -258,26 +242,16 @@ def _cmd_solve(args):
         )
         return 2
 
-    radii = [Fraction(0)]
-    radii.extend(r for r in candidate_radii(inst) if r != 0)
-    last_report = []
+    radii = candidate_radii(inst)
     for r in radii:
-        parts = _components(inst, r, soft)
-        # a radius the seat counts reject is not worth its LPs; the largest
-        # one is planned in full, for the infeasible report
-        if r < radii[-1] and _ruled_out(parts, inst.k, soft):
+        plan = _plan(inst, r, soft, r == radii[-1])
+        if plan is None:
             continue
-        plans, shortfall = _component_plan(parts, soft)
-        needed = sum(budget for _, _, _, budget, _ in plans if budget is not None)
-        last_report = [
-            f"component of {old_ids[0]}: needs {budget} centers"
-            for _, old_ids, _, budget, _ in plans
-            if budget is not None
-        ] + shortfall
-        if shortfall or needed > inst.k:
+        found = [f for *_, f in plan]
+        if None in found or sum(budget for budget, _ in found) > inst.k:
             continue
 
-        solution, hops, certificate = _stitch(inst, plans, soft)
+        solution, hops, certificate = _stitch(inst, plan, soft)
         if args.max_stretch_assert is not None and hops > args.max_stretch_assert:
             raise CapkcError(
                 f"stretch assertion failed: {hops} hops"
@@ -296,12 +270,19 @@ def _cmd_solve(args):
         _emit_solution(solution, certificate, args, report)
         return 0
 
-    _dump_lp(inst, r, soft, args.emit_lp_dump)  # the last radius probed
+    _dump_lp(inst, r, soft, args.emit_lp_dump)  # the largest radius
     _print("status: infeasible")
     _print(f"k: {inst.k}")
     _print("at the largest radius the relaxation still needs:")
-    for line in last_report:
-        _print("  " + line)
+    for _, old_ids, _, _, found in plan:
+        if found is not None:
+            _print(f"  component of {old_ids[0]}: needs {found[0]} centers")
+    for _, old_ids, _, k_cap, found in plan:
+        if found is None:
+            _print(
+                f"  component of {old_ids[0]}: relaxation infeasible"
+                f" for every budget up to {k_cap}"
+            )
     return 2
 
 

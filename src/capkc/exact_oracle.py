@@ -12,11 +12,16 @@ together with all later candidates, cannot cover every client.  Neither
 test can reject a feasible set, and the surviving sets keep their
 lexicographic order, so the first feasible set is the same as without
 them.  Deliberately simple and exact; refuses instances whose
-enumeration would exceed ten million candidate sets.
+enumeration would exceed ENUMERATION_LIMIT = ten million candidate sets.
+
+The limit counts center sets, not time.  Every set that survives both
+tests costs one seat flow over all n clients, so an instance under the
+limit can still run for minutes: the 277-vertex hub-sparse benchmark
+instance (25 positive-capacity vertices, k = 18, C(25, 18) = 480,700
+sets) ran for more than four minutes without finishing.
 """
 
 import math
-from fractions import Fraction
 from itertools import groupby
 
 from .errors import InputError
@@ -141,12 +146,11 @@ def exact_opt(inst, mode=None):
     """Minimal radius with a feasible center set, or None when there is none.
 
     Feasibility is monotone in the radius, so a binary search over the
-    candidate radii (the pairwise distances, plus zero) finds the
+    candidate radii (the pairwise distances, zero included) finds the
     leftmost feasible one.  The top radius is probed first; when it is
     feasible its solution stands until a smaller radius beats it.
     """
-    radii = [Fraction(0)]
-    radii.extend(r for r in candidate_radii(inst) if r != 0)
+    radii = candidate_radii(inst)
     top = feasible_at(inst, radii[-1], mode)
     if top is None:
         return None

@@ -7,8 +7,8 @@ denominators, so every threshold test is one int comparison and a Fraction
 is built only where a distance is reported.  Unreachable pairs are
 represented by the INF sentinel, which only ever participates in
 comparisons, never in arithmetic.  The table is dense, so an instance may
-have at most MAX_VERTICES vertices; a larger one is refused with an
-InputError (exit 3) before any row is built.
+have at most MAX_VERTICES vertices; a larger one, or one without vertices,
+is refused with an InputError (exit 3) before any row is built.
 """
 
 from __future__ import annotations
@@ -31,7 +31,10 @@ SOFT = "soft"
 MAX_VERTICES = 2048
 
 
-def _check_vertex_count(n):
+def check_vertex_count(n):
+    """Refuse an instance without vertices or of more than MAX_VERTICES (exit 3)."""
+    if n < 1:
+        raise InputError("n must be >= 1")
     if n > MAX_VERTICES:
         raise InputError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
 
@@ -235,7 +238,7 @@ class WeightedMetricInstance:
     @classmethod
     def from_weighted_edges(cls, vertex_count, edges, capacities, k, mode):
         """Build the metric as the exact shortest-path closure of the edges."""
-        _check_vertex_count(vertex_count)
+        check_vertex_count(vertex_count)
         normalized = []
         for u, v, w in edges:
             if u == v:
@@ -284,7 +287,7 @@ class WeightedMetricInstance:
     def from_distance_matrix(cls, dist, capacities, k, mode):
         """Direct construction; validates symmetry, zero diagonal, triangle inequality."""
         n = len(dist)
-        _check_vertex_count(n)
+        check_vertex_count(n)
         scale = math.lcm(*{Fraction(d).denominator for row in dist for d in row if d != INF})
         mat = [[(INF if d == INF else int(Fraction(d) * scale)) for d in row] for row in dist]
         for i in range(n):
@@ -306,10 +309,13 @@ class WeightedMetricInstance:
 
 
 def candidate_radii(inst):
-    """Strictly increasing list of the distinct finite pairwise distances."""
+    """Strictly increasing list of the distinct finite pairwise distances.
+
+    The diagonal d(v, v) = 0 counts, so the list starts at 0.
+    """
     vals = set()
     for u, row in enumerate(inst.scaled):
-        vals.update(row[u + 1 :])
+        vals.update(row[u:])
     vals.discard(INF)
     return [Fraction(d, inst.scale) for d in sorted(vals)]
 

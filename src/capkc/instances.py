@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .assignment import Assignment
 from .errors import InputError
-from .graph_core import HARD, WeightedMetricInstance
+from .graph_core import HARD, WeightedMetricInstance, check_vertex_count
 
 __all__ = [
     "gen_fig1",
@@ -82,6 +82,8 @@ class GapLayout:
 def gap_layout(k):
     if k < 24:
         raise InputError(f"gap construction needs k >= 24, got {k}")
+    # n grows as k^2: refuse an oversized k before laying anything out
+    check_vertex_count(1 + (k - 6) * (k + 5))
     cap = k - 1
     gadgets = k - 6
     rays = tuple(range(1, 1 + gadgets))
@@ -239,6 +241,8 @@ def gen_x3c(sets, universe):
             )
         members.append(chosen)
     f = len(members)
+    n = (f + 1) * len(universe) + f * (3 * f + 3)
+    check_vertex_count(n)
     layout = x3c_layout(f, len(universe))
 
     edges = []
@@ -251,7 +255,6 @@ def gen_x3c(sets, universe):
         for p in layout.pendants[j]:
             edges.append((layout.guarded[j], p))
 
-    n = (f + 1) * len(universe) + f * (3 * f + 3)
     room = 3 * f + 3
     capacities = [0] * n
     for j in range(f):
@@ -266,15 +269,17 @@ def gen_x3c(sets, universe):
 def gen_random_connected(n, edge_density, capacity_range, k, seed, mode=HARD):
     """Seeded connected instance: a random tree plus extra chords.
 
-    edge_density scales the number of chord attempts (density times n);
-    capacities are drawn uniformly from capacity_range inclusive.  Unit
-    edge weights.  The same arguments always produce the same instance.
+    edge_density scales the number of chord attempts (density times n),
+    so it must be finite and in [0, n]: at most n^2 draws.  Capacities
+    are drawn uniformly from capacity_range inclusive.  Unit edge
+    weights.  The same arguments always produce the same instance.
     """
-    if n < 1:
-        raise InputError("n must be >= 1")
+    check_vertex_count(n)
     lo, hi = capacity_range
     if lo > hi or lo < 0:
         raise InputError(f"bad capacity range [{lo}, {hi}]")
+    if not 0 <= edge_density <= n:
+        raise InputError(f"edge density must be in [0, {n}], got {edge_density}")
     rng = random.Random(seed)
     edges = set()
     for v in range(1, n):

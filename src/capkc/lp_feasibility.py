@@ -239,28 +239,15 @@ class Phase1Tableau:
         mat, rhs, den, basis = self.mat, self.rhs, self.den, self.basis
         art_cols = self.art_cols
         # objective w = sum of basic artificials, over nonbasic columns:
-        # w = (wrhs - sum wrow[c] * x_c) / wden, one integer row like the rest
-        wrow = {}
-        wrhs = 0
-        wden = 1
-        for i, bc in enumerate(basis):
-            if bc not in art_cols:
-                continue
-            g = gcd(wden, den[i])
-            s, t = den[i] // g, wden // g
-            if s != 1:
-                wrow = {c: s * v for c, v in wrow.items()}
-                wrhs *= s
-                wden *= s
-            for c, v in mat[i].items():
-                if c == bc:
-                    continue
-                nv = wrow.get(c, 0) + t * v
-                if nv:
-                    wrow[c] = nv
-                else:
-                    del wrow[c]
-            wrhs += t * rhs[i]
+        # w = (wrhs - sum wrow[c] * x_c) / wden, one integer row like the rest.
+        # Eliminating each artificial from {a: 1} by its own row leaves
+        # w = (sum wrow[c] * x_c - wrhs) / wden, hence the negation.
+        arts = [i for i, bc in enumerate(basis) if bc in art_cols]
+        wrow, wrhs, wden = {basis[i]: 1 for i in arts}, 0, 1
+        for i in arts:
+            wrow, wrhs, wden = _eliminate(wrow, wrhs, wden, basis[i], mat[i], rhs[i], den[i])
+        wrow = {c: -v for c, v in wrow.items()}
+        wrhs = -wrhs
         if wrhs == 0:
             self._expel_artificials()
             return True

@@ -8,7 +8,6 @@ violated clause.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -202,20 +201,12 @@ def validate_yflow(ctx, assignment, flow):
             raise ValidationError(f"y-flow: through-flow {q} exceeds 1 at vertex {v}")
 
 
-@dataclass(frozen=True)
-class FlowGraph:
-    arcs: dict  # (u, w) -> [f, fl]
-    topo: tuple  # all arc endpoints, topological order, min-id tie-break
-
-    def f(self, u, w):
-        return self.arcs[(u, w)][0]
-
-    def fl(self, u, w):
-        return self.arcs[(u, w)][1]
-
-
 def build_flow_graph(flow, capacities):
-    """Aggregate arc flows f and capacity-weighted flows fl; rejects cycles."""
+    """Arc flows of a y-flow, as {(u, w): [f, fl]}; rejects cycles.
+
+    f sums the path amounts alpha over the arc and fl the capacity-weighted
+    amounts L(source) * alpha.
+    """
     arcs = {}
     for alpha, path in flow.paths:
         w_src = capacities[path[0]] * alpha
@@ -227,30 +218,24 @@ def build_flow_graph(flow, capacities):
             else:
                 cell[0] += alpha
                 cell[1] += w_src
-    vertices = set()
+    # peel off vertices with no arc left in; a cycle is what remains
     succ = {}
     indeg = {}
     for (u, w) in arcs:
-        vertices.add(u)
-        vertices.add(w)
         succ.setdefault(u, []).append(w)
         indeg[w] = indeg.get(w, 0) + 1
-    heap = [v for v in vertices if indeg.get(v, 0) == 0]
-    heapq.heapify(heap)
-    topo = []
-    while heap:
-        u = heapq.heappop(heap)
-        topo.append(u)
-        for w in sorted(succ.get(u, ())):
+    free = [u for u in succ if u not in indeg]
+    while free:
+        for w in succ.get(free.pop(), ()):
             indeg[w] -= 1
             if indeg[w] == 0:
-                heapq.heappush(heap, w)
-    if len(topo) != len(vertices):
+                free.append(w)
+    if any(indeg.values()):
         raise ValidationError("y-flow graph has a cycle")
     for (u, _w), (f, fl) in arcs.items():
         if fl > capacities[u] * f:
             raise PipelineError("arc carries more capacity-weighted flow than its tail allows")
-    return FlowGraph(arcs, tuple(topo))
+    return arcs
 
 
 def chain_shift(ctx, assignment, flow):
@@ -264,14 +249,14 @@ def chain_shift(ctx, assignment, flow):
     if flow.is_empty():
         return
     validate_yflow(ctx, assignment, flow)
-    fg = build_flow_graph(flow, ctx.capacities)
+    arcs = build_flow_graph(flow, ctx.capacities)
     graph = ctx.graph
     y = assignment.y
 
     pre_delta = global_delta(assignment, graph)
     k_pre = assignment.sum_y()
     d_max = 0
-    for (u, w) in fg.arcs:
+    for (u, w) in arcs:
         d = ctx.dist(u, w)
         if d == INF:
             raise ValidationError(f"y-flow arc ({u},{w}) spans components")
@@ -279,11 +264,11 @@ def chain_shift(ctx, assignment, flow):
 
     # all transfer amounts from the pre-state, then a single application pass
     snapshot = {}
-    for (u, _w) in fg.arcs:
+    for (u, _w) in arcs:
         if u not in snapshot:
             snapshot[u] = dict(assignment.x_row(u))
     net = {}
-    for (u, w), (f, fl) in fg.arcs.items():
+    for (u, w), (f, fl) in arcs.items():
         if fl == 0:
             continue
         denom = ctx.L(u) * y[u]
@@ -301,7 +286,7 @@ def chain_shift(ctx, assignment, flow):
 
     out_f = {}
     in_f = {}
-    for (u, w), (f, _fl) in fg.arcs.items():
+    for (u, w), (f, _fl) in arcs.items():
         out_f[u] = out_f.get(u, Fraction(0)) + f
         in_f[w] = in_f.get(w, Fraction(0)) + f
     for s in flow.sources:

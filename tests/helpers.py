@@ -55,7 +55,7 @@ def weighted_graphs(draw, connected=False):
 
 
 def radii_and_midpoints(radii):
-    return [Fraction(0)] + radii + [(a + b) / 2 for a, b in zip(radii, radii[1:])]
+    return radii + [(a + b) / 2 for a, b in zip(radii, radii[1:])]
 
 
 METRIC_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -108,7 +108,7 @@ def test_criterion_1_two_component_gap_pair():
         caps = list(inst.capacities)
         g = threshold_graph(inst, 1)
         assert verify_assignment_feasible(g, caps, inst.k, witness, 1)
-        radii = [Fraction(0)] + candidate_radii(inst)
+        radii = candidate_radii(inst)
         for r in radii:
             assert feasible_at(inst, r) is None, f"solvable at radius {r}"
         assert exact_opt(inst) is None

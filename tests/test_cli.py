@@ -16,7 +16,6 @@ from capkc import cli, graph_core
 from capkc.assignment import global_delta, read_assignment
 from capkc.cli import (
     _budget_range,
-    _component_plan,
     _minimal_budget,
     build_parser,
     main,
@@ -303,6 +302,26 @@ class TestVertexLimit:
         assert f"exceed the limit of {MAX_VERTICES}" in capsys.readouterr().err
         assert peak < n * n * 8 // 20  # one n x n table of pointers is n * n * 8 bytes
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "gap", "--k", "800"],  # n = 1 + 794 * 805
+            ["gen", "random", "--n", "300000", "--k", "1"],
+            ["gen", "x3c", "--universe", "a,b,c", "--sets", "a,b,c;" * 30],  # n = 2883
+        ],
+        ids=["gap", "random", "x3c"],
+    )
+    def test_generators_refuse_before_building(self, argv, capsys):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert f"exceed the limit of {MAX_VERTICES}" in capsys.readouterr().err
+        assert peak < 2**20
+
 
 class TestVerify:
     def test_tampered_solution_rejected(self, tmp_path, capsys):
@@ -376,6 +395,18 @@ class TestGen:
     def test_stdout_instance(self, capsys):
         assert main(["gen", "fig1"]) == 0
         assert capsys.readouterr().out.strip()
+
+    @pytest.mark.parametrize("density", ["nan", "inf", "-inf", "1e400", "-0.5", "8.5", "1e4"])
+    def test_random_refuses_a_bad_density(self, density, capsys):
+        argv = ["gen", "random", "--n", "8", "--k", "2", f"--density={density}"]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "edge density must be in [0, 8]" in err
+
+    @pytest.mark.parametrize("density", ["0", "8"])
+    def test_random_takes_density_zero_to_n(self, density, capsys):
+        assert main(["gen", "random", "--n", "8", "--k", "2", f"--density={density}"]) == 0
+        assert capsys.readouterr().out.startswith("capkc")
 
 
 class TestOracle:
@@ -797,26 +828,26 @@ class TestRadiusSkip:
 
     def test_every_skipped_radius_is_rejected_in_full(self, tmp_path, capsys, monkeypatch):
         skipped = []
-        real = cli._ruled_out
+        real = cli._plan
 
-        def spy(parts, k, soft):
-            out = real(parts, k, soft)
-            if out:
-                skipped.append((parts, k, soft))
-            return out
+        def spy(inst, r, soft, last):
+            plan = real(inst, r, soft, last)
+            if plan is None:
+                skipped.append((inst, r, soft))
+            return plan
 
-        monkeypatch.setattr(cli, "_ruled_out", spy)
+        monkeypatch.setattr(cli, "_plan", spy)
         codes = {code for code, _ in self.solve_all(tmp_path, capsys)}
         assert codes == {0, 2}
         assert len(skipped) >= 100
-        for parts, k, soft in skipped:
-            plans, shortfall = _component_plan(parts, soft)
-            needed = sum(budget for _, _, _, budget, _ in plans if budget is not None)
-            assert shortfall or needed > k
+        for inst, r, soft in skipped:
+            found = [f for *_, f in real(inst, r, soft, True)]
+            assert None in found or sum(budget for budget, _ in found) > inst.k
 
     def test_skipping_changes_no_output(self, tmp_path, capsys, monkeypatch):
         skipping = self.solve_all(tmp_path, capsys)
-        monkeypatch.setattr(cli, "_ruled_out", lambda parts, k, soft: False)
+        real = cli._plan
+        monkeypatch.setattr(cli, "_plan", lambda inst, r, soft, last: real(inst, r, soft, True))
         assert self.solve_all(tmp_path, capsys) == skipping
 
     def test_infeasible_report_and_lp_dump_are_pinned(self, tmp_path, capsys):
@@ -843,6 +874,30 @@ class TestRadiusSkip:
             "report": "cb983a5aee24f6a98f50c31319085a65c8cd53aa36a1aa45c28725552ad559da",
             "lp dump": "68309cd5f35274a1cbf181a5a1e87dd62973d78b51abeab782903312706898ab",
         }
+
+    def test_a_part_without_capacity_spares_every_lp_below_the_largest(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # {3, 4} has no capacity at any radius, while the floors stay within
+        # k = 4 from radius 1 on: only the empty budget range rules r out
+        inst = WeightedMetricInstance.from_weighted_edges(
+            5, [(0, 1, 1), (1, 2, 2), (3, 4, 1)], [2, 0, 3, 0, 0], 4, HARD
+        )
+        path = tmp_path / "bare.txt"
+        write_instance(inst, path)
+        calls = []
+        real = cli.solve_feasibility
+
+        def spy(model):
+            calls.append(model)
+            return real(model)
+
+        monkeypatch.setattr(cli, "solve_feasibility", spy)
+        assert main(["solve", str(path)]) == 2
+        capsys.readouterr()
+        solved = len(calls)
+        cli._plan(inst, Fraction(3), False, True)
+        assert solved == len(calls) - solved > 0
 
 
 def bracket_instance(tmp_path, seed, mode):

@@ -110,7 +110,7 @@ class TestExactOpt:
     def test_matches_linear_scan(self):
         for seed in range(6):
             inst = gen_random_connected(9, 0.4, (1, 3), 2, seed=seed)
-            radii = [Fraction(0)] + candidate_radii(inst)
+            radii = candidate_radii(inst)
             answers = [feasible_at(inst, r) is not None for r in radii]
             # monotone: once feasible, stays feasible
             assert answers == sorted(answers)

@@ -71,17 +71,17 @@ class TestThreshold:
 
 class TestCandidateRadii:
     def test_path_metric(self):
-        assert candidate_radii(path_metric()) == [1, 2]
+        assert candidate_radii(path_metric()) == [0, 1, 2]
 
     def test_single_vertex(self):
         inst = WeightedMetricInstance.from_weighted_edges(1, [], [1], 1, "hard")
-        assert candidate_radii(inst) == []
+        assert candidate_radii(inst) == [0]
 
     def test_deduplicates_ties(self):
         inst = WeightedMetricInstance.from_distance_matrix(
             [[0, 1, 1], [1, 0, 2], [1, 2, 0]], [1, 1, 1], 1, "hard"
         )
-        assert candidate_radii(inst) == [1, 2]
+        assert candidate_radii(inst) == [0, 1, 2]
 
     def test_zero_distance_pair_included(self):
         inst = WeightedMetricInstance.from_distance_matrix(
@@ -274,7 +274,7 @@ class TestMetric:
             3, [(0, 1, 1)], [1, 1, 1], 1, "hard"
         )
         assert exact_metric(inst)[0][2] == INF
-        assert candidate_radii(inst) == [1]
+        assert candidate_radii(inst) == [0, 1]
 
     def test_matrix_validation(self):
         with pytest.raises(InputError):
@@ -374,7 +374,7 @@ class TestIntegerMetric:
         ref = reference_metric(n, edges)
         inst = WeightedMetricInstance.from_weighted_edges(n, edges, [1] * n, 1, "hard")
         assert exact_metric(inst) == ref
-        radii = sorted({ref[u][v] for u in range(n) for v in range(u + 1, n)} - {INF})
+        radii = sorted({ref[u][v] for u in range(n) for v in range(u, n)} - {INF})
         assert candidate_radii(inst) == radii
         assert all(type(r) is Fraction for r in candidate_radii(inst))
         for r in radii_and_midpoints(radii):
@@ -420,7 +420,7 @@ class TestIntegerMetric:
         assert inst.scale == 6
         assert inst.scaled[0] == [0, 10, 13]
         assert exact_metric(inst)[0] == [0, Fraction(5, 3), Fraction(13, 6)]
-        assert candidate_radii(inst) == [Fraction(1, 2), Fraction(5, 3), Fraction(13, 6)]
+        assert candidate_radii(inst) == [0, Fraction(1, 2), Fraction(5, 3), Fraction(13, 6)]
         assert threshold_graph(inst, Fraction(5, 3)).edges == frozenset({(0, 1), (1, 2)})
         assert feasible_at(inst, Fraction(13, 6)).radius == Fraction(13, 6)
         assert feasible_at(inst, Fraction(13, 6) - Fraction(1, 100)) is None
@@ -436,6 +436,13 @@ class TestVertexLimit:
             WeightedMetricInstance.from_weighted_edges(n, [], [1] * n, 1, "hard")
         with pytest.raises(InputError, match=f"limit of {MAX_VERTICES}"):
             WeightedMetricInstance.from_distance_matrix([[0]] * n, [1] * n, 1, "hard")
+
+    def test_constructors_refuse_an_empty_instance(self):
+        # as the file format does: every instance has the radius 0
+        with pytest.raises(InputError, match="n must be >= 1"):
+            WeightedMetricInstance.from_weighted_edges(0, [], [], 1, "soft")
+        with pytest.raises(InputError, match="n must be >= 1"):
+            WeightedMetricInstance.from_distance_matrix([], [], 1, "soft")
 
     def test_a_hop_row_of_a_maximal_component_costs_one_bfs(self, monkeypatch):
         # the dense table of this path would hold 2048 x 2048 entries
