@@ -68,7 +68,9 @@ class Assignment:
                 yield u, v, row[v]
 
     def sum_y(self):
-        return sum(self.y, Fraction(0))
+        # most y entries of a rounded vector are 0: adding them costs a
+        # Fraction operation each and changes nothing
+        return sum((q for q in self.y if q), Fraction(0))
 
     def copy(self):
         dup = Assignment(self.vertex_count, self.y)

@@ -18,9 +18,9 @@ radius once those budgets fit inside k.  The first accepted radius is
 therefore also a certified lower bound on the optimum, and the reported
 hop radius bounds the stretch against it.  Seat counts (the largest
 capacities must add up to the clients) give each budget search its
-first probe, and pass over, without any LP, a radius below the largest
-whose counts alone already exceed k.  The largest radius is always
-planned in full: its plan is the infeasible report.
+first probe, and pass over, without any LP or subgraph, a radius below
+the largest whose counts alone already exceed k.  The largest radius is
+always planned in full: its plan is the infeasible report.
 """
 
 import argparse
@@ -92,18 +92,18 @@ def _budget_range(capacities, k_cap, soft):
     return lo, min(k_cap, len(caps))
 
 
-def _minimal_budget(graph, capacities, k_cap, soft):
-    """Smallest feasible k' in [1, k_cap], as (k', assignment), or None.
+def _minimal_budget(graph, capacities, lo, hi, soft):
+    """Smallest feasible k' in [lo, hi], as (k', assignment), or None.
 
-    Feasibility is monotone in k': extra opening mass can always sit on
-    a vertex with headroom.  So the search runs over _budget_range only:
-    it probes the seat-count floor lo first, which is often the answer,
-    then binary-searches (lo, hi].  Every probe is a fresh LP, so the
+    (lo, hi) is the component's _budget_range: no budget outside it is
+    feasible.  Feasibility is monotone in k': extra opening mass can
+    always sit on a vertex with headroom.  So the search probes the
+    seat-count floor lo first, which is often the answer, then
+    binary-searches (lo, hi].  Every probe is a fresh LP, so the
     leftmost feasible k' and its assignment are the same whichever
     budgets were probed before it.  None when the range is empty or
     holds no feasible budget.
     """
-    lo, hi = _budget_range(capacities, k_cap, soft)
     best = None
     mid = lo
     while lo <= hi:
@@ -117,35 +117,41 @@ def _minimal_budget(graph, capacities, k_cap, soft):
     return best
 
 
-def _components(inst, r, soft):
-    """Components of the threshold graph at r, as (subgraph, old_ids, caps, k_cap)."""
+def _components(inst, r, soft, last):
+    """Components of G_r as (subgraph, old_ids, caps, k_cap, (lo, hi)), or None.
+
+    (lo, hi) is the component's _budget_range.  Unless r is the last
+    (largest) radius, the result is None when seat counts alone reject
+    r: a component has an empty budget range, or the floors add up to
+    more than k.  The counts read the components' vertex lists, so a
+    rejected radius builds no subgraph.
+    """
     g = threshold_graph(inst, r)
     parts = []
-    for comp in connected_components(g):
-        sub, old_ids = induced_subgraph(g, comp)
-        caps = [inst.capacities[v] for v in old_ids]
-        k_cap = inst.k if soft else min(inst.k, sub.vertex_count)
-        parts.append((sub, old_ids, caps, k_cap))
-    return parts
+    for comp in connected_components(g):  # ascending ids, as old_ids
+        caps = [inst.capacities[v] for v in comp]
+        k_cap = inst.k if soft else min(inst.k, len(comp))
+        parts.append((comp, caps, k_cap, _budget_range(caps, k_cap, soft)))
+    ranges = [rng for *_, rng in parts]
+    if not last and (any(lo > hi for lo, hi in ranges) or sum(lo for lo, _ in ranges) > inst.k):
+        return None
+    return [(*induced_subgraph(g, comp), caps, k_cap, rng) for comp, caps, k_cap, rng in parts]
 
 
 def _plan(inst, r, soft, last):
     """One (subgraph, old_ids, caps, k_cap, found) per component of G_r.
 
     found is _minimal_budget's (k', assignment), or None when no budget
-    up to k_cap is feasible.  Unless r is the last (largest) radius, the
-    plan is None, without any LP, when seat counts alone reject r: a
-    component has an empty budget range, or the floors add up to more
-    than k.  G_r itself goes with _components' frame, before the first LP.
+    up to k_cap is feasible.  The plan is None, without any LP, when
+    _components rejects r by seat counts.  G_r itself goes with
+    _components' frame, before the first LP.
     """
-    parts = _components(inst, r, soft)
-    if not last:
-        ranges = [_budget_range(caps, k_cap, soft) for _, _, caps, k_cap in parts]
-        if any(lo > hi for lo, hi in ranges) or sum(lo for lo, _ in ranges) > inst.k:
-            return None
+    parts = _components(inst, r, soft, last)
+    if parts is None:
+        return None
     return [
-        (sub, old_ids, caps, k_cap, _minimal_budget(sub, caps, k_cap, soft))
-        for sub, old_ids, caps, k_cap in parts
+        (sub, old_ids, caps, k_cap, _minimal_budget(sub, caps, *rng, soft))
+        for sub, old_ids, caps, k_cap, rng in parts
     ]
 
 

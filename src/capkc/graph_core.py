@@ -9,6 +9,10 @@ represented by the INF sentinel, which only ever participates in
 comparisons, never in arithmetic.  The table is dense, so an instance may
 have at most MAX_VERTICES vertices; a larger one, or one without vertices,
 is refused with an InputError (exit 3) before any row is built.
+
+Twins, vertices with equal (neighbour, weight) lists, share one search:
+a twin's row is its class leader's row with their two entries swapped,
+since every path from either of them leaves through the same edges.
 """
 
 from __future__ import annotations
@@ -150,6 +154,23 @@ def _bfs_row(adjacency, s, step):
     return row
 
 
+def _dijkstra_row(adjacency, s):
+    """Distances from s over lists of (neighbour, nonnegative int weight)."""
+    row = [INF] * len(adjacency)
+    row[s] = 0
+    heap = [(0, s)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > row[u]:
+            continue
+        for v, w in adjacency[u]:
+            nd = d + w
+            if nd < row[v]:
+                row[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return row
+
+
 class _HopRows:
     """Unit-step distance rows over list adjacency, each built on first read."""
 
@@ -237,7 +258,17 @@ class WeightedMetricInstance:
 
     @classmethod
     def from_weighted_edges(cls, vertex_count, edges, capacities, k, mode):
-        """Build the metric as the exact shortest-path closure of the edges."""
+        """Build the metric as the exact shortest-path closure of the edges.
+
+        One search per class of twins: vertices are walked in the order of
+        their sorted (neighbour, weight) lists, and the first of each class
+        runs a BFS (uniform positive weights) or a Dijkstra search.  A twin
+        s of that leader copies the leader's row and swaps two entries:
+        row[leader] = d(leader, s) and row[s] = 0.  For any third vertex v,
+        d(s, v) is the minimum over s's list of w + d(u, v), so equal lists
+        give equal distances; this holds for zero and p/q weights and for
+        isolated vertices alike.  Twins are never adjacent (no self-loops).
+        """
         check_vertex_count(vertex_count)
         normalized = []
         for u, v, w in edges:
@@ -256,31 +287,24 @@ class WeightedMetricInstance:
             w = w.numerator * (scale // w.denominator)
             adj[u].append((v, w))
             adj[v].append((u, w))
+        for row in adj:
+            row.sort()
         weights = {w for row in adj for _, w in row}
         step = weights.pop() if len(weights) == 1 else 0
-        scaled = []
-        if step > 0:
-            # uniform positive weights: BFS scaled by the weight (a loop: a
-            # comprehension would put hop_adj and step in cells, allocated
-            # on every call whichever branch runs)
-            hop_adj = [[v for v, _ in row] for row in adj]
-            for s in range(n):
-                scaled.append(_bfs_row(hop_adj, s, step))
-        else:
-            for s in range(n):
-                row = [INF] * n
+        # uniform positive weights: BFS scaled by the weight
+        hop_adj = [[v for v, _ in row] for row in adj] if step > 0 else None
+        scaled = [None] * n
+        leader = None
+        # equal lists sort next to each other, after their class leader
+        for s in sorted(range(n), key=adj.__getitem__):
+            if leader is not None and adj[s] == adj[leader]:
+                row = scaled[leader].copy()
+                row[leader] = row[s]
                 row[s] = 0
-                heap = [(0, s)]
-                while heap:
-                    d, u = heapq.heappop(heap)
-                    if d > row[u]:
-                        continue
-                    for v, w in adj[u]:
-                        nd = d + w
-                        if nd < row[v]:
-                            row[v] = nd
-                            heapq.heappush(heap, (nd, v))
-                scaled.append(row)
+            else:
+                leader = s
+                row = _bfs_row(hop_adj, s, step) if step > 0 else _dijkstra_row(adj, s)
+            scaled[s] = row
         return cls(vertex_count, scaled, scale, capacities, k, mode, edges=normalized)
 
     @classmethod

@@ -624,7 +624,8 @@ class TestCertificateReplay:
             ids = [int(v) for v in section.split("\n", 1)[0].split()[2:]]
             sub, old_ids = induced_subgraph(g, ids)
             caps = [inst.capacities[v] for v in old_ids]
-            budget, point = _minimal_budget(sub, caps, min(inst.k, sub.vertex_count), False)
+            k_cap = min(inst.k, sub.vertex_count)
+            budget, point = _minimal_budget(sub, caps, *_budget_range(caps, k_cap, False), False)
             replayed = replay_trace(RoundingContext(sub, caps), point, section)
             sol = round_x(sub, caps, replayed, global_delta(replayed, sub))
             assert [old_ids[c] for c in sol.phi] == [emitted.phi[v] for v in old_ids]
@@ -680,7 +681,7 @@ class TestBudgetSearch:
             assert not any(feasible[positive:])
             feasible = feasible[:positive]
         assert feasible == sorted(feasible)
-        found = _minimal_budget(g, caps, top, soft)
+        found = _minimal_budget(g, caps, *_budget_range(caps, top, soft), soft)
         first = feasible.index(True) + 1 if True in feasible else None
         assert (found and found[0]) == first
 
@@ -717,7 +718,7 @@ class TestBudgetSearch:
             lo, hi = _budget_range(caps, sub.vertex_count, False)
             assert (lo + hi) // 2 > lo
             probes.clear()
-            budget, _ = _minimal_budget(sub, caps, sub.vertex_count, False)
+            budget, _ = _minimal_budget(sub, caps, lo, hi, False)
             assert budget == lo and probes == [lo]
         # fig1: 6 clients, capacity 4 each; gap: 523 clients, capacity 23
         assert lo == (2 if family == "fig1" else 23)
@@ -849,6 +850,28 @@ class TestRadiusSkip:
         real = cli._plan
         monkeypatch.setattr(cli, "_plan", lambda inst, r, soft, last: real(inst, r, soft, True))
         assert self.solve_all(tmp_path, capsys) == skipping
+
+    def test_a_skipped_radius_builds_no_subgraph(self, tmp_path, capsys, monkeypatch):
+        # the seat counts read the components' vertex lists; only a radius
+        # that is planned builds its parts, one subgraph each
+        built, plans = [], []
+        real_subgraph, real_plan = cli.induced_subgraph, cli._plan
+
+        def spy_subgraph(graph, vertices):
+            built.append(vertices)
+            return real_subgraph(graph, vertices)
+
+        def spy_plan(inst, r, soft, last):
+            built.clear()
+            plan = real_plan(inst, r, soft, last)
+            plans.append((plan is None, len(built), len(plan or ())))
+            return plan
+
+        monkeypatch.setattr(cli, "induced_subgraph", spy_subgraph)
+        monkeypatch.setattr(cli, "_plan", spy_plan)
+        self.solve_all(tmp_path, capsys)
+        assert sum(skipped for skipped, *_ in plans) >= 100
+        assert all(n_built == (0 if skipped else parts) for skipped, n_built, parts in plans)
 
     def test_infeasible_report_and_lp_dump_are_pinned(self, tmp_path, capsys):
         # a path with capacity, and a part with none: every radius is ruled

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from capkc import graph_core
 from capkc.errors import InputError
 from capkc.exact_oracle import feasible_at
+from capkc.instances import gen_fig1, gen_gap_construction, gen_x3c
 from capkc.x_rounding import validate_solution
 from capkc.graph_core import (
     Graph,
@@ -29,6 +30,7 @@ from capkc.graph_core import (
 from helpers import (
     METRIC_SETTINGS,
     exact_metric,
+    pq_weights,
     radii_and_midpoints,
     rand_connected_graph,
     weighted_graphs,
@@ -226,17 +228,23 @@ class TestBfs:
         assert bfs(Graph(3, [(1, 2)]).adjacency, 0) == ([0], {0: None})
 
 
-def reference_hops(n, edges):
-    """Floyd-Warshall hop distances; INF when unreachable."""
+def floyd_warshall(n, edges):
+    """All-pairs shortest paths over (u, v, weight) edges; INF when unreachable."""
     d = [[0 if u == v else INF for v in range(n)] for u in range(n)]
-    for u, v in edges:
-        d[u][v] = d[v][u] = 1
+    for u, v, w in edges:
+        if w < d[u][v]:
+            d[u][v] = d[v][u] = w
     for h in range(n):
         for u in range(n):
             for v in range(n):
                 if d[u][h] + d[h][v] < d[u][v]:
                     d[u][v] = d[u][h] + d[h][v]
     return d
+
+
+def reference_hops(n, edges):
+    """Floyd-Warshall hop distances; INF when unreachable."""
+    return floyd_warshall(n, [(u, v, 1) for u, v in edges])
 
 
 @st.composite
@@ -424,6 +432,85 @@ class TestIntegerMetric:
         assert threshold_graph(inst, Fraction(5, 3)).edges == frozenset({(0, 1), (1, 2)})
         assert feasible_at(inst, Fraction(13, 6)).radius == Fraction(13, 6)
         assert feasible_at(inst, Fraction(13, 6) - Fraction(1, 100)) is None
+
+
+@st.composite
+def twin_graphs(draw):
+    """(n, edges): a weighted_graphs draw with clones and isolated vertices added.
+
+    A clone copies every edge of its original, weights included; some
+    clones are joined to their original, some clone a clone, and labels
+    and edge order are shuffled.
+    """
+    n, edges = draw(weighted_graphs())
+    weights = {w for *_, w in edges}
+    for _ in range(draw(st.integers(0, 5))):
+        orig, clone = draw(st.integers(0, n - 1)), n
+        n += 1
+        edges += [(clone, v if u == orig else u, w) for u, v, w in edges if orig in (u, v)]
+        if draw(st.booleans()):
+            # keep uniform weights uniform, so both searches meet clones
+            join = next(iter(weights)) if len(weights) == 1 else draw(pq_weights)
+            edges.append((orig, clone, join))
+    n += draw(st.integers(0, 2))
+    label = draw(st.permutations(range(n)))
+    # shuffled, so twins' edges do not come in the same order
+    return n, [(label[u], label[v], w) for u, v, w in draw(st.permutations(edges))]
+
+
+def spy_searches(monkeypatch):
+    """Record the source of every closure or hop-row search from here on."""
+    sources = []
+    for name in ("_bfs_row", "_dijkstra_row"):
+        real = getattr(graph_core, name)
+
+        def spy(adjacency, s, *rest, real=real):
+            sources.append(s)
+            return real(adjacency, s, *rest)
+
+        monkeypatch.setattr(graph_core, name, spy)
+    return sources
+
+
+def neighbour_lists(inst):
+    """Each vertex's sorted (neighbour, weight) list, from the instance's edges."""
+    lists = [[] for _ in range(inst.vertex_count)]
+    for u, v, w in inst.edges:
+        lists[u].append((v, w))
+        lists[v].append((u, w))
+    return [tuple(sorted(lst)) for lst in lists]
+
+
+class TestTwinRows:
+    """Vertices with equal neighbour lists share one search: one row per class."""
+
+    @METRIC_SETTINGS
+    @given(twin_graphs())
+    def test_rows_match_floyd_warshall_with_one_search_per_class(self, graph):
+        n, edges = graph
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            sources = spy_searches(monkeypatch)
+            inst = WeightedMetricInstance.from_weighted_edges(n, edges, [1] * n, 1, "hard")
+        assert exact_metric(inst) == floyd_warshall(n, edges)
+        assert len(sources) == len(set(neighbour_lists(inst)))
+
+    @pytest.mark.parametrize(
+        "build, searches, n",
+        [
+            (lambda: gen_gap_construction(24, nonuniform=True)[0], 91, 523),
+            (lambda: gen_fig1()[0], 6, 12),
+            (lambda: gen_x3c([tuple("abc"), tuple("def"), tuple("abd"), tuple("cef")],
+                             list("abcdef")), 16, 90),
+        ],
+        ids=["gap-24-nonuniform", "fig1", "x3c"],
+    )
+    def test_one_search_per_neighbour_list_class(self, monkeypatch, build, searches, n):
+        sources = spy_searches(monkeypatch)
+        inst = build()
+        lists = neighbour_lists(inst)
+        assert inst.vertex_count == n
+        assert len(sources) == searches == len(set(lists))
+        assert len({lists[s] for s in sources}) == searches
 
 
 class TestVertexLimit:
