@@ -315,7 +315,8 @@ def _write_or_print_instance(inst, out):
 
 
 def _cmd_gen(args):
-    witness = None
+    if args.witness_out and args.family not in ("fig1", "gap"):
+        raise InputError(f"family {args.family} has no witness to write")
     if args.family == "fig1":
         inst, witness = gen_fig1()
     elif args.family == "gap":
@@ -339,8 +340,6 @@ def _cmd_gen(args):
         )
     _write_or_print_instance(inst, args.out)
     if args.witness_out:
-        if witness is None:
-            raise InputError(f"family {args.family} has no witness to write")
         write_assignment(witness, args.witness_out)
     return 0
 

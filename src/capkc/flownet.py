@@ -1,9 +1,11 @@
-"""Exact max-flow (Dinic) over integer capacities.
+"""Exact max-flow (Dinic) over integer capacities, and the one network capkc builds.
 
-capkc builds its networks with int capacities only (the seat flow and the
-LP's separation flow), so every flow value is an int; no floating point.
-Nothing here rounds, so exact Fractions would work too, but no caller
-passes them.
+capkc's flows are all bipartite: offers (centers) on one side, clients on
+the other.  bipartite_flow is the one builder of that network, for the
+seat flow of x_rounding, the soft solver and the exact oracle, and for the
+LP's separation flow.  Callers pass int capacities only, so every flow
+value is an int; no floating point.  Nothing here rounds, so exact
+Fractions would work too, but only a test passes them.
 Deterministic: arcs are scanned in insertion order, so two runs on
 identically built networks produce identical flows.
 
@@ -114,3 +116,27 @@ class MaxFlowNetwork:
     def source_side_cut(self, s):
         """Vertices reachable from s in the residual network (call after max_flow)."""
         return {v for v, lv in enumerate(self._levels(s)) if lv >= 0}
+
+
+def bipartite_flow(client_count, offers, demand):
+    """One max flow over source -> offer -> client -> sink.
+
+    offers lists (supply, clients, unit): an arc source -> offer of
+    capacity supply, then an arc offer -> v of capacity unit for each v in
+    clients.  Every client v then has an arc v -> sink of capacity demand.
+    Nodes: source 0, offer i at 1 + i, client v at base + v with
+    base = 1 + len(offers), sink base + client_count.  Arcs are added in
+    offer order, then client order.  Returns (value, net, arcs, base):
+    the flow value, the solved network and arcs[i], offer i's list of
+    (client, arc id) for flow_on.
+    """
+    base = 1 + len(offers)
+    sink = base + client_count
+    net = MaxFlowNetwork(sink + 1)
+    arcs = []
+    for i, (supply, clients, unit) in enumerate(offers):
+        net.add_edge(0, 1 + i, supply)
+        arcs.append([(v, net.add_edge(1 + i, base + v, unit)) for v in clients])
+    for v in range(client_count):
+        net.add_edge(base + v, sink, demand)
+    return net.max_flow(0, sink), net, arcs, base

@@ -219,7 +219,7 @@ class WeightedMetricInstance:
     Capacities are nonnegative integers.  At most MAX_VERTICES vertices.
     """
 
-    def __init__(self, vertex_count, scaled, scale, capacities, k, mode, edges=None):
+    def __init__(self, vertex_count, scaled, scale, capacities, k, mode, edges):
         if mode not in (HARD, SOFT):
             raise InputError(f"mode must be '{HARD}' or '{SOFT}', got {mode!r}")
         if k < 1:
@@ -236,15 +236,7 @@ class WeightedMetricInstance:
         self.k = k
         self.mode = mode
         # original edge list (u, v, weight), kept for file round-trips
-        self.edges = list(edges) if edges is not None else self._complete_edges()
-
-    def _complete_edges(self):
-        return [
-            (u, v, Fraction(row[v], self.scale))
-            for u, row in enumerate(self.scaled)
-            for v in range(u + 1, self.vertex_count)
-            if row[v] != INF
-        ]
+        self.edges = list(edges)
 
     def cutoff(self, r):
         """floor(r * scale): the largest scaled distance that is <= r."""
@@ -305,31 +297,41 @@ class WeightedMetricInstance:
                 leader = s
                 row = _bfs_row(hop_adj, s, step) if step > 0 else _dijkstra_row(adj, s)
             scaled[s] = row
-        return cls(vertex_count, scaled, scale, capacities, k, mode, edges=normalized)
+        return cls(vertex_count, scaled, scale, capacities, k, mode, normalized)
 
     @classmethod
     def from_distance_matrix(cls, dist, capacities, k, mode):
-        """Direct construction; validates symmetry, zero diagonal, triangle inequality."""
+        """The instance whose edges are the matrix's finite pairs, if it is a metric.
+
+        Checks the zero diagonal, symmetry and signs, builds the instance
+        with from_weighted_edges over every finite pair u < v, and raises
+        InputError where the closure differs from the matrix: there a
+        shorter path breaks the triangle inequality, or joins a pair
+        given as INF.
+        """
         n = len(dist)
         check_vertex_count(n)
-        scale = math.lcm(*{Fraction(d).denominator for row in dist for d in row if d != INF})
-        mat = [[(INF if d == INF else int(Fraction(d) * scale)) for d in row] for row in dist]
+        mat = [[d if d == INF else Fraction(d) for d in row] for row in dist]
         for i in range(n):
             if mat[i][i] != 0:
                 raise InputError(f"d({i},{i}) must be 0")
             for j in range(n):
                 if mat[i][j] != mat[j][i]:
                     raise InputError(f"distance matrix not symmetric at ({i},{j})")
-                if mat[i][j] != INF and mat[i][j] < 0:
+                if mat[i][j] < 0:
                     raise InputError(f"negative distance at ({i},{j})")
-        for i in range(n):
-            for j in range(n):
-                if mat[i][j] == INF:
-                    continue
-                for h in range(n):
-                    if mat[i][h] != INF and mat[h][j] != INF and mat[i][h] + mat[h][j] < mat[i][j]:
-                        raise InputError(f"triangle inequality violated on ({i},{h},{j})")
-        return cls(n, mat, scale, capacities, k, mode)
+        inst = cls.from_weighted_edges(n, [
+            (i, j, mat[i][j]) for i in range(n) for j in range(i + 1, n) if mat[i][j] != INF
+        ], capacities, k, mode)
+        for i, row in enumerate(inst.scaled):
+            for j in range(i + 1, n):
+                d = row[j] if row[j] == INF else Fraction(row[j], inst.scale)
+                if d != mat[i][j]:
+                    raise InputError(
+                        f"distance matrix is not a metric at ({i},{j}):"
+                        f" a path of length {d} is shorter"
+                    )
+        return inst
 
 
 def candidate_radii(inst):

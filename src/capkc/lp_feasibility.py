@@ -5,9 +5,13 @@ Two solver routes with the same contract (zero-tolerance rational answers):
 * solve_feasibility, the cut loop: a master LP over y only, solved by the
   exact phase-1 simplex below, with lazily separated client-set inequalities
   sum_u min(L(u), |N[u] cap W|) * y_u >= |W|.  Separation is an exact
-  max-flow on ints: the master point is put over its common denominator
-  D, so every capacity, flow and cut is D times the rational one.  A
-  saturating flow directly yields the x values, each flow over D.
+  max-flow on ints over flownet.bipartite_flow, the network that also
+  seats clients: source -> center u (L(u) * y_u) -> client v in N[u]
+  (y_u) -> sink (1), for each center with y_u > 0.  The master point is
+  put over its common denominator D, so every capacity is D times the
+  rational one; Dinic only compares and adds capacities, so every flow
+  and the min cut scale with them.  A saturating flow directly yields
+  the x values, each flow over D.
   Every generated inequality is implied by LP1 (constraints 2+3+4), and each
   round adds an inequality violated by the current master point, so the loop
   terminates: there are finitely many client sets.
@@ -27,7 +31,7 @@ from math import gcd, lcm
 
 from .assignment import Assignment
 from .errors import InputError, PipelineError
-from .flownet import MaxFlowNetwork
+from .flownet import bipartite_flow
 from .graph_core import INF
 from .rational import write_text
 
@@ -366,30 +370,6 @@ def _finish(model, assignment):
     return FeasibilityResult(assignment)
 
 
-def _separation_network(centers, caps, nbhd, ys, scale):
-    """Source -> center i (caps[u] * ys[i]) -> client v in N[u] (ys[i]) -> sink (scale).
-
-    Nodes: source 0, center i at 1 + i, client v at 1 + m + v, sink
-    1 + m + n.  With ys the master point times scale, every capacity is
-    scale times that of the network over the point itself; Dinic only
-    compares and adds capacities, so every augmenting path, residual and
-    the min cut scale with them.  Returns (net, {(u, v): arc}).
-    """
-    m, n = len(centers), len(nbhd)
-    net = MaxFlowNetwork(2 + m + n)
-    center_arcs = {}
-    for i, u in enumerate(centers):
-        yi = ys[i]
-        if yi == 0:
-            continue
-        net.add_edge(0, 1 + i, caps[u] * yi)
-        for v in nbhd[u]:
-            center_arcs[(u, v)] = net.add_edge(1 + i, 1 + m + v, yi)
-    for v in range(n):
-        net.add_edge(1 + m + v, 1 + m + n, scale)
-    return net, center_arcs
-
-
 def solve_feasibility(model):
     """Decide LP1 by the cut loop; the FeasibilityResult holds a verified point."""
     graph, caps, k, soft = model.graph, model.capacities, model.k, model.soft
@@ -431,24 +411,27 @@ def solve_feasibility(model):
         # the master point over its common denominator: y_i = ys[i] / scale
         scale = lcm(*(q.denominator for q in vals))
         ys = [q.numerator * (scale // q.denominator) for q in vals]
-        net, center_arcs = _separation_network(centers, caps, nbhd, ys, scale)
-        s, t = 0, 1 + m + n
-        total = net.max_flow(s, t)
+        live = [i for i in range(m) if ys[i] > 0]
+        total, net, arcs, base = bipartite_flow(
+            n, [(caps[centers[i]] * ys[i], nbhd[centers[i]], ys[i]) for i in live], scale
+        )
         if total == n * scale:
             a = Assignment(n)
             for i, u in enumerate(centers):
                 a.y[u] = vals[i]
-            for (u, v), arc in center_arcs.items():
-                q = net.flow_on(arc)
-                if q > 0:
-                    a.set_x(u, v, Fraction(q, scale))
+            for i, offer_arcs in zip(live, arcs):
+                u = centers[i]
+                for v, arc in offer_arcs:
+                    q = net.flow_on(arc)
+                    if q > 0:
+                        a.set_x(u, v, Fraction(q, scale))
             return _finish(model, a)
 
-        reach = net.source_side_cut(s)
+        reach = net.source_side_cut(0)
         # drop this round's network now, else it stays alive through the next
         # master solve and the next network's build
-        del net, center_arcs
-        w_set = {v for v in range(n) if (1 + m + v) not in reach}
+        del net, arcs
+        w_set = {v for v in range(n) if (base + v) not in reach}
         coefs = {}
         for i, u in enumerate(centers):
             c = min(caps[u], sum(1 for v in nbhd[u] if v in w_set))

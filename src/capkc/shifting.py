@@ -155,10 +155,18 @@ class YFlow:
 
 
 def validate_yflow(ctx, assignment, flow):
-    """Full transfer-plan validation; raises ValidationError naming the clause."""
+    """Validate a transfer plan in one walk over its paths and aggregate it.
+
+    Raises ValidationError naming the violated clause, a cycle included.
+    Returns (arcs, out_at, in_at): arcs maps (u, w) to [f, fl], where f
+    sums the path amounts alpha over the arc and fl the capacity-weighted
+    amounts L(source) * alpha; out_at and in_at total alpha per source
+    and per sink.
+    """
     if flow.sources & flow.sinks:
         raise ValidationError("y-flow: sources and sinks overlap")
     y = assignment.y
+    arcs = {}
     out_at = {}
     in_at = {}
     through = {}
@@ -190,6 +198,14 @@ def validate_yflow(ctx, assignment, flow):
             through[v] = through.get(v, Fraction(0)) + alpha
         out_at[s] = out_at.get(s, Fraction(0)) + alpha
         in_at[t] = in_at.get(t, Fraction(0)) + alpha
+        w_src = ctx.L(s) * alpha
+        for key in zip(path, path[1:]):
+            cell = arcs.get(key)
+            if cell is None:
+                arcs[key] = [Fraction(alpha), Fraction(w_src)]
+            else:
+                cell[0] += alpha
+                cell[1] += w_src
     for s, q in out_at.items():
         if q > y[s]:
             raise ValidationError(f"y-flow: outflow {q} exceeds y at source {s}")
@@ -199,25 +215,6 @@ def validate_yflow(ctx, assignment, flow):
     for v, q in through.items():
         if q > 1:
             raise ValidationError(f"y-flow: through-flow {q} exceeds 1 at vertex {v}")
-
-
-def build_flow_graph(flow, capacities):
-    """Arc flows of a y-flow, as {(u, w): [f, fl]}; rejects cycles.
-
-    f sums the path amounts alpha over the arc and fl the capacity-weighted
-    amounts L(source) * alpha.
-    """
-    arcs = {}
-    for alpha, path in flow.paths:
-        w_src = capacities[path[0]] * alpha
-        for i in range(len(path) - 1):
-            key = (path[i], path[i + 1])
-            cell = arcs.get(key)
-            if cell is None:
-                arcs[key] = [Fraction(alpha), Fraction(w_src)]
-            else:
-                cell[0] += alpha
-                cell[1] += w_src
     # peel off vertices with no arc left in; a cycle is what remains
     succ = {}
     indeg = {}
@@ -233,23 +230,24 @@ def build_flow_graph(flow, capacities):
     if any(indeg.values()):
         raise ValidationError("y-flow graph has a cycle")
     for (u, _w), (f, fl) in arcs.items():
-        if fl > capacities[u] * f:
+        if fl > ctx.L(u) * f:
             raise PipelineError("arc carries more capacity-weighted flow than its tail allows")
-    return arcs
+    return arcs, out_at, in_at
 
 
 def chain_shift(ctx, assignment, flow):
     """Apply a whole y-flow: x moves along every arc, y moves source -> sink.
 
-    Per-arc x transfer is x[u][v] * fl(u, arc) / (L(u) * y_u), computed from
-    the pre-state for every arc and applied at once.  Interior y values stay
-    untouched; the result is (delta + d)-feasible where d is the largest arc
-    hop distance.
+    The flow's paths are walked once, by validate_yflow, which returns the
+    arc flows and the per-source and per-sink totals.  Per-arc x transfer
+    is x[u][v] * fl(u, arc) / (L(u) * y_u), computed from the pre-state for
+    every arc and applied at once; each source then gives up its outflow
+    and each sink takes its inflow.  Interior y values stay untouched; the
+    result is (delta + d)-feasible where d is the largest arc hop distance.
     """
     if flow.is_empty():
         return
-    validate_yflow(ctx, assignment, flow)
-    arcs = build_flow_graph(flow, ctx.capacities)
+    arcs, out_at, in_at = validate_yflow(ctx, assignment, flow)
     graph = ctx.graph
     y = assignment.y
 
@@ -284,15 +282,10 @@ def chain_shift(ctx, assignment, flow):
         if dq != 0:
             assignment.add_x(p, v, dq)
 
-    out_f = {}
-    in_f = {}
-    for (u, w), (f, _fl) in arcs.items():
-        out_f[u] = out_f.get(u, Fraction(0)) + f
-        in_f[w] = in_f.get(w, Fraction(0)) + f
-    for s in flow.sources:
-        y[s] -= out_f.get(s, Fraction(0))
-    for t in flow.sinks:
-        y[t] += in_f.get(t, Fraction(0))
+    for s, q in out_at.items():
+        y[s] -= q
+    for t, q in in_at.items():
+        y[t] += q
 
     if assignment.sum_y() != k_pre:
         raise PipelineError("chain shift changed the y total")

@@ -8,7 +8,8 @@ exists when the fractional assignment was feasible at the same radius,
 so anything short of that is an upstream bug, not bad input.
 
 The soft solver and the exact oracle end with the same b-matching, so
-seat_flow is the one builder of that network.  The module also owns the
+seat_flow is the one place that lays it out, over flownet.bipartite_flow,
+which also builds the LP's separation flow.  The module also owns the
 Solution record, the hard-mode top-up to k centers (open_unused), its
 independent validator, and the solution text format shared by the soft
 solver, the exact oracle and the command line tools.
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, PipelineError, ValidationError
-from .flownet import MaxFlowNetwork
+from .flownet import bipartite_flow
 from .graph_core import INF
 from .rational import (
     format_rational, parse_int, parse_rational, read_text, records, write_text
@@ -154,32 +155,23 @@ def seat_flow(dist, bound, offers):
     (rows built on first read, so only the offered centers' rows are) or
     an instance's scaled metric.  offers lists (center, seats); client v
     may sit at center u iff dist[u][v] <= bound, which INF never is.  The
-    network is source -> offer (seats) -> client -> sink, its arcs added
-    in offer order, then client order.  Returns (seated, phi): the flow
-    value, and phi[v] the center seating client v, or None when some
-    client stays unseated.
+    network is flownet.bipartite_flow's, with seats as each offer's
+    supply and unit arcs to the clients and the sink.  Returns
+    (seated, phi): the flow value, and phi[v] the center seating client
+    v, or None when some client stays unseated.
     """
     n = len(dist)
-    # Node layout: 0 source, 1..len(offers) offers, then clients, then sink.
-    base = 1 + len(offers)
-    sink = base + n
-    net = MaxFlowNetwork(sink + 1)
-    seat_arcs = []
-    for i, (u, seats) in enumerate(offers):
-        net.add_edge(0, 1 + i, seats)
-        row = dist[u]
-        for v in range(n):
-            if row[v] <= bound:
-                seat_arcs.append((u, v, net.add_edge(1 + i, base + v, 1)))
-    for v in range(n):
-        net.add_edge(base + v, sink, 1)
-    seated = net.max_flow(0, sink)
+    seated, net, arcs, _ = bipartite_flow(n, [
+        (seats, [v for v, d in enumerate(dist[u]) if d <= bound], 1)
+        for u, seats in offers
+    ], 1)
     if seated < n:
         return seated, None
     phi = [-1] * n
-    for u, v, arc in seat_arcs:
-        if net.flow_on(arc) > 0:
-            phi[v] = u
+    for (u, _), seat_arcs in zip(offers, arcs):
+        for v, arc in seat_arcs:
+            if net.flow_on(arc) > 0:
+                phi[v] = u
     return seated, phi
 
 

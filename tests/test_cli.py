@@ -392,6 +392,21 @@ class TestGen:
         assert code == 3
         assert "no witness" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", [
+        ["random", "--n", "30", "--k", "5"],
+        ["x3c", "--universe", "a,b,c", "--sets", "a,b,c"],
+    ], ids=["random", "x3c"])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_witness_out_is_refused_before_any_output(self, family, to_file, tmp_path, capsys):
+        out_path = tmp_path / "r.txt"
+        argv = ["gen", *family, "--witness-out", str(tmp_path / "w.txt")]
+        if to_file:
+            argv += ["--out", str(out_path)]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "no witness" in err
+        assert not out_path.exists() and not (tmp_path / "w.txt").exists()
+
     def test_stdout_instance(self, capsys):
         assert main(["gen", "fig1"]) == 0
         assert capsys.readouterr().out.strip()

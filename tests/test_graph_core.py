@@ -294,6 +294,15 @@ class TestMetric:
                 [[0, 1, 5], [1, 0, 1], [5, 1, 0]], [1, 1, 1], 1, "hard"
             )
 
+    def test_matrix_with_an_infinite_pair_that_a_path_joins_is_refused(self):
+        # d(0,2) = INF, yet 0 - 1 - 2 has length 2: the closure of the
+        # finite pairs is not this matrix, and a written file would re-read
+        # with d(0,2) = 2
+        with pytest.raises(InputError, match=r"not a metric at \(0,2\)"):
+            WeightedMetricInstance.from_distance_matrix(
+                [[0, 1, INF], [1, 0, 1], [INF, 1, 0]], [1, 1, 1], 1, "hard"
+            )
+
 
 GOOD = """capkc 1 3 2 1 hard
 v 0 2

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from capkc.assignment import Assignment, dump_assignment
 from capkc.errors import InputError
-from capkc.flownet import MaxFlowNetwork
+from capkc.flownet import MaxFlowNetwork, bipartite_flow
 from capkc.graph_core import Graph, threshold_graph
 from capkc.instances import gen_fig1, gen_random_connected
 from capkc.lp_feasibility import (
     Phase1Tableau,
-    _separation_network,
     _solve_dense,
     build_lp1,
     format_lp_dump,
@@ -326,21 +325,9 @@ class TestPinnedOutputs:
         assert digest == RATIONAL_DIGEST
 
 
-def fraction_separation_network(centers, caps, nbhd, y):
-    """The separation network over the rational point y itself: Fraction
-    capacities and unit sink arcs.  The scaled int network must be scale
-    times this one, flow for flow."""
-    m, n = len(centers), len(nbhd)
-    net = MaxFlowNetwork(2 + m + n)
-    for i, u in enumerate(centers):
-        if y[i] == 0:
-            continue
-        net.add_edge(0, 1 + i, caps[u] * y[i])
-        for v in nbhd[u]:
-            net.add_edge(1 + i, 1 + m + v, y[i])
-    for v in range(n):
-        net.add_edge(1 + m + v, 1 + m + n, 1)
-    return net
+def separation_offers(centers, caps, nbhd, y):
+    """The cut round's offers over a point y: (L(u) * y_u, N[u], y_u) per y_u > 0."""
+    return [(caps[u] * q, nbhd[u], q) for u, q in zip(centers, y) if q > 0]
 
 
 @st.composite
@@ -365,23 +352,30 @@ class TestIntegerSeparation:
     @SEPARATION_SETTINGS
     @given(separation_inputs())
     def test_scaled_network_is_scale_times_the_fraction_one(self, inputs):
+        # the int network over the point times scale against the same
+        # builder's network over the rational point itself
         centers, caps, nbhd, y = inputs
         scale = math.lcm(*(q.denominator for q in y))
         ys = [q.numerator * (scale // q.denominator) for q in y]
-        net, center_arcs = _separation_network(centers, caps, nbhd, ys, scale)
-        ref = fraction_separation_network(centers, caps, nbhd, y)
+        n = len(nbhd)
+        total, net, arcs, base = bipartite_flow(n, separation_offers(centers, caps, nbhd, ys), scale)
+        ref_total, ref, ref_arcs, ref_base = bipartite_flow(
+            n, separation_offers(centers, caps, nbhd, y), 1
+        )
         assert all(type(c) is int for c in net.orig)
-        assert len(net.orig) == len(ref.orig)
-        t = net.node_count - 1
-        total, ref_total = net.max_flow(0, t), ref.max_flow(0, t)
+        assert len(net.orig) == len(ref.orig) and base == ref_base
         assert total == scale * ref_total
         for arc in range(0, len(net.orig), 2):
             assert net.to[arc] == ref.to[arc]
             assert net.flow_on(arc) == scale * ref.flow_on(arc)
         assert net.source_side_cut(0) == ref.source_side_cut(0)
-        m = len(centers)
-        for (u, v), arc in center_arcs.items():
-            assert net.to[arc] == 1 + m + v and net.to[arc ^ 1] == 1 + centers.index(u)
+        # offer i is center live[i], with one arc per client of N[u]
+        live = [u for u, q in zip(centers, y) if q > 0]
+        assert arcs == ref_arcs and len(arcs) == len(live)
+        for i, (u, offer_arcs) in enumerate(zip(live, arcs)):
+            assert [v for v, _ in offer_arcs] == nbhd[u]
+            for v, arc in offer_arcs:
+                assert net.to[arc] == base + v and net.to[arc ^ 1] == 1 + i
 
     def test_cut_loop_builds_only_int_capacities(self, monkeypatch):
         seen = []

@@ -11,7 +11,6 @@ from capkc.shifting import (
     RoundingContext,
     TraceLog,
     YFlow,
-    build_flow_graph,
     chain_shift,
     group_shift,
     replay_trace,
@@ -266,7 +265,8 @@ class TestYFlowValidation:
 
 class TestFlowGraph:
     def test_frozen_aggregation(self):
-        arcs = build_flow_graph(YFlow.from_paths(CHAIN_PATHS), CHAIN_CAPS)
+        ctx, a = chain_scenario()
+        arcs, out_at, in_at = validate_yflow(ctx, a, YFlow.from_paths(CHAIN_PATHS))
         assert arcs[(2, 3)][0] == 1
         assert arcs[(1, 2)][0] == F(4, 5)
         expect_fl = {
@@ -278,16 +278,30 @@ class TestFlowGraph:
             (3, 6): F(2, 5),
         }
         assert {arc: cell[1] for arc, cell in arcs.items()} == expect_fl
+        assert out_at == {0: F(1, 5), 1: F(4, 5)}
+        assert in_at == {4: F(3, 5), 5: F(1, 5), 6: F(1, 5)}
 
     def test_rejects_cycle(self):
+        # 0 and 1 are full interior vertices that the two paths cross in
+        # opposite directions; every per-path clause holds
         paths = [(F(1, 10), (7, 0, 1, 8)), (F(1, 10), (7, 1, 0, 8))]
-        with pytest.raises(ValidationError):
-            build_flow_graph(YFlow.from_paths(paths), (1,) * 9)
+        ctx = RoundingContext(path_graph(9), (1,) * 9)
+        a = Assignment(9, y=[F(1), F(1)] + [F(0)] * 5 + [F(1, 2), F(0)])
+        with pytest.raises(ValidationError, match="cycle"):
+            validate_yflow(ctx, a, YFlow.from_paths(paths))
 
     def test_rejects_capacity_weighted_overflow(self):
-        # arc (1,2) carries fl = 5 from the source but L(1) = 1
-        with pytest.raises(PipelineError):
-            build_flow_graph(YFlow.from_paths([(F(1), (0, 1, 2))]), (5, 1, 9))
+        # arc (1,2) would carry fl = 5 from the source but L(1) = 1: the
+        # interior capacity clause, which implies the capacity-weighted
+        # bound on every arc, rejects the flow before it is applied
+        ctx = RoundingContext(path_graph(3), (5, 1, 9))
+        a = Assignment(3, y=[F(1), F(1), F(0)])
+        flow = YFlow.from_paths([(F(1), (0, 1, 2))])
+        with pytest.raises(ValidationError, match="capacity below source"):
+            validate_yflow(ctx, a, flow)
+        with pytest.raises(ValidationError, match="capacity below source"):
+            chain_shift(ctx, a, flow)
+        assert a.y == [F(1), F(1), F(0)]
 
 
 class TestChainShift:
