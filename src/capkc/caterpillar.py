@@ -16,13 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import ceil
 
 from .assignment import global_delta, radius_of
 from .errors import PipelineError, ValidationError
 from .graph_core import Graph, hamiltonian_path_in_cube
 from .lp_feasibility import verify_assignment_feasible
-from .shifting import YFlow, chain_shift, group_shift, shift
+from .shifting import chain_shift, group_shift, shift
 
 __all__ = [
     "Caterpillar",
@@ -381,7 +382,7 @@ def _push_to_leaves(ctx, assignment, cat, i, slots, amount):
         amount -= take
     if amount != 0:
         raise PipelineError(f"the leaves outgrowing {vi} lack {amount} of headroom")
-    chain_shift(ctx, assignment, YFlow.from_paths(paths))
+    chain_shift(ctx, assignment, paths)
 
 
 def _live(assignment, u):
@@ -543,33 +544,6 @@ def _defuse(ctx, assignment, cat):
 # rounding flow
 
 
-class _Scratch:
-    """y/L lookups with temporary overrides plus a well of synthetic ids."""
-
-    __slots__ = ("y_base", "caps", "y_over", "cap_over", "next_id", "limit")
-
-    def __init__(self, assignment, capacities):
-        self.y_base = assignment.y
-        self.caps = capacities
-        self.y_over = {}
-        self.cap_over = {}
-        self.next_id = len(assignment.y)
-        self.limit = 0
-
-    def y(self, v):
-        got = self.y_over.get(v)
-        return self.y_base[v] if got is None else got
-
-    def cap(self, v):
-        got = self.cap_over.get(v)
-        return self.caps[v] if got is None else got
-
-    def fresh(self):
-        v = self.next_id
-        self.next_id += 1
-        return v
-
-
 def build_rounding_flow(cat, assignment, capacities):
     """One flow that empties or fills every leaf of a safe structure.
 
@@ -578,28 +552,29 @@ def build_rounding_flow(cat, assignment, capacities):
     drain the rest of the prefix into it, and recurse on the remainder.  When
     the prefix mass overshoots one, the crossing leaf is carried into the
     recursion at reduced weight, or stood in for by a synthetic spine-head
-    pair whose paths are rewritten onto real vertices before returning.
+    pair whose paths are rewritten onto real vertices before returning.  The
+    recursion sees each leaf slot as (vertex, weight, capacity), or None, so
+    a carried or synthetic leaf is just a new slot.
 
-    Does not touch the assignment; feed the result to chain_shift.  Raises
-    PipelineError naming the source/inner/sink triple if any path would route
-    through a spine vertex weaker than its source, which cannot happen when
-    the structure is safe.
+    Does not touch the assignment; returns the (alpha, path) list, to feed
+    to chain_shift.  Raises PipelineError naming the source/inner/sink
+    triple if any path would route through a spine vertex weaker than its
+    source, which cannot happen when the structure is safe.
     """
     if not is_safe(cat, capacities):
         raise ValidationError("rounding flow needs a safe structure")
     live = cat.live_slots()
     if not live:
-        return YFlow.from_paths(())
+        return []
     y = assignment.y
     total = sum((y[cat.leaves[j]] for j in live), Fraction(0))
     if total.denominator != 1:
         raise ValidationError("rounding flow needs an integral leaf total")
 
-    st = _Scratch(assignment, capacities)
-    st.limit = 4 * len(cat.leaves) + 16
-    paths = _rflow(st, cat.spine, cat.leaves, 0)
+    n = len(y)
+    slots = tuple(None if u is None else (u, y[u], capacities[u]) for u in cat.leaves)
+    paths = _rflow(cat.spine, slots, count(n), 4 * len(cat.leaves) + 16)
 
-    n = len(assignment.y)
     spine_set = set(cat.spine)
     leaf_set = {cat.leaves[j] for j in live}
     out_sum = {}
@@ -629,20 +604,25 @@ def build_rounding_flow(cat, assignment, capacities):
         filled = in_sum.get(u) == 1 - y[u] and u not in out_sum
         if not (drained or filled):
             raise PipelineError(f"leaf {u} is neither fully drained nor fully filled")
-    return YFlow.from_paths(paths)
+    return paths
 
 
-def _leaf_path(spine, leaves, j, m, weight):
+def _leaf_path(spine, slots, j, m, weight):
     """Path from the leaf at slot j to the leaf at slot m along the spine."""
     p = len(spine)
     walk = _walk(spine, _anchor_index(p, j), _anchor_index(p, m))
-    return (weight, (leaves[j],) + walk + (leaves[m],))
+    return (weight, (slots[j][0],) + walk + (slots[m][0],))
 
 
-def _rflow(st, spine, leaves, depth):
-    if depth > st.limit:
+def _rflow(spine, slots, fresh, budget):
+    """The rounding flow's paths over `slots`, each (vertex, weight, capacity) or None.
+
+    `fresh` yields ids for synthetic vertices; `budget` is the recursion
+    depth still allowed.
+    """
+    if budget < 0:
         raise PipelineError("rounding flow recursion ran away")
-    live = [j for j, u in enumerate(leaves) if u is not None]
+    live = [j for j, slot in enumerate(slots) if slot is not None]
     if not live:
         return []
     p = len(spine)
@@ -650,7 +630,7 @@ def _rflow(st, spine, leaves, depth):
     acc = Fraction(0)
     i = None
     for j in live:
-        acc += st.y(leaves[j])
+        acc += slots[j][1]
         if acc >= 1:
             i = j
             break
@@ -658,139 +638,118 @@ def _rflow(st, spine, leaves, depth):
         raise PipelineError("leaf total fell below one inside the recursion")
     X = [j for j in live if j <= i]
     alpha = acc
-    i0 = min(X, key=lambda j: (-st.cap(leaves[j]), leaves[j]))
+    i0 = min(X, key=lambda j: (-slots[j][2], slots[j][0]))
 
     if alpha == 1:
-        sub = [] if i == p + 1 else _rflow(st, spine[i:], (None,) + leaves[i + 1 :], depth + 1)
-        return sub + [
-            _leaf_path(spine, leaves, j, i0, st.y(leaves[j])) for j in X if j != i0
-        ]
+        sub = []
+        if i < p + 1:
+            sub = _rflow(spine[i:], (None,) + slots[i + 1 :], fresh, budget - 1)
+        return sub + [_leaf_path(spine, slots, j, i0, slots[j][1]) for j in X if j != i0]
 
     if i == p + 1:
         raise PipelineError("prefix mass overshot one at the last slot")
-    ui = leaves[i]
-    z = st.y(ui)
+    ui, z, cap_i = slots[i]
     if not alpha - 1 < z:
         raise PipelineError("prefix mass overshot by more than the crossing leaf")
 
     if i0 != i:
-        prev = st.y_over.get(ui)
-        st.y_over[ui] = alpha - 1
-        try:
-            sub = _rflow(st, spine[i - 1 :], (None,) + leaves[i:], depth + 1)
-            starts = any(path[0] == ui for _, path in sub)
-            ends = any(path[-1] == ui for _, path in sub)
-            if starts == ends:
-                raise PipelineError("crossing leaf is neither drained nor filled below")
-            extra = [
-                _leaf_path(spine, leaves, j, i0, st.y(leaves[j]))
-                for j in X
-                if j not in (i0, i)
-            ]
-            if starts:
-                # the recursion drained the reduced weight; send the rest over
-                extra.append(_leaf_path(spine, leaves, i, i0, z - (alpha - 1)))
-                return sub + extra
-            # the recursion filled ui; keep 1 - z of that and divert the rest
-            need = 1 - z
-            kept = []
-            # v_{i-1} down to i0's anchor; empty when i == 1 and i0 == 0
-            tail = _walk(spine, i, _anchor_index(p, i0))[1:] + (leaves[i0],)
-            for w, path in sub:
-                if path[-1] != ui:
-                    kept.append((w, path))
-                    continue
-                if need > 0:
-                    take = min(w, need)
-                    kept.append((take, path))
-                    need -= take
-                    w -= take
-                if w > 0:
-                    kept.append((w, path[:-1] + tail))
-            if need != 0:
-                raise PipelineError("nested fill fell short of the crossing leaf's gap")
-            return kept + extra
-        finally:
-            if prev is None:
-                del st.y_over[ui]
-            else:
-                st.y_over[ui] = prev
-
-    # the crossing leaf is itself the basin: stand in a synthetic spine head
-    others = [j for j in X if j != i]
-    i1 = min(others, key=lambda j: (-st.cap(leaves[j]), leaves[j]))
-    va = st.fresh()
-    ua = st.fresh()
-    st.cap_over[va] = st.cap_over[ua] = st.cap(leaves[i1])
-    st.y_over[va] = Fraction(1)
-    st.y_over[ua] = alpha - 1
-    try:
-        sub = _rflow(st, (va,) + spine[i:], (None, ua) + leaves[i + 1 :], depth + 1)
-        starts = any(path[0] == ua for _, path in sub)
-        ends = any(path[-1] == ua for _, path in sub)
+        # carry the crossing leaf into the recursion at its overshoot
+        carried = (None, (ui, alpha - 1, cap_i)) + slots[i + 1 :]
+        sub = _rflow(spine[i - 1 :], carried, fresh, budget - 1)
+        starts = any(path[0] == ui for _, path in sub)
+        ends = any(path[-1] == ui for _, path in sub)
         if starts == ends:
-            raise PipelineError("synthetic leaf is neither drained nor filled below")
+            raise PipelineError("crossing leaf is neither drained nor filled below")
+        extra = [
+            _leaf_path(spine, slots, j, i0, slots[j][1]) for j in X if j not in (i0, i)
+        ]
         if starts:
-            # resource the synthetic paths from the real prefix leaves
-            budgets = [[j, st.y(leaves[j])] for j in others]
-            bi = 0
-            moved = []
-            out = []
-            for w, path in sub:
-                if path[0] != ua:
-                    out.append((w, path))
-                    continue
-                if path[1] != va:
-                    raise PipelineError("synthetic source path skipped its spine head")
-                rest = path[2:]
-                while w > 0:
-                    while bi < len(budgets) and budgets[bi][1] == 0:
-                        bi += 1
-                    if bi >= len(budgets):
-                        raise PipelineError("real leaves cannot cover the synthetic outflow")
-                    j, have = budgets[bi]
-                    take = min(w, have)
-                    budgets[bi][1] -= take
-                    w -= take
-                    prefix = (leaves[j],) + _walk(spine, _anchor_index(p, j), i)
-                    moved.append((take, prefix + rest))
-            leftovers = [
-                _leaf_path(spine, leaves, j, i, have)
-                for j, have in budgets
-                if have > 0
-            ]
-            if sum((w for w, _ in leftovers), Fraction(0)) != 1 - z:
-                raise PipelineError("leftover budgets missed the crossing leaf's gap")
-            return out + moved + leftovers
-        # synthetic leaf was filled: redirect that inflow to ui and the runner-up
+            # the recursion drained the reduced weight; send the rest over
+            extra.append(_leaf_path(spine, slots, i, i0, z - (alpha - 1)))
+            return sub + extra
+        # the recursion filled ui; keep 1 - z of that and divert the rest
         need = 1 - z
-        out = []
-        tail1 = _walk(spine, i, _anchor_index(p, i1)) + (leaves[i1],)
+        kept = []
+        # v_{i-1} down to i0's anchor; empty when i == 1 and i0 == 0
+        tail = _walk(spine, i, _anchor_index(p, i0))[1:] + (slots[i0][0],)
         for w, path in sub:
-            if path[-1] != ua:
-                out.append((w, path))
+            if path[-1] != ui:
+                kept.append((w, path))
                 continue
-            if path[-2] != va:
-                raise PipelineError("synthetic sink path skipped its spine head")
             if need > 0:
                 take = min(w, need)
-                out.append((take, path[:-2] + (spine[i - 1], ui)))
+                kept.append((take, path))
                 need -= take
                 w -= take
             if w > 0:
-                out.append((w, path[:-2] + tail1))
+                kept.append((w, path[:-1] + tail))
         if need != 0:
-            raise PipelineError("synthetic inflow fell short of the crossing leaf's gap")
-        out += [
-            _leaf_path(spine, leaves, j, i1, st.y(leaves[j]))
-            for j in others
-            if j != i1
-        ]
-        return out
-    finally:
-        del st.y_over[va], st.y_over[ua]
-        del st.cap_over[va], st.cap_over[ua]
+            raise PipelineError("nested fill fell short of the crossing leaf's gap")
+        return kept + extra
 
+    # the crossing leaf is itself the basin: stand in a synthetic spine head
+    # va with a leaf ua that weighs the overshoot and has the runner-up's capacity
+    others = [j for j in X if j != i]
+    i1 = min(others, key=lambda j: (-slots[j][2], slots[j][0]))
+    va = next(fresh)
+    ua = next(fresh)
+    stand_in = (None, (ua, alpha - 1, slots[i1][2])) + slots[i + 1 :]
+    sub = _rflow((va,) + spine[i:], stand_in, fresh, budget - 1)
+    starts = any(path[0] == ua for _, path in sub)
+    ends = any(path[-1] == ua for _, path in sub)
+    if starts == ends:
+        raise PipelineError("synthetic leaf is neither drained nor filled below")
+    if starts:
+        # resource the synthetic paths from the real prefix leaves
+        budgets = [[j, slots[j][1]] for j in others]
+        bi = 0
+        moved = []
+        out = []
+        for w, path in sub:
+            if path[0] != ua:
+                out.append((w, path))
+                continue
+            if path[1] != va:
+                raise PipelineError("synthetic source path skipped its spine head")
+            rest = path[2:]
+            while w > 0:
+                while bi < len(budgets) and budgets[bi][1] == 0:
+                    bi += 1
+                if bi >= len(budgets):
+                    raise PipelineError("real leaves cannot cover the synthetic outflow")
+                j, have = budgets[bi]
+                take = min(w, have)
+                budgets[bi][1] -= take
+                w -= take
+                prefix = (slots[j][0],) + _walk(spine, _anchor_index(p, j), i)
+                moved.append((take, prefix + rest))
+        leftovers = [
+            _leaf_path(spine, slots, j, i, have) for j, have in budgets if have > 0
+        ]
+        if sum((w for w, _ in leftovers), Fraction(0)) != 1 - z:
+            raise PipelineError("leftover budgets missed the crossing leaf's gap")
+        return out + moved + leftovers
+    # synthetic leaf was filled: redirect that inflow to ui and the runner-up
+    need = 1 - z
+    out = []
+    tail1 = _walk(spine, i, _anchor_index(p, i1)) + (slots[i1][0],)
+    for w, path in sub:
+        if path[-1] != ua:
+            out.append((w, path))
+            continue
+        if path[-2] != va:
+            raise PipelineError("synthetic sink path skipped its spine head")
+        if need > 0:
+            take = min(w, need)
+            out.append((take, path[:-2] + (spine[i - 1], ui)))
+            need -= take
+            w -= take
+        if w > 0:
+            out.append((w, path[:-2] + tail1))
+    if need != 0:
+        raise PipelineError("synthetic inflow fell short of the crossing leaf's gap")
+    out += [_leaf_path(spine, slots, j, i1, slots[j][1]) for j in others if j != i1]
+    return out
 
 # ---------------------------------------------------------------------------
 # the full y-rounding pipeline

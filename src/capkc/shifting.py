@@ -1,5 +1,9 @@
 """y-mass transfer primitives: shift, group shift, and chain shift over y-flows.
 
+A y-flow is a list of (alpha, path) pairs: alpha of y moves from the path's
+first vertex to its last, through full (y = 1) vertices in between.  Its
+source and sink sets are the path starts and ends.
+
 Every primitive re-checks its algebraic laws after mutating (exact rational
 comparisons, zero tolerance); a failed law is a PipelineError because only a
 bug can cause it.  Precondition violations raise ValidationError naming the
@@ -8,7 +12,6 @@ violated clause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .assignment import global_delta, radius_of
@@ -137,57 +140,39 @@ def group_shift(ctx, assignment, group):
 # y-flows
 
 
-@dataclass(frozen=True)
-class YFlow:
-    paths: tuple  # ((alpha, (v1, ..., vt)), ...)
-    sources: frozenset
-    sinks: frozenset
+def validate_yflow(ctx, assignment, paths):
+    """Validate a y-flow's (alpha, path) list in one walk and aggregate it.
 
-    @staticmethod
-    def from_paths(paths):
-        norm = tuple((Fraction(a), tuple(p)) for a, p in paths)
-        sources = frozenset(p[0] for _, p in norm)
-        sinks = frozenset(p[-1] for _, p in norm)
-        return YFlow(norm, sources, sinks)
-
-    def is_empty(self):
-        return not self.paths
-
-
-def validate_yflow(ctx, assignment, flow):
-    """Validate a transfer plan in one walk over its paths and aggregate it.
-
-    Raises ValidationError naming the violated clause, a cycle included.
-    Returns (arcs, out_at, in_at): arcs maps (u, w) to [f, fl], where f
-    sums the path amounts alpha over the arc and fl the capacity-weighted
-    amounts L(source) * alpha; out_at and in_at total alpha per source
-    and per sink.
+    Every path needs two vertices; the sources S and sinks T are the path
+    starts and ends, and must not overlap.  Raises ValidationError naming
+    the violated clause, a cycle included.  Returns (arcs, out_at, in_at):
+    arcs maps (u, w) to [f, fl], where f sums the path amounts alpha over
+    the arc and fl the capacity-weighted amounts L(source) * alpha; out_at
+    and in_at total alpha per source and per sink.
     """
-    if flow.sources & flow.sinks:
+    if any(len(path) < 2 for _, path in paths):
+        raise ValidationError("y-flow: path needs at least two vertices")
+    sources = {path[0] for _, path in paths}
+    sinks = {path[-1] for _, path in paths}
+    if sources & sinks:
         raise ValidationError("y-flow: sources and sinks overlap")
     y = assignment.y
     arcs = {}
     out_at = {}
     in_at = {}
     through = {}
-    for alpha, path in flow.paths:
+    for alpha, path in paths:
         if alpha <= 0:
             raise ValidationError("y-flow: path weight must be positive")
-        if len(path) < 2:
-            raise ValidationError("y-flow: path needs at least two vertices")
         if len(set(path)) != len(path):
             raise ValidationError("y-flow: path revisits a vertex")
         s, t = path[0], path[-1]
-        if s not in flow.sources:
-            raise ValidationError("y-flow: path start outside the source set")
-        if t not in flow.sinks:
-            raise ValidationError("y-flow: path end outside the sink set")
         if ctx.L(s) > ctx.L(t):
             raise ValidationError(
                 f"y-flow: capacity decreases from source {s} to sink {t}"
             )
         for v in path[1:-1]:
-            if v in flow.sources or v in flow.sinks:
+            if v in sources or v in sinks:
                 raise ValidationError(f"y-flow: internal vertex {v} lies in S or T")
             if y[v] != 1:
                 raise ValidationError(f"y-flow: internal vertex {v} must have y = 1")
@@ -235,19 +220,21 @@ def validate_yflow(ctx, assignment, flow):
     return arcs, out_at, in_at
 
 
-def chain_shift(ctx, assignment, flow):
-    """Apply a whole y-flow: x moves along every arc, y moves source -> sink.
+def chain_shift(ctx, assignment, paths):
+    """Apply a y-flow's (alpha, path) list: x moves along every arc, y source -> sink.
 
-    The flow's paths are walked once, by validate_yflow, which returns the
-    arc flows and the per-source and per-sink totals.  Per-arc x transfer
-    is x[u][v] * fl(u, arc) / (L(u) * y_u), computed from the pre-state for
-    every arc and applied at once; each source then gives up its outflow
-    and each sink takes its inflow.  Interior y values stay untouched; the
-    result is (delta + d)-feasible where d is the largest arc hop distance.
+    The paths are walked once, by validate_yflow, which returns the arc
+    flows and the per-source and per-sink totals.  Per-arc x transfer is
+    x[u][v] * fl(u, arc) / (L(u) * y_u), computed from the pre-state for
+    every arc (x rows are read in place: nothing changes x before the
+    application pass) and applied at once; each source then gives up its
+    outflow and each sink takes its inflow.  Interior y values stay
+    untouched; the result is (delta + d)-feasible where d is the largest
+    arc hop distance.
     """
-    if flow.is_empty():
+    if not paths:
         return
-    arcs, out_at, in_at = validate_yflow(ctx, assignment, flow)
+    arcs, out_at, in_at = validate_yflow(ctx, assignment, paths)
     graph = ctx.graph
     y = assignment.y
 
@@ -261,10 +248,6 @@ def chain_shift(ctx, assignment, flow):
         d_max = max(d_max, d)
 
     # all transfer amounts from the pre-state, then a single application pass
-    snapshot = {}
-    for (u, _w) in arcs:
-        if u not in snapshot:
-            snapshot[u] = dict(assignment.x_row(u))
     net = {}
     for (u, w), (f, fl) in arcs.items():
         if fl == 0:
@@ -273,7 +256,7 @@ def chain_shift(ctx, assignment, flow):
         if denom == 0:
             raise PipelineError(f"arc tail {u} has fl > 0 but no serving capacity")
         scale = Fraction(fl) / denom
-        for v, q in snapshot[u].items():
+        for v, q in assignment.x_row(u).items():
             amt = scale * q
             net[(u, v)] = net.get((u, v), Fraction(0)) - amt
             net[(w, v)] = net.get((w, v), Fraction(0)) + amt
@@ -295,9 +278,9 @@ def chain_shift(ctx, assignment, flow):
         raise PipelineError("chain shift broke the LP constraints")
     if ctx.trace is not None:
         ctx.trace.record(
-            f"chain {len(flow.paths)} delta {global_delta(assignment, graph)}"
+            f"chain {len(paths)} delta {global_delta(assignment, graph)}"
         )
-        for alpha, path in flow.paths:
+        for alpha, path in paths:
             ctx.trace.record(
                 f"path {format_rational(alpha)} " + " ".join(str(v) for v in path)
             )
@@ -311,22 +294,35 @@ def _malformed(lineno, exc):
     return ValidationError(f"trace replay: line {lineno}: {exc}")
 
 
-def _parse_path(record):
+def _vertex(token, n):
+    """A vertex id of an n-vertex context; ValueError outside 0..n-1."""
+    v = parse_int(token)
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} outside 0..{n - 1}")
+    return v
+
+
+def _parse_path(record, n):
     """(weight, vertices) of a 'path' line of a chain step."""
     lineno, parts = record
     try:
         if parts[0] != "path" or len(parts) < 2:
             raise ValueError("expected a path line")
-        return parse_rational(parts[1]), tuple(parse_int(v) for v in parts[2:])
+        alpha = parse_rational(parts[1])
+        path = tuple(_vertex(v, n) for v in parts[2:])
+        if len(path) < 2:
+            raise ValueError("a path needs at least two vertices")
+        return alpha, path
     except ValueError as exc:
         raise _malformed(lineno, exc) from exc
 
 
-def _parse_step(lines, i):
+def _parse_step(lines, i, n):
     """The trace step at lines[i]: (primitive, arguments, recorded delta, lines used).
 
     lines holds (lineno, fields) records; a chain step also reads the path
-    lines after it.  A malformed line raises ValidationError naming it.
+    lines after it.  A malformed line, a vertex outside 0..n-1 included,
+    raises ValidationError naming it.
     """
     lineno, parts = lines[i]
     used = 1
@@ -334,18 +330,18 @@ def _parse_step(lines, i):
         op = parts[0]
         if op == "shift":
             _, a, b, alpha, kw, d = parts
-            fn, args = shift, (parse_int(a), parse_int(b), parse_rational(alpha))
+            fn, args = shift, (_vertex(a, n), _vertex(b, n), parse_rational(alpha))
         elif op == "group":
             _, count, *members, kw, d = parts
             if parse_int(count) != len(members):
                 raise ValueError(f"{count} members announced, {len(members)} listed")
-            fn, args = group_shift, ([parse_int(v) for v in members],)
+            fn, args = group_shift, ([_vertex(v, n) for v in members],)
         elif op == "chain":
             _, count, kw, d = parts
             body = lines[i + 1 : i + 1 + parse_int(count)]
             if parse_int(count) != len(body):  # too few lines left, or count < 0
                 raise ValueError(f"{count} paths announced, {len(body)} lines follow")
-            fn, args = chain_shift, (YFlow.from_paths(map(_parse_path, body)),)
+            fn, args = chain_shift, ([_parse_path(r, n) for r in body],)
             used += len(body)
         else:
             raise ValueError(f"unknown op {op!r}")
@@ -366,7 +362,7 @@ def replay_trace(ctx, assignment, text):
     lines = list(records(text))
     i = 0
     while i < len(lines):
-        fn, args, delta, used = _parse_step(lines, i)
+        fn, args, delta, used = _parse_step(lines, i, ctx.graph.vertex_count)
         fn(quiet, result, *args)
         got = global_delta(result, ctx.graph)
         if got != delta:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from capkc.assignment import Assignment
 from capkc.graph_core import INF, Graph
-from capkc.shifting import YFlow
 
 
 def exact_metric(inst):
@@ -103,7 +102,7 @@ def two_hub_witness(assignment, offset=0):
 
 
 def rand_chain_case(rng):
-    """A random valid (graph, capacities, assignment, flow) chain-shift input.
+    """A random valid (graph, capacities, assignment, paths) chain-shift input.
 
     Spider shape: fractional source 0, internal chain 1..m with y=1, and
     fractional sinks hanging off random chain positions.  Paths share their
@@ -163,4 +162,4 @@ def rand_chain_case(rng):
         paths.append((alpha, tuple(range(pos[j] + 1)) + (t,)))
     if not paths:
         return None
-    return graph, caps, a, YFlow.from_paths(paths)
+    return graph, caps, a, paths

@@ -44,7 +44,7 @@ from capkc import (
 from capkc.assignment import global_delta, radius_of
 from capkc.cli import main
 from capkc.instances import gap_layout
-from capkc.shifting import YFlow, chain_shift
+from capkc.shifting import chain_shift
 
 from conftest import acceptance_lines
 from helpers import exact_metric, rand_chain_case, rand_connected_graph
@@ -395,7 +395,7 @@ def test_criterion_7_uniform_witness_soundness():
 def test_criterion_8_chain_shift_exactness():
     with criterion("8 (chain shift exactness)", 60.0) as notes:
         ctx, a = chain_scenario()
-        chain_shift(ctx, a, YFlow.from_paths(CHAIN_PATHS))
+        chain_shift(ctx, a, CHAIN_PATHS)
         assert tuple(a.y) == CHAIN_Y1
         for u in range(7):
             assert a.x_row(u) == CHAIN_X1[u], f"row {u}"
@@ -406,16 +406,16 @@ def test_criterion_8_chain_shift_exactness():
             case = rand_chain_case(rng)
             if case is None:
                 continue
-            graph, caps, a, flow = case
+            graph, caps, a, paths = case
             ctx = RoundingContext(graph, caps)
             k = a.sum_y()
             pre = global_delta(a, graph)
             hops = graph.hop_distances()
             d_max = max(
                 max(hops[p[i]][p[i + 1]] for i in range(len(p) - 1))
-                for _, p in flow.paths
+                for _, p in paths
             )
-            chain_shift(ctx, a, flow)
+            chain_shift(ctx, a, paths)
             assert a.sum_y() == k
             assert verify_assignment_feasible(graph, caps, k, a, pre + d_max)
             ran += 1

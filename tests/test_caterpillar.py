@@ -438,16 +438,16 @@ class TestRoundingFlow:
         g = path_graph(3)
         a = star_assignment(3, (1,), {})
         flow = build_rounding_flow(Caterpillar(1, (1,), (None, None, None)), a, [3, 3, 3])
-        assert flow.is_empty()
+        assert flow == []
 
     def test_two_leaves_single_drain_path(self):
         g = Graph(3, [(0, 1), (0, 2)])
         a = star_assignment(3, (0,), {1: F(3, 10), 2: F(7, 10)})
         cat = Caterpillar(1, (0,), (1, 2, None))
         flow = build_rounding_flow(cat, a, [5, 1, 2])
-        assert flow.paths == ((F(3, 10), (1, 0, 2)),)
-        assert flow.sources == {1}
-        assert flow.sinks == {2}
+        assert flow == [(F(3, 10), (1, 0, 2))]
+        assert {path[0] for _, path in flow} == {1}
+        assert {path[-1] for _, path in flow} == {2}
         a.set_x(0, 0, F(1))
         a.set_x(1, 1, F(3, 10))
         a.set_x(0, 1, F(7, 10))
@@ -489,13 +489,13 @@ class TestWidePipeline:
 
         right, left = safe
         rflow = build_rounding_flow(right, a, ctx.capacities)
-        assert set(rflow.paths) == {
+        assert set(rflow) == {
             (F(3, 10), (9, 2, 3, 4, 5, 6, 12)),
             (F(1, 5), (9, 2, 3, 4, 5, 11)),
         }
         chain_shift(ctx, a, rflow)
         lflow = build_rounding_flow(left, a, ctx.capacities)
-        assert set(lflow.paths) == {
+        assert set(lflow) == {
             (F(1, 5), (1, 0, 8)),
             (F(1, 2), (1, 0, 7)),
         }
@@ -604,7 +604,7 @@ class TestRandomizedPipeline:
             for c in make_safe(ctx, a, parts):
                 assert is_safe(c, caps)
                 flow = build_rounding_flow(c, a, caps)
-                if not flow.is_empty():
+                if flow:
                     chain_shift(ctx, a, flow)
                 assert all(a.y[v].denominator == 1 for v in c.vertices())
 
@@ -664,10 +664,12 @@ class TestPinnedRounding:
             seen["split_chain"] += w.s2.denominator != 1
             return split_at(ctx, assignment, cat, w, *rest)
 
-        def spy_rflow(st, spine, leaves, depth):
-            sub = rflow(st, spine, leaves, depth)
-            if spine and spine[0] >= len(st.y_base):  # a synthetic spine head
-                ua = leaves[1]
+        n = 0  # vertex count of the graph being rounded; synthetic ids start there
+
+        def spy_rflow(spine, slots, fresh, budget):
+            sub = rflow(spine, slots, fresh, budget)
+            if spine and spine[0] >= n:  # a synthetic spine head
+                ua = slots[1][0]
                 seen["drained"] += any(path[0] == ua for _, path in sub)
                 seen["filled"] += any(path[-1] == ua for _, path in sub)
             return sub
@@ -676,6 +678,7 @@ class TestPinnedRounding:
         monkeypatch.setattr(caterpillar, "_rflow", spy_rflow)
         digest = hashlib.sha256()
         for g, caps, k, a in seeded_lp_points():
+            n = g.vertex_count
             trace = TraceLog()
             stretch = round_y(RoundingContext(g, caps, trace=trace), a, k)
             digest.update(f"{stretch}\n{trace.to_text()}{dump_assignment(a)}\n".encode())

@@ -10,7 +10,6 @@ from capkc.lp_feasibility import verify_assignment_feasible
 from capkc.shifting import (
     RoundingContext,
     TraceLog,
-    YFlow,
     chain_shift,
     group_shift,
     replay_trace,
@@ -198,7 +197,7 @@ class TestYFlowValidation:
         self.ctx, self.a = chain_scenario()
 
     def ok(self, paths):
-        validate_yflow(self.ctx, self.a, YFlow.from_paths(paths))
+        validate_yflow(self.ctx, self.a, paths)
 
     def bad(self, paths, needle):
         with pytest.raises(ValidationError) as err:
@@ -215,11 +214,9 @@ class TestYFlowValidation:
         self.bad([(F(0), (0, 2, 3, 6))], "positive")
 
     def test_short_path(self):
-        # built by hand: from_paths would fold the lone vertex into both sets
-        flow = YFlow(((F(1, 10), (0,)),), frozenset({0}), frozenset({6}))
-        with pytest.raises(ValidationError) as err:
-            validate_yflow(self.ctx, self.a, flow)
-        assert "two vertices" in str(err.value)
+        # checked first: a lone vertex would be both a source and a sink
+        self.bad([(F(1, 10), (0,))], "two vertices")
+        self.bad([(F(1, 10), (0, 2, 3, 6)), (F(1, 10), ())], "two vertices")
 
     def test_revisit(self):
         self.bad([(F(1, 10), (0, 2, 3, 2, 0, 6))], "revisits")
@@ -229,7 +226,7 @@ class TestYFlowValidation:
         ctx = RoundingContext(path_graph(3), (3, 3, 1))
         a = Assignment(3, y=[F(1, 2), F(1), F(1, 4)])
         with pytest.raises(ValidationError) as err:
-            validate_yflow(ctx, a, YFlow.from_paths([(F(1, 4), (0, 1, 2))]))
+            validate_yflow(ctx, a, [(F(1, 4), (0, 1, 2))])
         assert "capacity decreases" in str(err.value)
 
     def test_internal_in_source_set(self):
@@ -245,7 +242,7 @@ class TestYFlowValidation:
         ctx = RoundingContext(path_graph(3), (2, 1, 4))
         a = Assignment(3, y=[F(1, 2), F(1), F(1, 4)])
         with pytest.raises(ValidationError) as err:
-            validate_yflow(ctx, a, YFlow.from_paths([(F(1, 4), (0, 1, 2))]))
+            validate_yflow(ctx, a, [(F(1, 4), (0, 1, 2))])
         assert "capacity below source" in str(err.value)
 
     def test_outflow_exceeds_y(self):
@@ -266,7 +263,7 @@ class TestYFlowValidation:
 class TestFlowGraph:
     def test_frozen_aggregation(self):
         ctx, a = chain_scenario()
-        arcs, out_at, in_at = validate_yflow(ctx, a, YFlow.from_paths(CHAIN_PATHS))
+        arcs, out_at, in_at = validate_yflow(ctx, a, CHAIN_PATHS)
         assert arcs[(2, 3)][0] == 1
         assert arcs[(1, 2)][0] == F(4, 5)
         expect_fl = {
@@ -288,7 +285,7 @@ class TestFlowGraph:
         ctx = RoundingContext(path_graph(9), (1,) * 9)
         a = Assignment(9, y=[F(1), F(1)] + [F(0)] * 5 + [F(1, 2), F(0)])
         with pytest.raises(ValidationError, match="cycle"):
-            validate_yflow(ctx, a, YFlow.from_paths(paths))
+            validate_yflow(ctx, a, paths)
 
     def test_rejects_capacity_weighted_overflow(self):
         # arc (1,2) would carry fl = 5 from the source but L(1) = 1: the
@@ -296,7 +293,7 @@ class TestFlowGraph:
         # bound on every arc, rejects the flow before it is applied
         ctx = RoundingContext(path_graph(3), (5, 1, 9))
         a = Assignment(3, y=[F(1), F(1), F(0)])
-        flow = YFlow.from_paths([(F(1), (0, 1, 2))])
+        flow = [(F(1), (0, 1, 2))]
         with pytest.raises(ValidationError, match="capacity below source"):
             validate_yflow(ctx, a, flow)
         with pytest.raises(ValidationError, match="capacity below source"):
@@ -307,7 +304,7 @@ class TestFlowGraph:
 class TestChainShift:
     def test_frozen_scenario_exact(self):
         ctx, a = chain_scenario()
-        chain_shift(ctx, a, YFlow.from_paths(CHAIN_PATHS))
+        chain_shift(ctx, a, CHAIN_PATHS)
         assert tuple(a.y) == CHAIN_Y1
         for u in range(7):
             assert a.x_row(u) == CHAIN_X1[u], f"row {u}"
@@ -315,13 +312,13 @@ class TestChainShift:
     def test_empty_flow_is_noop(self):
         ctx, a = chain_scenario()
         before = a.copy()
-        chain_shift(ctx, a, YFlow.from_paths([]))
+        chain_shift(ctx, a, [])
         assert a.y == before.y and a.x == before.x
 
     def test_delta_respects_arc_distance_law(self):
         ctx, a = chain_scenario()
         pre = global_delta(a, ctx.graph)
-        chain_shift(ctx, a, YFlow.from_paths(CHAIN_PATHS))
+        chain_shift(ctx, a, CHAIN_PATHS)
         d_max = 3  # longest arc is (3, 6)
         assert global_delta(a, ctx.graph) <= pre + d_max
 
@@ -329,7 +326,7 @@ class TestChainShift:
         ctx, a = chain_scenario()
         before = a.copy()
         with pytest.raises(ValidationError):
-            chain_shift(ctx, a, YFlow.from_paths([(F(1, 2), (0, 2, 3, 6))]))
+            chain_shift(ctx, a, [(F(1, 2), (0, 2, 3, 6))])
         assert a.y == before.y and a.x == before.x
 
     def test_random_flows_keep_lp_constraints(self):
@@ -339,15 +336,15 @@ class TestChainShift:
             case = rand_chain_case(rng)
             if case is None:
                 continue
-            graph, caps, a, flow = case
+            graph, caps, a, paths = case
             ctx = RoundingContext(graph, caps)
             k = a.sum_y()
             pre = global_delta(a, graph)
             d_max = max(
                 max(graph.hop_distances()[p[i]][p[i + 1]] for i in range(len(p) - 1))
-                for _, p in flow.paths
+                for _, p in paths
             )
-            chain_shift(ctx, a, flow)
+            chain_shift(ctx, a, paths)
             assert a.sum_y() == k
             assert verify_assignment_feasible(graph, caps, k, a, pre + d_max)
             ran += 1
@@ -359,7 +356,7 @@ class TestTraceReplay:
         ctx, a = chain_scenario()
         ctx.trace = TraceLog()
         start = a.copy()
-        chain_shift(ctx, a, YFlow.from_paths(CHAIN_PATHS))
+        chain_shift(ctx, a, CHAIN_PATHS)
         shift(ctx, a, 0, 4, F(1, 10))
         text = ctx.trace.to_text()
         assert text.splitlines()[0].startswith("chain 3 delta ")
@@ -372,7 +369,7 @@ class TestTraceReplay:
         ctx, a = chain_scenario()
         ctx.trace = TraceLog()
         start = a.copy()
-        chain_shift(ctx, a, YFlow.from_paths(CHAIN_PATHS))
+        chain_shift(ctx, a, CHAIN_PATHS)
         lines = ctx.trace.to_text().splitlines()
         lines[0] = "chain 3 delta 0"
         with pytest.raises(ValidationError):
@@ -392,6 +389,15 @@ class TestTraceReplay:
             ("group x 0 1 delta 0\n", 1),
             ("group 3 0 1 delta 0\n", 1),
             ("# component 0 1\n\nswap 0 1\n", 3),
+            ("shift 0 9 1/2 delta 0\n", 1),  # vertex ids outside 0..n-1
+            ("shift 0 2 1/2 delta 0\n", 1),
+            ("shift -1 0 1/2 delta 0\n", 1),
+            ("group 2 0 7 delta 0\n", 1),
+            ("group 2 -1 0 delta 0\n", 1),
+            ("chain 1 delta 0\npath 1/2 0 9\n", 2),
+            ("chain 1 delta 0\npath 1/2 -1 0\n", 2),
+            ("chain 1 delta 0\npath 1/2\n", 2),  # fewer than two vertices
+            ("chain 1 delta 0\npath 1/2 0\n", 2),
         ],
     )
     def test_malformed_line_is_named(self, text, line):
