@@ -44,7 +44,6 @@ from .lp_feasibility import (
 from .shifting import RoundingContext, TraceLog, replay_trace
 from .soft_solver import ks_independent_set, solve_soft
 from .uniform_witness import (
-    UniformWitness,
     greedy_witness_search,
     verify_uniform_witness,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "SOFT",
     "Solution",
     "TraceLog",
-    "UniformWitness",
     "ValidationError",
     "WeightedMetricInstance",
     "build_caterpillar",

@@ -21,13 +21,12 @@ from math import ceil
 
 from .assignment import global_delta, radius_of
 from .errors import PipelineError, ValidationError
-from .graph_core import Graph, hamiltonian_path_in_cube
+from .graph_core import anchor_tree, hamiltonian_path_in_cube
 from .lp_feasibility import verify_assignment_feasible
 from .shifting import chain_shift, group_shift, shift
 
 __all__ = [
     "Caterpillar",
-    "SeparabilityWitness",
     "validate_caterpillar",
     "gamma",
     "is_safe",
@@ -208,16 +207,6 @@ def is_safe(cat, capacities):
 # separability
 
 
-@dataclass(frozen=True)
-class SeparabilityWitness:
-    """A split point: spine position, side, and the side's slack/mass sums."""
-
-    index: int
-    side: str  # "right" or "left"
-    s1: Fraction
-    s2: Fraction
-
-
 def _side_sums(cat, assignment, capacities, i, side):
     y = assignment.y
     cap = capacities[cat.vertex(i)]
@@ -240,7 +229,8 @@ def separability_witness(cat, assignment, capacities):
     A side certifies when the headroom S1 of its strictly-bigger leaves reaches
     ceil(S2) - S2, the amount needed to push the side's leaf mass S2 up to an
     integer.  Positions are scanned in spine order, right side before left.
-    Returns None when no position certifies.
+    Returns (index, side, s1, s2), side "right" or "left", or None when no
+    position certifies.
     """
     idxs = _gamma_indices(cat, capacities)
     if not idxs:
@@ -252,7 +242,7 @@ def separability_witness(cat, assignment, capacities):
         for side in ("right", "left"):
             s1, s2 = _side_sums(cat, assignment, capacities, i, side)
             if s1 >= ceil(s2) - s2:
-                return SeparabilityWitness(i, side, s1, s2)
+                return i, side, s1, s2
     return None
 
 
@@ -266,9 +256,11 @@ def build_caterpillar(ctx, assignment):
     Greedy sweep: repeatedly take the highest-capacity unclaimed vertex v,
     elect the strongest vertex of N[v] as an anchor, and claim everything
     within two hops of v.  Each anchor is saturated to y = 1 by shifts inside
-    N[v]; anchors are ordered into a spine by a Hamiltonian path in the cube
-    of their 7-hop adjacency graph; each claimed region is then regrouped so
-    at most one fractional vertex survives and becomes the anchor's leaf.
+    N[v]; the anchors are strung into a spine along a Hamiltonian path in the
+    cube of their anchor tree (graph_core.anchor_tree over pairs at most 7
+    hops apart, the tree the soft rounding folds over at 3 hops); each
+    claimed region is then regrouped so at most one fractional vertex
+    survives and becomes the anchor's leaf.
 
     On exit the assignment is 5-feasible, the returned structure is a valid
     21-caterpillar with nil end slots, and every vertex outside it has
@@ -323,17 +315,13 @@ def build_caterpillar(ctx, assignment):
 
     nodes = sorted(anchors)
     hops = graph.hop_distances()
-    edges = [
-        (a, b)
-        for a in range(len(nodes))
-        for b in range(a + 1, len(nodes))
-        if hops[nodes[a]][nodes[b]] <= _ANCHOR_HOPS
-    ]
-    try:
-        order = hamiltonian_path_in_cube(Graph(len(nodes), edges))
-    except Exception as exc:  # anchors of a connected graph always link up
-        raise PipelineError(f"anchor graph fell apart: {exc}") from exc
-    spine = tuple(nodes[t] for t in order)
+    order, parent = anchor_tree(hops, nodes, _ANCHOR_HOPS)
+    if len(order) != len(nodes):  # anchors of a connected graph always link up
+        raise PipelineError(
+            f"anchor graph fell apart: {len(nodes) - len(order)} anchors"
+            f" lie more than {_ANCHOR_HOPS} hops from the tree"
+        )
+    spine = tuple(hamiltonian_path_in_cube(order, parent))
     for a, b in zip(spine, spine[1:]):
         if hops[a][b] > _SPINE_DELTA:
             raise PipelineError("spine neighbours drifted beyond the hop budget")
@@ -431,20 +419,20 @@ def _separate(ctx, assignment, cat, parent_gamma, depth):
     w = separability_witness(cat, assignment, caps)
     if w is None:
         return [cat]
-    if w.side == "left":
+    i, side, _, s2 = w
+    if side == "left":
         # mirror the structure so the witness sits on the right, then mirror back
-        mirrored = SeparabilityWitness(cat.p + 1 - w.index, "right", w.s1, w.s2)
-        pieces = _split_at(ctx, assignment, cat.reverse(), mirrored, gset, depth)
+        pieces = _split_at(ctx, assignment, cat.reverse(), cat.p + 1 - i, s2, gset, depth)
         return [c.reverse() for c in pieces]
-    return _split_at(ctx, assignment, cat, w, gset, depth)
+    return _split_at(ctx, assignment, cat, i, s2, gset, depth)
 
 
-def _split_at(ctx, assignment, cat, w, gset, depth):
-    """One round of splitting at a right-side witness."""
-    i, p = w.index, cat.p
+def _split_at(ctx, assignment, cat, i, s2, gset, depth):
+    """One round of splitting at spine position i, whose right side's leaf mass is s2."""
+    p = cat.p
     y = assignment.y
 
-    if w.s2.denominator == 1:
+    if s2.denominator == 1:
         left = Caterpillar(cat.delta, cat.spine[:i], cat.leaves[: i + 1] + (None,))
         right = Caterpillar(cat.delta, cat.spine[i:], (None,) + cat.leaves[i + 1 :])
         return _separate(ctx, assignment, left, gset, depth + 1) + _separate(
@@ -452,7 +440,7 @@ def _split_at(ctx, assignment, cat, w, gset, depth):
         )
 
     # push the right side's leaf mass up to the next integer, drawing on v_i
-    _push_to_leaves(ctx, assignment, cat, i, range(i + 1, p + 2), ceil(w.s2) - w.s2)
+    _push_to_leaves(ctx, assignment, cat, i, range(i + 1, p + 2), ceil(s2) - s2)
 
     out = []
     if i < p:

@@ -361,33 +361,39 @@ def threshold_graph(inst, r):
     return Graph(n, edges)
 
 
-def hamiltonian_path_in_cube(graph):
-    """A vertex order covering all of G with consecutive hop distance <= 3.
+def anchor_tree(hops, anchors, reach):
+    """BFS over the ascending anchors, joining pairs at most `reach` hops apart.
 
-    Built on a BFS spanning tree rooted at vertex 0: the path of a subtree is
-    its root followed by each child's path reversed (children ascending).
-    Reversal is what keeps junction distances within 3; each subtree path ends
-    at a child of its root, so crossing from one child subtree to the next
-    costs at most child -> root -> next child -> its child = 3 tree hops.
+    Rooted at the lowest id; returns (order, parent) as bfs does, so order
+    misses any anchor the tree cannot reach.
     """
-    n = graph.vertex_count
-    if n == 0:
-        raise InputError("empty graph has no Hamiltonian path")
-    if not graph.is_connected():
-        raise InputError("Hamiltonian path in the cube needs a connected graph")
-    # BFS tree from 0; BFS discovers each vertex's children in ascending order
-    order, parent = bfs(graph.adjacency, 0)
-    children = [[] for _ in range(n)]
+    neighbors = {
+        s: [t for t in anchors if t != s and hops[s][t] <= reach] for s in anchors
+    }
+    return bfs(neighbors, anchors[0])
+
+
+def hamiltonian_path_in_cube(order, parent):
+    """A vertex order covering a BFS tree with consecutive tree distance <= 3.
+
+    (order, parent) is a tree as bfs returns it; the path of a subtree is its
+    root followed by each child's path reversed (children in BFS order, which
+    is ascending for ascending neighbour lists).  Reversal is what keeps
+    junction distances within 3; each subtree path ends at a child of its
+    root, so crossing from one child subtree to the next costs at most
+    child -> root -> next child -> its child = 3 tree hops.  The path covers
+    exactly the vertices of order.
+    """
+    children = {v: [] for v in order}
     for v in order[1:]:
         children[parent[v]].append(v)
-    path = [None] * n
+    path = {}
     for v in reversed(order):
         seg = [v]
         for c in children[v]:
-            seg.extend(reversed(path[c]))
-            path[c] = None
+            seg.extend(reversed(path.pop(c)))
         path[v] = seg
-    return path[0]
+    return path[order[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,6 @@ class LPModel:
     capacities: tuple
     k: int
     soft: bool
-    pinned: frozenset  # capacity-0 vertices, y fixed to 0
-    x_pairs: tuple  # ordered (u, v) with hop distance <= 1
 
 
 @dataclass(frozen=True)
@@ -70,12 +68,7 @@ def build_lp1(graph, capacities, k, soft=False):
         raise InputError("k must be >= 1")
     if not soft and k > n:
         raise InputError(f"hard mode needs k <= |V| ({k} > {n})")
-    pairs = []
-    for u in range(n):
-        for v in sorted([u] + graph.neighbors(u)):
-            pairs.append((u, v))
-    pinned = frozenset(v for v in range(n) if capacities[v] == 0)
-    return LPModel(graph, tuple(capacities), k, soft, pinned, tuple(pairs))
+    return LPModel(graph, tuple(capacities), k, soft)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +367,7 @@ def solve_feasibility(model):
     """Decide LP1 by the cut loop; the FeasibilityResult holds a verified point."""
     graph, caps, k, soft = model.graph, model.capacities, model.k, model.soft
     n = graph.vertex_count
-    centers = [u for u in range(n) if u not in model.pinned]
+    centers = [u for u in range(n) if caps[u] > 0]
     if not centers:
         return FeasibilityResult(None)  # no capacity anywhere, yet k >= 1 clients
     col = {u: i for i, u in enumerate(centers)}
@@ -446,10 +439,17 @@ def solve_feasibility(model):
 
 
 def _lp1_rows(model):
-    """Full LP1 row list over columns: y_u -> u, x pair j -> n + j."""
+    """Full LP1 row list over columns: y_u -> u, x pair j -> n + j.
+
+    The pairs (u, v) with v in N[u] are laid out by u, then v, ascending;
+    returns (rows, pair_col), pair_col mapping each pair to its column.
+    """
     graph, caps, k, soft = model.graph, model.capacities, model.k, model.soft
     n = graph.vertex_count
-    pair_col = {p: n + j for j, p in enumerate(model.x_pairs)}
+    pair_col = {}
+    for u in range(n):
+        for v in sorted([u] + graph.neighbors(u)):
+            pair_col[u, v] = n + len(pair_col)
     rows = []
     rows.append(({u: 1 for u in range(n)}, "==", k, "sum_y"))
     for (u, v), c in pair_col.items():
@@ -466,7 +466,7 @@ def _lp1_rows(model):
     for v in range(n):
         rows.append(({c: 1 for c in by_client[v]}, "==", 1, f"serve_{v}"))
     for u in range(n):
-        if u in model.pinned:
+        if caps[u] == 0:
             rows.append(({u: 1}, "<=", 0, f"pin_{u}"))
         elif not soft:
             rows.append(({u: 1}, "<=", 1, f"cap1_{u}"))
@@ -476,7 +476,7 @@ def _lp1_rows(model):
 def _solve_dense(model):
     n = model.graph.vertex_count
     rows, pair_col = _lp1_rows(model)
-    vals = phase1_feasible(n + len(model.x_pairs), [(c, s, b) for c, s, b, _ in rows])
+    vals = phase1_feasible(n + len(pair_col), [(c, s, b) for c, s, b, _ in rows])
     if vals is None:
         return FeasibilityResult(None)
     a = Assignment(n)
@@ -494,14 +494,15 @@ def _solve_dense(model):
 
 def format_lp_dump(model):
     n = model.graph.vertex_count
+    rows, pair_col = _lp1_rows(model)
+    pairs = list(pair_col)
 
     def var(col):
         if col < n:
             return f"y_{col}"
-        u, v = model.x_pairs[col - n]
+        u, v = pairs[col - n]
         return f"x_{u}_{v}"
 
-    rows, _ = _lp1_rows(model)
     out = ["\\ LP1 feasibility model (no objective)", "Minimize", " obj: 0 y_0", "Subject To"]
     sense_txt = {"<=": "<=", ">=": ">=", "==": "="}
     for coefs, sense, b, name in rows:
@@ -524,7 +525,7 @@ def format_lp_dump(model):
         out.append(f" {name}: {expr} {sense_txt[sense]} {b}")
     out.append("Bounds")
     for u in range(n):
-        if u in model.pinned:
+        if model.capacities[u] == 0:
             out.append(f" y_{u} = 0")
         elif not model.soft:
             out.append(f" y_{u} <= 1")

@@ -290,8 +290,8 @@ def chain_shift(ctx, assignment, paths):
 # certificate replay
 
 
-def _malformed(lineno, exc):
-    return ValidationError(f"trace replay: line {lineno}: {exc}")
+def _line_error(lineno, reason):
+    return ValidationError(f"trace replay: line {lineno}: {reason}")
 
 
 def _vertex(token, n):
@@ -314,7 +314,7 @@ def _parse_path(record, n):
             raise ValueError("a path needs at least two vertices")
         return alpha, path
     except ValueError as exc:
-        raise _malformed(lineno, exc) from exc
+        raise _line_error(lineno, exc) from exc
 
 
 def _parse_step(lines, i, n):
@@ -349,13 +349,15 @@ def _parse_step(lines, i, n):
             raise ValueError(f"expected 'delta', got {kw!r}")
         return fn, args, parse_int(d), used
     except ValueError as exc:
-        raise _malformed(lineno, exc) from exc
+        raise _line_error(lineno, exc) from exc
 
 
 def replay_trace(ctx, assignment, text):
     """Re-execute a trace on a copy of `assignment`; checks every recorded delta.
 
     '#' starts a comment, so a certificate's '# component' header is skipped.
+    A malformed line, a step its primitive refuses and a step whose recorded
+    delta diverges raise ValidationError naming the step's first line.
     """
     result = assignment.copy()
     quiet = RoundingContext(ctx.graph, ctx.capacities)
@@ -363,11 +365,13 @@ def replay_trace(ctx, assignment, text):
     i = 0
     while i < len(lines):
         fn, args, delta, used = _parse_step(lines, i, ctx.graph.vertex_count)
-        fn(quiet, result, *args)
+        lineno = lines[i][0]
+        try:
+            fn(quiet, result, *args)
+        except (ValidationError, PipelineError) as exc:
+            raise _line_error(lineno, exc) from exc
         got = global_delta(result, ctx.graph)
         if got != delta:
-            raise ValidationError(
-                f"trace replay diverged: recorded delta {delta}, got {got}"
-            )
+            raise _line_error(lineno, f"diverged: recorded delta {delta}, got {got}")
         i += used
     return result

@@ -16,7 +16,7 @@ computations are integral.
 from fractions import Fraction
 
 from .errors import PipelineError, ValidationError
-from .graph_core import bfs
+from .graph_core import anchor_tree, bfs
 from .lp_feasibility import verify_assignment_feasible
 from .x_rounding import Solution, seat_flow, validate_solution
 
@@ -37,9 +37,10 @@ def ks_independent_set(graph):
     Vertices are scanned in BFS order from vertex 0, which is what makes
     the second property hold: when a vertex is taken, its BFS parent was
     already within two hops of an earlier pick, so every pick lands
-    within three hops of a previous one.  Returns the set sorted by id.
-    Distances are read as hops[s][v] from anchor s (the table is
-    symmetric), so only the anchors' hop rows are ever built.
+    within three hops of a previous one; graph_core.anchor_tree at reach 3
+    checks it.  Returns the set sorted by id.  Distances are read as
+    hops[s][v] from anchor s (the table is symmetric), so only the anchors'
+    hop rows are ever built.
     """
     if graph.vertex_count == 0:
         raise ValidationError("anchor selection needs a non-empty graph")
@@ -51,21 +52,9 @@ def ks_independent_set(graph):
         if all(hops[s][v] > 2 for s in chosen):
             chosen.append(v)
     anchors = sorted(chosen)
-    if len(_anchor_tree(hops, anchors)[0]) != len(anchors):
+    if len(anchor_tree(hops, anchors, 3)[0]) != len(anchors):
         raise PipelineError("anchor set spread across several G^3 components")
     return anchors
-
-
-def _anchor_tree(hops, anchors):
-    """BFS over the ascending anchors, joining pairs at most three hops apart.
-
-    Rooted at the lowest id; returns (order, parent) as graph_core.bfs
-    does, so order misses any anchor the tree cannot reach.
-    """
-    neighbors = {
-        s: [t for t in anchors if t != s and hops[s][t] <= 3] for s in anchors
-    }
-    return bfs(neighbors, anchors[0])
 
 
 def _anchor_of(hops, anchors, v):
@@ -87,12 +76,14 @@ def _anchor_of(hops, anchors, v):
 def _fold_tree(hops, anchors, u):
     """Make every u(s) integral by pushing remainders up a BFS tree.
 
-    The tree spans the anchors with edges between pairs at most three
-    hops apart; each anchor keeps the floor of its mass and hands the
-    fractional part to its parent.  Totals are preserved exactly and no
-    anchor ever goes negative.  anchors must be ascending.
+    The tree is graph_core.anchor_tree at reach 3: it spans the anchors
+    with edges between pairs at most three hops apart (the hard pipeline
+    strings its spine along the same tree at reach 7).  Each anchor keeps
+    the floor of its mass and hands the fractional part to its parent.
+    Totals are preserved exactly and no anchor ever goes negative.
+    anchors must be ascending.
     """
-    order, parent = _anchor_tree(hops, anchors)
+    order, parent = anchor_tree(hops, anchors, 3)
     if len(order) != len(anchors):
         raise PipelineError("anchor tree does not span the anchor set")
     for s in reversed(order[1:]):

@@ -10,7 +10,6 @@ The verifier checks exactly that inequality; a small greedy searcher
 produces candidate sets for test data but carries no guarantee.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
@@ -18,7 +17,6 @@ from .graph_core import INF
 from .rational import parse_int, read_text, records, write_text
 
 __all__ = [
-    "UniformWitness",
     "verify_uniform_witness",
     "greedy_witness_search",
     "format_witness",
@@ -30,30 +28,6 @@ __all__ = [
 # Vertices at hop distance >= _FAR from every V0 member count as remote;
 # V0 itself must be pairwise >= _FAR apart so the unit balls are disjoint.
 _FAR = 3
-
-
-@dataclass(frozen=True)
-class UniformWitness:
-    """A pairwise-far vertex set V0 plus the remote set it induces.
-
-    remote is derived, not chosen: every vertex at hop distance >= 3
-    from all of V0.  The pair certifies infeasibility when
-    |V0| + |remote| / L exceeds k.
-    """
-
-    core: tuple
-    remote: tuple
-
-    def bound(self, capacity):
-        return len(self.core) + Fraction(len(self.remote), capacity)
-
-
-def _remote_set(hops, core, n):
-    return tuple(
-        v
-        for v in range(n)
-        if all(hops[u][v] == INF or hops[u][v] >= _FAR for u in core)
-    )
 
 
 def verify_uniform_witness(graph, capacity, k, core):
@@ -74,8 +48,10 @@ def verify_uniform_witness(graph, capacity, k, core):
         for w in core[i + 1 :]:
             if hops[u][w] != INF and hops[u][w] < _FAR:
                 return False
-    witness = UniformWitness(tuple(core), _remote_set(hops, core, n))
-    return witness.bound(capacity) > k
+    remote = sum(
+        1 for v in range(n) if all(hops[u][v] == INF or hops[u][v] >= _FAR for u in core)
+    )
+    return len(core) + Fraction(remote, capacity) > k
 
 
 def greedy_witness_search(graph, capacity, k):
@@ -84,23 +60,22 @@ def greedy_witness_search(graph, capacity, k):
     Seeds on each vertex in turn, repeatedly adds the vertex that
     maximizes the hop distance to the current core while staying at
     least 3 away from all of it, and keeps the first core (including
-    prefixes) that verifies.  Heuristic only: returns None on failure,
-    which proves nothing.
+    prefixes) that verifies.  Returns that core as a sorted tuple, the
+    form verify_uniform_witness and the witness file take; () is a valid
+    core, so test the result against None.  Heuristic only: None means
+    the search failed, which proves nothing.
     """
     if capacity < 1:
         raise InputError(f"uniform capacity must be at least 1, got {capacity}")
     n = graph.vertex_count
     hops = graph.hop_distances()
     if verify_uniform_witness(graph, capacity, k, ()):
-        return UniformWitness((), _remote_set(hops, (), n))
+        return ()
     for seed in range(n):
         core = [seed]
         while True:
             if verify_uniform_witness(graph, capacity, k, core):
-                core = sorted(core)
-                return UniformWitness(
-                    tuple(core), _remote_set(hops, core, n)
-                )
+                return tuple(sorted(core))
             best = None
             for v in range(n):
                 gap = min(

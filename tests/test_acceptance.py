@@ -374,7 +374,7 @@ def test_criterion_7_uniform_witness_soundness():
             else:
                 got = greedy_witness_search(g, cap, k)
                 if got is not None:
-                    cores.append(got.core)
+                    cores.append(got)
                 cores.append(tuple(v for v in range(n) if rng.random() < 0.2))
             for core in cores:
                 if cases == 500:

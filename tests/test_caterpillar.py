@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,6 @@ import capkc.caterpillar as caterpillar
 from capkc.assignment import Assignment, dump_assignment, global_delta, radius_of
 from capkc.caterpillar import (
     Caterpillar,
-    SeparabilityWitness,
     build_caterpillar,
     build_rounding_flow,
     gamma,
@@ -219,9 +220,9 @@ class TestGammaAndWitness:
         # both sides of the minimum-capacity vertex qualify; right wins
         ctx, a, cat = wide_case()
         w = separability_witness(cat, a, ctx.capacities)
-        assert w == SeparabilityWitness(2, "right", F(4, 5), F(27, 10))
+        assert w == (2, "right", F(4, 5), F(27, 10))
         rw = separability_witness(cat.reverse(), a, ctx.capacities)
-        assert rw == SeparabilityWitness(6, "right", F(7, 10), F(13, 10))
+        assert rw == (6, "right", F(7, 10), F(13, 10))
 
     def test_narrow_gamma(self):
         ctx, a, cat = narrow_case()
@@ -314,7 +315,7 @@ class TestSeparate:
         )
         cat = Caterpillar(1, (0, 1), (2, 3, 4, 5))
         w = separability_witness(cat, a, ctx.capacities)
-        assert w == SeparabilityWitness(1, "right", F(1), F(1))
+        assert w == (1, "right", F(1), F(1))
         y0 = list(a.y)
         out = separate(ctx, a, cat)
         assert out == [
@@ -353,11 +354,29 @@ class TestSeparate:
         self_serving_x(a, (0, 1, 2), {3: 0, 4: 0, 5: 2, 6: 2})
         cat = Caterpillar(1, (0, 1, 2), (3, 4, None, 5, 6))
         w = separability_witness(cat, a, ctx.capacities)
-        assert w == SeparabilityWitness(2, "left", F(5, 4), F(3, 4))
+        assert w == (2, "left", F(5, 4), F(3, 4))
         out = separate(ctx, a, cat)
         assert a.y == [F(1), F(3, 4), F(1), F(1, 2), F(1, 2), F(1, 2), F(3, 4)]
         assert out == [
             Caterpillar(1, (0,), (3, 4, None)),
+            Caterpillar(1, (2,), (1, 5, 6)),
+        ]
+
+    def test_left_witness_off_centre_runs_mirrored(self):
+        # as above with spine vertex 7 put in front: the witness sits at
+        # position 3 of 4, which mirrors to position 2
+        g = Graph(8, [(0, 1), (1, 2), (0, 3), (0, 4), (2, 5), (2, 6), (7, 0), (7, 3)])
+        ctx = RoundingContext(g, [9, 1, 9, 3, 2, 1, 3, 9])
+        a = star_assignment(
+            8, (7, 0, 1, 2), {3: F(1, 2), 4: F(1, 4), 5: F(1, 2), 6: F(3, 4)}
+        )
+        self_serving_x(a, (7, 0, 1, 2), {3: 7, 4: 0, 5: 2, 6: 2})
+        cat = Caterpillar(1, (7, 0, 1, 2), (3, None, 4, None, 5, 6))
+        assert separability_witness(cat, a, ctx.capacities) == (3, "left", F(5, 4), F(3, 4))
+        out = separate(ctx, a, cat)
+        assert a.y == [F(1), F(3, 4), F(1), F(1, 2), F(1, 2), F(1, 2), F(3, 4), F(1)]
+        assert out == [
+            Caterpillar(1, (7, 0), (3, None, 4, None)),
             Caterpillar(1, (2,), (1, 5, 6)),
         ]
 
@@ -474,6 +493,96 @@ class TestRoundingFlow:
         y0 = list(a.y)
         build_rounding_flow(safe, a, ctx.capacities)
         assert a.y == y0
+
+
+def slot_structure(spine_caps, leaf_caps, leaf_y):
+    """A structure on spine 0..p-1 whose live leaf slots (capacity not None) follow it."""
+    p = len(spine_caps)
+    caps = list(spine_caps)
+    y = [F(1)] * p
+    leaves = []
+    for c, q in zip(leaf_caps, leaf_y):
+        leaves.append(None if c is None else len(caps))
+        if c is not None:
+            caps.append(c)
+            y.append(q)
+    return Caterpillar(1, tuple(range(p)), tuple(leaves)), Assignment(len(caps), y=y), caps
+
+
+def rflow_line(before, line):
+    """Number of the line of _rflow reading `line` right after one reading `before`."""
+    src, first = inspect.getsourcelines(caterpillar._rflow)
+    src = [text.strip() for text in src]
+    (hit,) = [first + t for t in range(1, len(src)) if src[t - 1] == before and src[t] == line]
+    return hit
+
+
+def rflow_lines_run(run):
+    """run() and the set of _rflow line numbers it executed."""
+    code = caterpillar._rflow.__code__
+    seen = set()
+
+    def on_line(frame, event, arg):
+        if event == "line":
+            seen.add(frame.f_lineno)
+        return on_line
+
+    outer = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
+    try:
+        result = run()
+    finally:
+        sys.settrace(outer)
+    return result, seen
+
+
+class TestRoundingFlowBranches:
+    # synthetic-head branches that the pipeline tests never reach: a path the
+    # drained or filled head passes on untouched, and a real leaf's budget
+    # running out while the head's outflow is re-sourced
+    @pytest.mark.parametrize(
+        "spine_caps, leaf_caps, leaf_y, before, line, paths",
+        [
+            (
+                (5, 7, 5),
+                (2, 4, 4, 5, 3),
+                (F(1, 2), F(4, 5), F(7, 10), F(1, 2), F(1, 2)),
+                "if path[0] != ua:",
+                "out.append((w, path))",
+                [(F(1, 2), (7, 2, 6)), (F(3, 10), (3, 0, 1, 5)), (F(1, 5), (3, 0, 4))],
+            ),
+            (
+                (1, 1, 4, 6),
+                (None, 1, 1, 2, 1, 2),
+                (None, F(3, 10), F(3, 10), F(9, 10), F(1, 5), F(3, 10)),
+                "while bi < len(budgets) and budgets[bi][1] == 0:",
+                "bi += 1",
+                [
+                    (F(1, 5), (7, 3, 8)),
+                    (F(3, 10), (4, 0, 1, 2, 3, 8)),
+                    (F(1, 5), (5, 1, 2, 3, 8)),
+                    (F(1, 10), (5, 1, 2, 6)),
+                ],
+            ),
+            (
+                (5, 9, 1, 1),
+                (4, 5, 3, 1, 1, None),
+                (F(1, 2), F(4, 5), F(7, 10), F(7, 10), F(3, 10), None),
+                "if path[-1] != ua:",
+                "out.append((w, path))",
+                [(F(3, 10), (8, 3, 2, 7)), (F(1, 5), (6, 1, 0, 5)), (F(1, 2), (6, 1, 0, 4))],
+            ),
+        ],
+        ids=["drained-head-passes-a-path", "budget-exhausted", "filled-head-passes-a-path"],
+    )
+    def test_branch_runs_and_paths_are_pinned(
+        self, spine_caps, leaf_caps, leaf_y, before, line, paths
+    ):
+        cat, a, caps = slot_structure(spine_caps, leaf_caps, leaf_y)
+        assert is_safe(cat, caps)
+        flow, seen = rflow_lines_run(lambda: build_rounding_flow(cat, a, caps))
+        assert rflow_line(before, line) in seen
+        assert flow == paths
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +769,9 @@ class TestPinnedRounding:
         seen = {"split_chain": 0, "drained": 0, "filled": 0}
         split_at, rflow = caterpillar._split_at, caterpillar._rflow
 
-        def spy_split_at(ctx, assignment, cat, w, *rest):
-            seen["split_chain"] += w.s2.denominator != 1
-            return split_at(ctx, assignment, cat, w, *rest)
+        def spy_split_at(ctx, assignment, cat, i, s2, *rest):
+            seen["split_chain"] += s2.denominator != 1
+            return split_at(ctx, assignment, cat, i, s2, *rest)
 
         n = 0  # vertex count of the graph being rounded; synthetic ids start there
 

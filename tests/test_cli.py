@@ -531,7 +531,8 @@ UNDECODABLE = PATH5.replace(b"v 1 5", b"v 1 5 \xff")
 MISSING = "{d}/missing/out.txt"
 
 TEXT_LAYER_CASES = {
-    # name: (files, argv, exit code, part of the one stderr line or None)
+    # name: (files, argv, exit code, part of the one reported line or None);
+    # verify reports a refused solution (exit 2) on stdout, all else on stderr
     "solve-undecodable-instance": (
         {"i": UNDECODABLE}, ["solve", "{d}/i"], 3, "cannot read instance file"),
     "oracle-undecodable-instance": (
@@ -564,6 +565,50 @@ TEXT_LAYER_CASES = {
         {"i": PATH5}, ["solve", "{d}/i", "--seed", "1_0"], 3, "argument --seed"),
     "usage-bad-mode": ({"i": PATH5}, ["solve", "{d}/i", "--mode", "bogus"], 3, "invalid choice"),
     "usage-no-subcommand": ({}, [], 3, "required"),
+    # every refusal clause of the instance parser, the solution parser and
+    # validate_solution, through the command that reads the file
+    "solve-empty-instance": ({"i": b""}, ["solve", "{d}/i"], 3, "empty instance file"),
+    "solve-no-vertices": (
+        {"i": b"capkc 1 0 0 1 hard\n"}, ["solve", "{d}/i"], 3, "line 1: n must be >= 1"),
+    "solve-negative-edge-count": (
+        {"i": PATH5.replace(b"5 4 1 hard", b"5 -1 1 hard")}, ["solve", "{d}/i"], 3,
+        "line 1: m must be >= 0 and k >= 1"),
+    "solve-short-vertex-line": (
+        {"i": PATH5.replace(b"v 3 5", b"v 3")}, ["solve", "{d}/i"], 3,
+        "line 5: expected 'v <id> <capacity>'"),
+    "solve-short-edge-line": (
+        {"i": PATH5.replace(b"e 2 3 1", b"e 2 3")}, ["solve", "{d}/i"], 3,
+        "line 9: expected 'e <u> <v> <weight>'"),
+    "solve-non-integer-endpoint": (
+        {"i": PATH5.replace(b"e 2 3 1", b"e 2 x 1")}, ["solve", "{d}/i"], 3,
+        "line 9: edge endpoints must be integers"),
+    "solve-edge-out-of-range": (
+        {"i": PATH5.replace(b"e 2 3 1", b"e 2 9 1")}, ["solve", "{d}/i"], 3,
+        "line 9: edge (2,9) out of range [0,5)"),
+    "verify-short-solution-line": (
+        {"i": PATH5, "s": PATH5_SOLUTION.replace(b"solution 1 2", b"solution 1")},
+        ["verify", "{d}/i", "{d}/s"], 3, "line 1: expected 'solution <k> <radius>'"),
+    "verify-short-center-line": (
+        {"i": PATH5, "s": PATH5_SOLUTION.replace(b"center 2 1", b"center 2")},
+        ["verify", "{d}/i", "{d}/s"], 3, "line 2: expected 'center <vertex> <multiplicity>'"),
+    "verify-short-assign-line": (
+        {"i": PATH5, "s": PATH5_SOLUTION.replace(b"assign 3 2", b"assign 3")},
+        ["verify", "{d}/i", "{d}/s"], 3, "line 6: expected 'assign <client> <center>'"),
+    "verify-repeated-client": (
+        {"i": PATH5, "s": PATH5_SOLUTION.replace(b"assign 3 2", b"assign 2 2")},
+        ["verify", "{d}/i", "{d}/s"], 3, "line 6: client 2 repeats"),
+    "verify-center-out-of-range": (
+        {"i": PATH5, "s": PATH5_SOLUTION.replace(b"center 2 1", b"center 9 1")},
+        ["verify", "{d}/i", "{d}/s"], 2, "solution: center 9 out of range"),
+    "verify-multiplicity-zero": (
+        {"i": PATH5, "s": PATH5_SOLUTION.replace(b"center 2 1", b"center 2 1\ncenter 3 0")},
+        ["verify", "{d}/i", "{d}/s"], 2, "solution: center 3 has multiplicity 0"),
+    "verify-wrong-phi-length": (
+        {"i": PATH5, "s": PATH5_SOLUTION.replace(b"assign 4 2\n", b"")},
+        ["verify", "{d}/i", "{d}/s"], 2, "solution: assigns 4 clients, expected 5"),
+    "verify-negative-radius": (
+        {"i": PATH5, "s": PATH5_SOLUTION.replace(b"solution 1 2", b"solution 1 -2")},
+        ["verify", "{d}/i", "{d}/s"], 2, "solution: negative radius"),
 }
 
 
@@ -578,11 +623,11 @@ class TestTextLayer:
         assert "Traceback" not in err
         if code == 3:  # nothing is reported before an input error
             assert out == ""
-        if message is None:
+        if message is None or code == 2:
             assert err == ""
-        else:
-            (line,) = err.splitlines()
-            assert line.startswith("error: ") and message in line
+        if message is not None:
+            (line,) = (out if code == 2 else err).splitlines()
+            assert line.startswith("invalid: " if code == 2 else "error: ") and message in line
 
     def test_usage_error_exits_three_from_the_process(self):
         proc = subprocess.run(

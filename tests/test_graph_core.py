@@ -17,6 +17,7 @@ from capkc.graph_core import (
     INF,
     MAX_VERTICES,
     WeightedMetricInstance,
+    anchor_tree,
     bfs,
     candidate_radii,
     connected_components,
@@ -119,37 +120,75 @@ def check_ham_path(g, seq):
         assert hops[u][v] <= 3
 
 
+def cube_path(g):
+    return hamiltonian_path_in_cube(*bfs(g.adjacency, 0))
+
+
 class TestHamiltonianPath:
     def test_star(self):
         g = Graph(5, [(0, i) for i in range(1, 5)])
-        seq = hamiltonian_path_in_cube(g)
+        seq = cube_path(g)
         assert seq[0] == 0
         check_ham_path(g, seq)
 
     def test_single_edge(self):
-        assert hamiltonian_path_in_cube(Graph(2, [(0, 1)])) == [0, 1]
+        assert cube_path(Graph(2, [(0, 1)])) == [0, 1]
 
     def test_single_vertex(self):
-        assert hamiltonian_path_in_cube(Graph(1, [])) == [0]
+        assert cube_path(Graph(1, [])) == [0]
 
     def test_long_path(self):
         g = Graph(7, [(i, i + 1) for i in range(6)])
-        check_ham_path(g, hamiltonian_path_in_cube(g))
+        check_ham_path(g, cube_path(g))
 
     def test_deep_broom(self):
         # depth-3 tree with a second branch: naive concatenation would jump 4
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 4)])
-        check_ham_path(g, hamiltonian_path_in_cube(g))
+        check_ham_path(g, cube_path(g))
 
-    def test_rejects_disconnected(self):
-        with pytest.raises(InputError):
-            hamiltonian_path_in_cube(Graph(4, [(0, 1), (2, 3)]))
+    def test_covers_only_the_tree(self):
+        # the BFS from 0 never reaches 2 and 3, so the path leaves them out
+        assert cube_path(Graph(4, [(0, 1), (2, 3)])) == [0, 1]
 
     def test_random_connected(self):
         rng = random.Random(11)
         for _ in range(60):
             g = rand_connected_graph(rng, rng.randint(1, 40))
-            check_ham_path(g, hamiltonian_path_in_cube(g))
+            check_ham_path(g, cube_path(g))
+
+
+class TestAnchorTree:
+    def test_matches_the_relabelled_reach_graph(self):
+        # the tree over vertex ids equals a BFS of the graph on 0..a-1 that
+        # joins anchors at most `reach` hops apart, mapped back to the ids
+        rng = random.Random(17)
+        for _ in range(80):
+            g = rand_connected_graph(rng, rng.randint(1, 30), extra=rng.randint(0, 3))
+            hops = g.hop_distances()
+            anchors = sorted(rng.sample(range(g.vertex_count), rng.randint(1, g.vertex_count)))
+            reach = rng.randint(1, 7)
+            order, parent = anchor_tree(hops, anchors, reach)
+            a = len(anchors)
+            relabelled = Graph(a, [
+                (i, j) for i in range(a) for j in range(i + 1, a)
+                if hops[anchors[i]][anchors[j]] <= reach
+            ])
+            ref_order, ref_parent = bfs(relabelled.adjacency, 0)
+            assert order == [anchors[i] for i in ref_order]
+            assert parent == {
+                anchors[i]: None if j is None else anchors[j] for i, j in ref_parent.items()
+            }
+            if relabelled.is_connected():
+                assert hamiltonian_path_in_cube(order, parent) == [
+                    anchors[i] for i in cube_path(relabelled)
+                ]
+
+    def test_order_misses_anchors_beyond_reach(self):
+        g = Graph(7, [(i, i + 1) for i in range(6)])
+        order, parent = anchor_tree(g.hop_distances(), [0, 2, 6], 2)
+        assert order == [0, 2]
+        assert parent == {0: None, 2: 0}
+        assert hamiltonian_path_in_cube(order, parent) == [0, 2]
 
 
 class TestGraphBasics:

@@ -14,6 +14,7 @@ from capkc.graph_core import Graph, threshold_graph
 from capkc.instances import gen_fig1, gen_random_connected
 from capkc.lp_feasibility import (
     Phase1Tableau,
+    _lp1_rows,
     _solve_dense,
     build_lp1,
     format_lp_dump,
@@ -77,12 +78,14 @@ def satisfies(vals, rows):
 class TestModelShape:
     def test_pairs_and_pins(self):
         m = build_lp1(path_graph(3), [2, 0, 1], 1)
-        assert m.pinned == frozenset({1})
-        assert m.x_pairs == (
+        rows, pair_col = _lp1_rows(m)
+        assert list(pair_col) == [
             (0, 0), (0, 1),
             (1, 0), (1, 1), (1, 2),
             (2, 1), (2, 2),
-        )
+        ]
+        assert list(pair_col.values()) == list(range(3, 10))
+        assert [name for _, _, _, name in rows if name.startswith("pin_")] == ["pin_1"]
         assert not m.soft
 
     @pytest.mark.parametrize(

@@ -398,6 +398,11 @@ class TestTraceReplay:
             ("chain 1 delta 0\npath 1/2 -1 0\n", 2),
             ("chain 1 delta 0\npath 1/2\n", 2),  # fewer than two vertices
             ("chain 1 delta 0\npath 1/2 0\n", 2),
+            ("shift 0 0 1/2 delta 0\n", 1),  # well formed, refused by shift
+            ("shift 0 1 5 delta 0\n", 1),
+            ("shift 0 1 1/4 delta 0\nshift 0 1 1/4 delta 2\n", 2),  # delta diverges
+            ("chain 1 delta 0\npath 1/2 0 0\n", 1),  # refused: the chain's first line
+            ("chain 1 delta 0\npath 1/2 1 0\n", 1),  # x is empty, so the LP check refuses
         ],
     )
     def test_malformed_line_is_named(self, text, line):

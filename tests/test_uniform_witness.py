@@ -1,7 +1,6 @@
 """Uniform-capacity infeasibility witnesses and their soundness."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -11,7 +10,6 @@ from capkc.errors import InputError
 from capkc.graph_core import Graph
 from capkc.lp_feasibility import build_lp1, solve_feasibility
 from capkc.uniform_witness import (
-    UniformWitness,
     format_witness,
     greedy_witness_search,
     parse_witness_text,
@@ -59,23 +57,27 @@ class TestVerify:
             verify_uniform_witness(path_graph(3), 1, 1, [5])
 
     def test_bound_is_exact_rational(self):
-        w = UniformWitness((0, 6), (3,))
-        assert w.bound(3) == 2 + Fraction(1, 3)
+        # remote = {3}: the bound 2 + 2**-60 clears k = 2, where a float sum
+        # would round it down to 2
+        assert verify_uniform_witness(path_graph(7), 2**60, 2, [0, 6])
 
 
 class TestGreedySearch:
     def test_finds_path_witness(self):
         w = greedy_witness_search(path_graph(7), 1, 2)
         assert w is not None
-        assert verify_uniform_witness(path_graph(7), 1, 2, w.core)
+        assert verify_uniform_witness(path_graph(7), 1, 2, w)
+
+    def test_core_comes_back_sorted(self):
+        # the first core that clears k = 3 grows from seed 3 as 3, 9, 0
+        assert greedy_witness_search(path_graph(10), 4, 3) == (0, 3, 9)
 
     def test_returns_none_on_feasible_star(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
         assert greedy_witness_search(g, 4, 1) is None
 
     def test_empty_core_shortcut(self):
-        w = greedy_witness_search(path_graph(5), 1, 4)
-        assert w is not None and w.core == ()
+        assert greedy_witness_search(path_graph(5), 1, 4) == ()
 
 
 class TestSoundness:
@@ -98,7 +100,7 @@ class TestSoundness:
             )]
             found = greedy_witness_search(g, cap, k)
             if found is not None:
-                cores.append(found.core)
+                cores.append(found)
             for core in cores:
                 if not verify_uniform_witness(g, cap, k, core):
                     continue
@@ -143,3 +145,14 @@ class TestWitnessFormat:
     def test_bad_number_reports_line(self):
         with pytest.raises(InputError, match="line 2"):
             parse_witness_text("witness\nv six\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("witness\nv 0\nwitness\n", "line 3: repeated witness header"),
+            ("witness\nv 1 2\n", "line 2: expected 'v <id>'"),
+        ],
+    )
+    def test_malformed_line_is_named(self, text, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            parse_witness_text(text)
