@@ -338,9 +338,10 @@ def _cmd_gen(args):
             args.seed,
             mode=args.mode,
         )
-    _write_or_print_instance(inst, args.out)
+    # the witness first: nothing reaches stdout unless every file was written
     if args.witness_out:
         write_assignment(witness, args.witness_out)
+    _write_or_print_instance(inst, args.out)
     return 0
 
 

@@ -3,8 +3,10 @@
 capkc's flows are all bipartite: offers (centers) on one side, clients on
 the other.  bipartite_flow is the one builder of that network, for the
 seat flow of x_rounding, the soft solver and the exact oracle, and for the
-LP's separation flow.  Callers pass int capacities only, so every flow
-value is an int; no floating point.  Nothing here rounds, so exact
+LP's separation flow.  It keeps the network to itself: a caller gets the
+flows when every client is served, else the sink side of a minimum cut,
+never a node or an arc id.  Callers pass int capacities only, so every
+flow value is an int; no floating point.  Nothing here rounds, so exact
 Fractions would work too, but only a test passes them.
 Deterministic: arcs are scanned in insertion order, so two runs on
 identically built networks produce identical flows.
@@ -26,26 +28,24 @@ class MaxFlowNetwork:
         self.node_count = node_count
         self.to = []
         self.cap = []
-        self.orig = []
         self.adj = [[] for _ in range(node_count)]
 
     def add_edge(self, u, v, capacity):
-        """Directed arc u -> v.  Returns the arc id usable with flow_on."""
+        """Directed arc u -> v, its reverse at the next id.  Returns the arc id."""
         if capacity < 0:
             raise PipelineError(f"negative capacity on arc ({u},{v})")
         a = len(self.to)
         self.to.append(v)
         self.cap.append(capacity)
-        self.orig.append(capacity)
         self.adj[u].append(a)
         self.to.append(u)
         self.cap.append(0)
-        self.orig.append(0)
         self.adj[v].append(a + 1)
         return a
 
     def flow_on(self, arc):
-        return self.orig[arc] - self.cap[arc]
+        """Flow on an arc: its reverse starts at 0 and holds what crossed it."""
+        return self.cap[arc ^ 1]
 
     def _levels(self, s):
         """BFS levels of the residual network from s; -1 where unreachable."""
@@ -121,22 +121,32 @@ class MaxFlowNetwork:
 def bipartite_flow(client_count, offers, demand):
     """One max flow over source -> offer -> client -> sink.
 
-    offers lists (supply, clients, unit): an arc source -> offer of
-    capacity supply, then an arc offer -> v of capacity unit for each v in
-    clients.  Every client v then has an arc v -> sink of capacity demand.
-    Nodes: source 0, offer i at 1 + i, client v at base + v with
-    base = 1 + len(offers), sink base + client_count.  Arcs are added in
-    offer order, then client order.  Returns (value, net, arcs, base):
-    the flow value, the solved network and arcs[i], offer i's list of
-    (client, arc id) for flow_on.
+    offers lists (supply, clients, unit), clients a sequence: an arc
+    source -> offer of capacity supply, then an arc offer -> v of capacity
+    unit for each v in clients.  Every client v then has an arc v -> sink
+    of capacity demand.  Returns (value, flows, short), exactly one of
+    flows and short None.  When every client gets its demand, flows[i]
+    lists offer i's (client, flow) pairs of positive flow, in its client
+    order.  Otherwise short is the set of clients on the sink side of a
+    minimum cut: those the residual network does not reach from the source.
     """
     base = 1 + len(offers)
     sink = base + client_count
     net = MaxFlowNetwork(sink + 1)
-    arcs = []
+    firsts = []
     for i, (supply, clients, unit) in enumerate(offers):
-        net.add_edge(0, 1 + i, supply)
-        arcs.append([(v, net.add_edge(1 + i, base + v, unit)) for v in clients])
+        # the reverse of offer i's first client arc; the next are 2 ids apart
+        firsts.append(net.add_edge(0, 1 + i, supply) + 3)
+        for v in clients:
+            net.add_edge(1 + i, base + v, unit)
     for v in range(client_count):
         net.add_edge(base + v, sink, demand)
-    return net.max_flow(0, sink), net, arcs, base
+    value = net.max_flow(0, sink)
+    if value != demand * client_count:
+        reach = net.source_side_cut(0)
+        return value, None, {v for v in range(client_count) if base + v not in reach}
+    flows = [
+        [(v, q) for v, q in zip(clients, net.cap[r:r + 2 * len(clients):2]) if q > 0]
+        for r, (_, clients, _) in zip(firsts, offers)
+    ]
+    return value, flows, None

@@ -10,11 +10,13 @@ Two solver routes with the same contract (zero-tolerance rational answers):
   (y_u) -> sink (1), for each center with y_u > 0.  The master point is
   put over its common denominator D, so every capacity is D times the
   rational one; Dinic only compares and adds capacities, so every flow
-  and the min cut scale with them.  A saturating flow directly yields
-  the x values, each flow over D.
+  and the min cut scale with them.  A flow that serves every client gives
+  the x values, each flow over D; otherwise the sink side of its min cut
+  is the W of the next inequality.
   Every generated inequality is implied by LP1 (constraints 2+3+4), and each
   round adds an inequality violated by the current master point, so the loop
-  terminates: there are finitely many client sets.
+  terminates: there are finitely many client sets.  A violated inequality is
+  new, as the master point meets every row the tableau holds.
 * _solve_dense: phase-1 simplex over the full (x, y) variable space.
   Quadratic blowup; tests compare it with the cut loop on small instances.
 
@@ -380,22 +382,16 @@ def solve_feasibility(model):
         for i in range(m):
             tab.add_row({i: 1}, "<=", 1)
 
-    signatures = set()
-
-    def add_cut(coefs, rhs_val):
-        sig = (tuple(sorted(coefs.items())), rhs_val)
-        if sig in signatures:
-            return False
-        signatures.add(sig)
-        tab.add_row(coefs, ">=", rhs_val)
-        return True
-
-    # one-client inequalities seeded up front: sum of y over N[v] >= 1
+    # one-client inequalities seeded up front: sum of y over N[v] >= 1.
+    # Clients that reach the same centers give the same row, added once.
+    seeds = {}
     for v in range(n):
-        cols = [col[u] for u in nbhd[v] if u in col]
+        cols = tuple(col[u] for u in nbhd[v] if u in col)
         if not cols:
             return FeasibilityResult(None)  # nobody can serve v
-        add_cut({c: 1 for c in cols}, 1)
+        seeds[cols] = None
+    for cols in seeds:
+        tab.add_row({c: 1 for c in cols}, ">=", 1)
 
     for _ in range(_MAX_ROUNDS):
         if not tab.solve():
@@ -405,26 +401,19 @@ def solve_feasibility(model):
         scale = lcm(*(q.denominator for q in vals))
         ys = [q.numerator * (scale // q.denominator) for q in vals]
         live = [i for i in range(m) if ys[i] > 0]
-        total, net, arcs, base = bipartite_flow(
+        _, flows, w_set = bipartite_flow(
             n, [(caps[centers[i]] * ys[i], nbhd[centers[i]], ys[i]) for i in live], scale
         )
-        if total == n * scale:
+        if flows is not None:
             a = Assignment(n)
             for i, u in enumerate(centers):
                 a.y[u] = vals[i]
-            for i, offer_arcs in zip(live, arcs):
+            for i, pairs in zip(live, flows):
                 u = centers[i]
-                for v, arc in offer_arcs:
-                    q = net.flow_on(arc)
-                    if q > 0:
-                        a.set_x(u, v, Fraction(q, scale))
+                for v, q in pairs:
+                    a.set_x(u, v, Fraction(q, scale))
             return _finish(model, a)
 
-        reach = net.source_side_cut(0)
-        # drop this round's network now, else it stays alive through the next
-        # master solve and the next network's build
-        del net, arcs
-        w_set = {v for v in range(n) if (base + v) not in reach}
         coefs = {}
         for i, u in enumerate(centers):
             c = min(caps[u], sum(1 for v in nbhd[u] if v in w_set))
@@ -433,8 +422,7 @@ def solve_feasibility(model):
         lhs = sum(c * ys[i] for i, c in coefs.items())
         if lhs >= len(w_set) * scale:
             raise PipelineError("separated inequality is not violated; cut logic bug")
-        if not add_cut(coefs, len(w_set)):
-            raise PipelineError("duplicate cut separated; master solution ignored it")
+        tab.add_row(coefs, ">=", len(w_set))
     raise PipelineError("cut loop exceeded the round budget")
 
 

@@ -148,7 +148,8 @@ def validate_yflow(ctx, assignment, paths):
     the violated clause, a cycle included.  Returns (arcs, out_at, in_at):
     arcs maps (u, w) to [f, fl], where f sums the path amounts alpha over
     the arc and fl the capacity-weighted amounts L(source) * alpha; out_at
-    and in_at total alpha per source and per sink.
+    and in_at total alpha per source and per sink.  The interior clause
+    keeps fl <= L(u) * f on every arc (u, w).
     """
     if any(len(path) < 2 for _, path in paths):
         raise ValidationError("y-flow: path needs at least two vertices")
@@ -214,9 +215,6 @@ def validate_yflow(ctx, assignment, paths):
                 free.append(w)
     if any(indeg.values()):
         raise ValidationError("y-flow graph has a cycle")
-    for (u, _w), (f, fl) in arcs.items():
-        if fl > ctx.L(u) * f:
-            raise PipelineError("arc carries more capacity-weighted flow than its tail allows")
     return arcs, out_at, in_at
 
 

@@ -8,11 +8,12 @@ exists when the fractional assignment was feasible at the same radius,
 so anything short of that is an upstream bug, not bad input.
 
 The soft solver and the exact oracle end with the same b-matching, so
-seat_flow is the one place that lays it out, over flownet.bipartite_flow,
-which also builds the LP's separation flow.  The module also owns the
-Solution record, the hard-mode top-up to k centers (open_unused), its
-independent validator, and the solution text format shared by the soft
-solver, the exact oracle and the command line tools.
+seat_flow is the one place that lays it out, and reads the seating off
+the flows of flownet.bipartite_flow, which also builds the LP's separation
+flow.  The module also owns the Solution record, the hard-mode top-up to
+k centers (open_unused), its independent validator, and the solution text
+format shared by the soft solver, the exact oracle and the command line
+tools.
 """
 
 from dataclasses import dataclass, field
@@ -156,22 +157,21 @@ def seat_flow(dist, bound, offers):
     an instance's scaled metric.  offers lists (center, seats); client v
     may sit at center u iff dist[u][v] <= bound, which INF never is.  The
     network is flownet.bipartite_flow's, with seats as each offer's
-    supply and unit arcs to the clients and the sink.  Returns
-    (seated, phi): the flow value, and phi[v] the center seating client
+    supply and unit arcs to the clients and the sink.  Returns (seated,
+    phi): the flow value, and phi[v] the one center with flow to client
     v, or None when some client stays unseated.
     """
     n = len(dist)
-    seated, net, arcs, _ = bipartite_flow(n, [
+    seated, flows, _ = bipartite_flow(n, [
         (seats, [v for v, d in enumerate(dist[u]) if d <= bound], 1)
         for u, seats in offers
     ], 1)
-    if seated < n:
+    if flows is None:
         return seated, None
     phi = [-1] * n
-    for (u, _), seat_arcs in zip(offers, arcs):
-        for v, arc in seat_arcs:
-            if net.flow_on(arc) > 0:
-                phi[v] = u
+    for (u, _), pairs in zip(offers, flows):
+        for v, _ in pairs:
+            phi[v] = u
     return seated, phi
 
 

@@ -551,6 +551,8 @@ TEXT_LAYER_CASES = {
     "gen-unwritable-out": ({}, ["gen", "fig1", "--out", MISSING], 3, "cannot write"),
     "gen-unwritable-witness-out": (
         {}, ["gen", "fig1", "--out", "{d}/f", "--witness-out", MISSING], 3, "cannot write"),
+    "gen-stdout-unwritable-witness-out": (
+        {}, ["gen", "fig1", "--witness-out", MISSING], 3, "cannot write"),
     "solve-inline-comment-on-vertex": (
         {"i": PATH5.replace(b"v 0 5", b"v 0 5  # hub")}, ["solve", "{d}/i"], 0, None),
     "solve-underscore-in-k": (
@@ -621,8 +623,9 @@ class TestTextLayer:
         assert main([a.replace("{d}", str(tmp_path)) for a in argv]) == code
         out, err = capsys.readouterr()
         assert "Traceback" not in err
-        if code == 3:  # nothing is reported before an input error
+        if code == 3:  # nothing is reported or written before an input error
             assert out == ""
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
         if message is None or code == 2:
             assert err == ""
         if message is not None:

@@ -2,7 +2,10 @@ import random
 from collections import deque
 from fractions import Fraction
 
-from capkc.flownet import MaxFlowNetwork
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from capkc.flownet import MaxFlowNetwork, bipartite_flow
 
 
 def reference_max_flow(n, edges, s, t):
@@ -120,3 +123,59 @@ class TestMaxFlow:
                 c for u, v, arc, c in arcs if u in side and v not in side
             )
             assert crossing == value
+
+
+@st.composite
+def bipartite_inputs(draw):
+    """(client_count, offers, demand) with all-int or all-Fraction capacities."""
+    client_count = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        amount = st.integers(0, 9)
+    else:
+        amount = st.builds(Fraction, st.integers(0, 9), st.integers(1, 4))
+    clients = st.lists(st.integers(0, client_count - 1), unique=True)
+    offers = draw(st.lists(st.tuples(amount, clients, amount), max_size=5))
+    return client_count, offers, draw(amount)
+
+
+def reference_value(client_count, offers, demand):
+    """reference_max_flow over a network of its own: source 0, offers, clients, sink."""
+    base = 1 + len(offers)
+    sink = base + client_count
+    edges = []
+    for i, (supply, clients, unit) in enumerate(offers):
+        edges.append((0, 1 + i, supply))
+        edges += [(1 + i, base + v, unit) for v in clients]
+    edges += [(base + v, sink, demand) for v in range(client_count)]
+    return reference_max_flow(sink + 1, edges, 0, sink)
+
+
+class TestBipartiteFlow:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(bipartite_inputs())
+    def test_returns_the_flows_or_the_short_side_of_a_min_cut(self, inputs):
+        client_count, offers, demand = inputs
+        value, flows, short = bipartite_flow(client_count, offers, demand)
+        assert value == reference_value(client_count, offers, demand)
+        assert (flows is None) != (short is None)
+        if flows is not None:
+            assert value == demand * client_count
+            served = [0] * client_count
+            assert len(flows) == len(offers)
+            for (supply, clients, unit), pairs in zip(offers, flows):
+                # positive flows only, in the offer's client order
+                assert [v for v, _ in pairs] == [v for v in clients if v in dict(pairs)]
+                assert all(0 < q <= unit for _, q in pairs)
+                assert sum(q for _, q in pairs) <= supply
+                for v, q in pairs:
+                    served[v] += q
+            assert served == [demand] * client_count
+        else:
+            # offer i's cheaper side of the cut, plus the sink arcs of the
+            # clients the source side keeps
+            assert short <= set(range(client_count))
+            assert value == sum(
+                min(supply, unit * len(short.intersection(clients)))
+                for supply, clients, unit in offers
+            ) + demand * (client_count - len(short))
+            assert value < demand * client_count

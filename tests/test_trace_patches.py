@@ -3,6 +3,8 @@
 perfbench/spans.py wraps module attributes and methods listed in its
 PATCHES table.  A rename of any of them breaks only the traced benchmark
 run, so this test installs the tracer, checks every target, and undoes it.
+A second test runs real commands under the tracer and checks that it
+gives every max flow to the layer that called it.
 """
 
 import importlib.util
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import capkc
 import capkc.cli
+from capkc.graph_core import write_instance
+from capkc.instances import gen_random_connected
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -50,3 +54,22 @@ def test_every_patch_target_exists_and_is_restored():
 
     for owner_path, attr, original in originals:
         assert vars(resolve(owner_path))[attr] is original, f"{owner_path}.{attr}"
+
+
+def test_every_max_flow_goes_to_its_calling_layer(tmp_path):
+    spans = load_spans()
+    path = tmp_path / "random.txt"
+    write_instance(gen_random_connected(12, 0.5, (2, 4), 4, 3), path)
+    tracer = spans.Tracer()
+    undo = spans.install(tracer, capkc)
+    try:
+        for argv in (["solve", str(path)], ["solve", str(path), "--mode", "soft"],
+                     ["oracle", str(path)]):
+            assert capkc.cli.main(argv) == 0
+    finally:
+        undo()
+    metrics = spans.layer_metrics(tracer.spans, 1)
+    layers = [metrics[f"flownet.max_flow.calls.{layer}"]
+              for layer in ("lp", "round_x", "soft", "oracle")]
+    assert all(calls > 0 for calls in layers), layers
+    assert sum(layers) == metrics["flownet.max_flow.calls"]
