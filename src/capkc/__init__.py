@@ -41,7 +41,7 @@ from .lp_feasibility import (
     solve_feasibility,
     verify_assignment_feasible,
 )
-from .shifting import RoundingContext, TraceLog, replay_trace
+from .shifting import RoundingContext, replay_trace
 from .soft_solver import ks_independent_set, solve_soft
 from .uniform_witness import (
     greedy_witness_search,
@@ -68,7 +68,6 @@ __all__ = [
     "RoundingContext",
     "SOFT",
     "Solution",
-    "TraceLog",
     "ValidationError",
     "WeightedMetricInstance",
     "build_caterpillar",

@@ -50,7 +50,7 @@ from .instances import (
 )
 from .lp_feasibility import build_lp1, solve_feasibility, write_lp_dump
 from .rational import format_rational, parse_int, parse_rational, write_text
-from .shifting import RoundingContext, TraceLog
+from .shifting import RoundingContext
 from .soft_solver import solve_soft
 from .x_rounding import (
     Solution,
@@ -175,12 +175,11 @@ def _stitch(inst, plan, soft):
         if soft:
             sol = solve_soft(sub, caps, budget, assignment)
         else:
-            trace = TraceLog()
-            ctx = RoundingContext(sub, caps, trace=trace)
-            delta = round_y(ctx, assignment, budget)
+            trace = []
+            delta = round_y(RoundingContext(sub, caps, trace=trace), assignment, budget)
             sol = round_x(sub, caps, assignment, delta)
             ids = " ".join(str(v) for v in old_ids)
-            sections.append(f"# component {ids}\n" + trace.to_text())
+            sections.append(f"# component {ids}\n" + "".join(f"{line}\n" for line in trace))
         hop_radius = max(hop_radius, sol.radius)
         for new_id, center in enumerate(sol.phi):
             phi[old_ids[new_id]] = old_ids[center]

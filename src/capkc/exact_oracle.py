@@ -105,11 +105,13 @@ def feasible_at(inst, d, mode=None):
     positive-capacity vertices, topping the set up to exactly k with
     unused vertices that simply carry no load; soft mode enumerates
     k-multisets.  Only sets that cover every client and offer n seats
-    reach the seat flow.
+    reach the seat flow.  A negative distance is refused with InputError.
     """
     mode = inst.mode if mode is None else mode
     if mode not in (HARD, SOFT):
         raise InputError(f"unknown mode {mode!r}")
+    if d < 0:
+        raise InputError("radius must be >= 0")
     n = inst.vertex_count
     k = inst.k
     candidates = [v for v in range(n) if inst.capacities[v] > 0]

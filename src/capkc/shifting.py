@@ -2,7 +2,10 @@
 
 A y-flow is a list of (alpha, path) pairs: alpha of y moves from the path's
 first vertex to its last, through full (y = 1) vertices in between.  Its
-source and sink sets are the path starts and ends.
+source and sink sets are the path starts and ends.  A shift of alpha from a
+to b is the one-arc y-flow (alpha, (a, b)): in every primitive x follows y
+in proportion, through one transfer (_move_x), and every step writes its
+certificate line, with the delta it leaves, through one recorder (_record).
 
 Every primitive re-checks its algebraic laws after mutating (exact rational
 comparisons, zero tolerance); a failed law is a PipelineError because only a
@@ -21,21 +24,12 @@ from .lp_feasibility import verify_assignment_feasible
 from .rational import format_rational, parse_int, parse_rational, records
 
 
-class TraceLog:
-    """Certificate trail: one line per primitive, enough to replay a rounding."""
-
-    def __init__(self):
-        self.lines = []
-
-    def record(self, line):
-        self.lines.append(line)
-
-    def to_text(self):
-        return "\n".join(self.lines) + ("\n" if self.lines else "")
-
-
 class RoundingContext:
-    """Bundles the graph, capacities, and optional trace for a hard rounding run."""
+    """Bundles the graph, capacities, and optional trace for a hard rounding run.
+
+    trace is None or a list that each primitive appends its certificate
+    lines to: one line per step, enough to replay a rounding.
+    """
 
     __slots__ = ("graph", "capacities", "trace")
 
@@ -53,7 +47,34 @@ class RoundingContext:
         return self.graph.hop_distances()[u][v]
 
 
-def shift(ctx, assignment, a, b, alpha, record=True):
+def _move_x(assignment, moves):
+    """For each (u, w, share), move share of u's pre-state x row to w.
+
+    Every amount is read before any is applied (x rows are read in place),
+    and the net changes are applied in sorted (center, client) order.
+    """
+    net = {}
+    for u, w, share in moves:
+        for v, q in assignment.x_row(u).items():
+            amt = share * q
+            net[(u, v)] = net.get((u, v), Fraction(0)) - amt
+            net[(w, v)] = net.get((w, v), Fraction(0)) + amt
+    for (p, v) in sorted(net):
+        dq = net[(p, v)]
+        if dq != 0:
+            assignment.add_x(p, v, dq)
+
+
+def _record(ctx, assignment, step, paths=()):
+    """Append step's certificate line, with the delta it leaves, and a chain's path lines."""
+    if ctx.trace is None:
+        return
+    ctx.trace.append(f"{step} delta {global_delta(assignment, ctx.graph)}")
+    for alpha, path in paths:
+        ctx.trace.append(f"path {format_rational(alpha)} " + " ".join(str(v) for v in path))
+
+
+def shift(ctx, assignment, a, b, alpha):
     """Move alpha of y (and the proportional share of x) from a to b.
 
     Requires L(a) <= L(b) and 0 < alpha <= min(y_a, 1 - y_b).  Radius law
@@ -78,13 +99,7 @@ def shift(ctx, assignment, a, b, alpha, record=True):
     if d_ab == INF:
         raise ValidationError(f"shift endpoints {a},{b} in different components")
 
-    eps = Fraction(alpha) / y[a]
-    row = assignment.x.get(a)
-    if row is not None:
-        for v, q in sorted(row.items()):
-            moved = eps * q
-            assignment.set_x(a, v, q - moved)
-            assignment.add_x(b, v, moved)
+    _move_x(assignment, [(a, b, Fraction(alpha) / y[a])])
     y[a] -= alpha
     y[b] += alpha
 
@@ -92,10 +107,7 @@ def shift(ctx, assignment, a, b, alpha, record=True):
         raise PipelineError("shift grew the source radius")
     if radius_of(assignment, graph, b) > max(pre_ra + d_ab, pre_rb):
         raise PipelineError("shift grew the target radius beyond the law")
-    if record and ctx.trace is not None:
-        ctx.trace.record(
-            f"shift {a} {b} {format_rational(alpha)} delta {global_delta(assignment, graph)}"
-        )
+    _record(ctx, assignment, f"shift {a} {b} {format_rational(alpha)}")
 
 
 def group_shift(ctx, assignment, group):
@@ -104,7 +116,8 @@ def group_shift(ctx, assignment, group):
     Members ordered by (capacity, id); mass always flows from the lowest
     fractional to the highest fractional member, so capacities never decrease
     along a shift.  Global radius grows by at most the largest pairwise hop
-    distance inside the group.
+    distance inside the group.  The inner shifts run on a trace-less
+    context, so the group writes one certificate line.
     """
     members = sorted(set(group))
     if not members:
@@ -120,20 +133,16 @@ def group_shift(ctx, assignment, group):
                 raise ValidationError("group spans multiple components")
             max_pair = max(max_pair, d)
     y = assignment.y
+    quiet = RoundingContext(graph, ctx.capacities)
     while True:
         fractional = [v for v in order if 0 < y[v] < 1]
         if len(fractional) <= 1:
             break
         a, b = fractional[0], fractional[-1]
-        alpha = min(y[a], 1 - y[b])
-        shift(ctx, assignment, a, b, alpha, record=False)
+        shift(quiet, assignment, a, b, min(y[a], 1 - y[b]))
     if global_delta(assignment, graph) > pre_delta + max_pair:
         raise PipelineError("group shift exceeded the pairwise-distance radius law")
-    if ctx.trace is not None:
-        ids = " ".join(str(v) for v in members)
-        ctx.trace.record(
-            f"group {len(members)} {ids} delta {global_delta(assignment, graph)}"
-        )
+    _record(ctx, assignment, f"group {len(members)} " + " ".join(str(v) for v in members))
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +155,10 @@ def validate_yflow(ctx, assignment, paths):
     Every path needs two vertices; the sources S and sinks T are the path
     starts and ends, and must not overlap.  Raises ValidationError naming
     the violated clause, a cycle included.  Returns (arcs, out_at, in_at):
-    arcs maps (u, w) to [f, fl], where f sums the path amounts alpha over
-    the arc and fl the capacity-weighted amounts L(source) * alpha; out_at
+    arcs maps (u, w) to fl, the capacity-weighted amounts L(source) * alpha
+    of the paths over the arc, the only arc sum chain_shift applies; out_at
     and in_at total alpha per source and per sink.  The interior clause
-    keeps fl <= L(u) * f on every arc (u, w).
+    keeps fl <= L(u) * f on every arc (u, w), where f sums the path amounts.
     """
     if any(len(path) < 2 for _, path in paths):
         raise ValidationError("y-flow: path needs at least two vertices")
@@ -186,12 +195,7 @@ def validate_yflow(ctx, assignment, paths):
         in_at[t] = in_at.get(t, Fraction(0)) + alpha
         w_src = ctx.L(s) * alpha
         for key in zip(path, path[1:]):
-            cell = arcs.get(key)
-            if cell is None:
-                arcs[key] = [Fraction(alpha), Fraction(w_src)]
-            else:
-                cell[0] += alpha
-                cell[1] += w_src
+            arcs[key] = arcs.get(key, Fraction(0)) + w_src
     for s, q in out_at.items():
         if q > y[s]:
             raise ValidationError(f"y-flow: outflow {q} exceeds y at source {s}")
@@ -222,13 +226,11 @@ def chain_shift(ctx, assignment, paths):
     """Apply a y-flow's (alpha, path) list: x moves along every arc, y source -> sink.
 
     The paths are walked once, by validate_yflow, which returns the arc
-    flows and the per-source and per-sink totals.  Per-arc x transfer is
-    x[u][v] * fl(u, arc) / (L(u) * y_u), computed from the pre-state for
-    every arc (x rows are read in place: nothing changes x before the
-    application pass) and applied at once; each source then gives up its
-    outflow and each sink takes its inflow.  Interior y values stay
-    untouched; the result is (delta + d)-feasible where d is the largest
-    arc hop distance.
+    flows fl and the per-source and per-sink totals.  Every arc (u, w)
+    with fl > 0 moves the share fl / (L(u) * y_u) of u's pre-state x row
+    to w, all in one _move_x; each source then gives up its outflow and
+    each sink takes its inflow.  Interior y values stay untouched; the
+    result is (delta + d)-feasible where d is the largest arc hop distance.
     """
     if not paths:
         return
@@ -245,23 +247,15 @@ def chain_shift(ctx, assignment, paths):
             raise ValidationError(f"y-flow arc ({u},{w}) spans components")
         d_max = max(d_max, d)
 
-    # all transfer amounts from the pre-state, then a single application pass
-    net = {}
-    for (u, w), (f, fl) in arcs.items():
+    moves = []
+    for (u, w), fl in arcs.items():
         if fl == 0:
             continue
         denom = ctx.L(u) * y[u]
         if denom == 0:
             raise PipelineError(f"arc tail {u} has fl > 0 but no serving capacity")
-        scale = Fraction(fl) / denom
-        for v, q in assignment.x_row(u).items():
-            amt = scale * q
-            net[(u, v)] = net.get((u, v), Fraction(0)) - amt
-            net[(w, v)] = net.get((w, v), Fraction(0)) + amt
-    for (p, v) in sorted(net):
-        dq = net[(p, v)]
-        if dq != 0:
-            assignment.add_x(p, v, dq)
+        moves.append((u, w, fl / denom))
+    _move_x(assignment, moves)
 
     for s, q in out_at.items():
         y[s] -= q
@@ -274,14 +268,7 @@ def chain_shift(ctx, assignment, paths):
         graph, ctx.capacities, k_pre, assignment, pre_delta + d_max
     ):
         raise PipelineError("chain shift broke the LP constraints")
-    if ctx.trace is not None:
-        ctx.trace.record(
-            f"chain {len(paths)} delta {global_delta(assignment, graph)}"
-        )
-        for alpha, path in paths:
-            ctx.trace.record(
-                f"path {format_rational(alpha)} " + " ".join(str(v) for v in path)
-            )
+    _record(ctx, assignment, f"chain {len(paths)}", paths)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Shared test fixtures: random graphs, random chain-shift cases, gadgets."""
+"""Shared test fixtures: random graphs, LP points, chain-shift cases, gadgets, traces."""
 
 import math
+import random
 from fractions import Fraction
 
 from hypothesis import settings
@@ -8,6 +9,12 @@ from hypothesis import strategies as st
 
 from capkc.assignment import Assignment
 from capkc.graph_core import INF, Graph
+from capkc.lp_feasibility import build_lp1, solve_feasibility
+
+
+def trace_text(trace):
+    """A rounding trace's lines as certificate text, one line each."""
+    return "".join(f"{line}\n" for line in trace)
 
 
 def exact_metric(inst):
@@ -78,6 +85,21 @@ def rand_connected_graph(rng, n, extra=None):
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return Graph(n, edges)
+
+
+def seeded_lp_points(seed=1, count=100):
+    """Fractional LP1 points on random connected graphs, capacities in {0..8}."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(6, 28)
+        g = rand_connected_graph(rng, n)
+        caps = [rng.choice((0, 1, 2, 3, 5, 8)) for _ in range(n)]
+        k = rng.randint(2, max(2, n // 2))
+        res = solve_feasibility(build_lp1(g, list(caps), k))
+        if res.feasible and any(q.denominator != 1 for q in res.assignment.y):
+            out.append((g, caps, k, res.assignment))
+    return out
 
 
 def two_hub_gadget(offset=0):

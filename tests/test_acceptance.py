@@ -17,7 +17,6 @@ from capkc import (
     SOFT,
     Graph,
     RoundingContext,
-    TraceLog,
     WeightedMetricInstance,
     build_caterpillar,
     build_lp1,
@@ -197,7 +196,7 @@ def test_criterion_3_hard_pipeline_corpus():
                     for c in parts:
                         for v in c.vertices():
                             assert radius_of(b, g, v) <= 47
-                ctx = RoundingContext(g, caps, trace=TraceLog())
+                ctx = RoundingContext(g, caps, trace=[])
                 delta = round_y(ctx, a, k)
                 assert delta <= 700, f"seed {seed}: tracked stretch {delta}"
                 assert verify_assignment_feasible(g, caps, k, a, delta)

@@ -23,9 +23,16 @@ from capkc.caterpillar import (
 from capkc.errors import PipelineError, ValidationError
 from capkc.graph_core import Graph
 from capkc.lp_feasibility import build_lp1, solve_feasibility, verify_assignment_feasible
-from capkc.shifting import RoundingContext, TraceLog, chain_shift, replay_trace
+from capkc.shifting import RoundingContext, chain_shift, replay_trace
 
-from helpers import path_graph, rand_connected_graph, two_hub_gadget, two_hub_witness
+from helpers import (
+    path_graph,
+    rand_connected_graph,
+    seeded_lp_points,
+    trace_text,
+    two_hub_gadget,
+    two_hub_witness,
+)
 
 
 F = Fraction
@@ -326,7 +333,7 @@ class TestSeparate:
 
     def test_wide_case_full_split(self):
         ctx, a, cat = wide_case()
-        trace = TraceLog()
+        trace = []
         ctx = RoundingContext(ctx.graph, ctx.capacities, trace=trace)
         out = separate(ctx, a, cat)
         # the witness at spine vertex 1 pushes 3/10 into the bigger right leaves
@@ -337,8 +344,8 @@ class TestSeparate:
             Caterpillar(1, (2, 3, 4, 5, 6), (None, 9, None, None, 11, 12, None)),
             Caterpillar(1, (0,), (7, 8, 1)),
         ]
-        assert "path 1/10 1 2 3 10" in trace.lines
-        assert "path 1/5 1 2 3 4 5 11" in trace.lines
+        assert "path 1/10 1 2 3 10" in trace
+        assert "path 1/5 1 2 3 4 5 11" in trace
         for c in out:
             assert separability_witness(c, a, ctx.capacities) is None
         # vertex 10 was filled and dropped
@@ -420,13 +427,13 @@ class TestMakeSafe:
 
     def test_narrow_case_single_pass(self):
         ctx, a, cat = narrow_case()
-        trace = TraceLog()
+        trace = []
         ctx = RoundingContext(ctx.graph, ctx.capacities, trace=trace)
         out = make_safe(ctx, a, [cat])
         # vertex 2 drains 3/5 into leaf 7 and 2/5 into leaf 13, then leaves
         # the spine; its leaf 9 takes the vacated slot
-        assert "path 3/5 2 1 0 7" in trace.lines
-        assert "path 2/5 2 3 4 5 6 13" in trace.lines
+        assert "path 3/5 2 1 0 7" in trace
+        assert "path 2/5 2 3 4 5 6 13" in trace
         assert a.y[2] == F(0)
         assert a.y[7] == F(1)
         assert a.y[13] == F(9, 10)
@@ -635,14 +642,14 @@ class TestRoundY:
 
     def test_integral_input_short_circuits(self):
         g = path_graph(3)
-        ctx = RoundingContext(g, [3, 3, 3], trace=TraceLog())
+        ctx = RoundingContext(g, [3, 3, 3], trace=[])
         a = Assignment(3)
         a.y[1] = F(1)
         for v in range(3):
             a.set_x(1, v, F(1))
         assert round_y(ctx, a, 1) == 1
         assert a.y == [F(0), F(1), F(0)]
-        assert ctx.trace.lines == []
+        assert ctx.trace == []
 
     def test_hub_gadget_rounds_to_two_centers(self):
         g = Graph(6, two_hub_gadget())
@@ -656,7 +663,7 @@ class TestRoundY:
 
     def test_wide_instance_end_to_end_with_replay(self):
         ctx, a, _ = wide_case()
-        trace = TraceLog()
+        trace = []
         ctx = RoundingContext(ctx.graph, ctx.capacities, trace=trace)
         before = a.copy()
         delta = round_y(ctx, a, 11)
@@ -664,7 +671,7 @@ class TestRoundY:
         assert a.sum_y() == 11
         assert delta <= 68
         assert verify_assignment_feasible(ctx.graph, ctx.capacities, 11, a, delta)
-        replayed = replay_trace(ctx, before, trace.to_text())
+        replayed = replay_trace(ctx, before, trace_text(trace))
         assert replayed.y == a.y
         assert sorted(replayed.x_items()) == sorted(a.x_items())
 
@@ -724,7 +731,7 @@ class TestRandomizedPipeline:
         rng = random.Random(97)
         for _ in range(10):
             g, caps, k, a = random_feasible_case(rng)
-            trace = TraceLog()
+            trace = []
             ctx = RoundingContext(g, caps, trace=trace)
             before = a.copy()
             delta = round_y(ctx, a, k)
@@ -732,7 +739,7 @@ class TestRandomizedPipeline:
             assert a.sum_y() == k
             assert 0 <= delta <= 700
             assert verify_assignment_feasible(g, caps, k, a, delta)
-            replayed = replay_trace(ctx, before, trace.to_text())
+            replayed = replay_trace(ctx, before, trace_text(trace))
             assert replayed.y == a.y
             assert sorted(replayed.x_items()) == sorted(a.x_items())
 
@@ -745,21 +752,6 @@ class TestRandomizedPipeline:
 # taken before the text layer was unified and must not move.
 ROUND_Y_SHA256 = "b19590094e11fa062b3d61978e90ea829761e1c1d7ccff25794fbec375ae4b36"
 NARROW_MAKE_SAFE_SHA256 = "c837ca0850ec55124d329e66f7d744ec46ca1acefd7fd7ee008a333baddd88cb"
-
-
-def seeded_lp_points(seed=1, count=100):
-    """Fractional LP1 points on random connected graphs, capacities in {0..8}."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        n = rng.randint(6, 28)
-        g = rand_connected_graph(rng, n)
-        caps = [rng.choice((0, 1, 2, 3, 5, 8)) for _ in range(n)]
-        k = rng.randint(2, max(2, n // 2))
-        res = solve_feasibility(build_lp1(g, list(caps), k))
-        if res.feasible and any(q.denominator != 1 for q in res.assignment.y):
-            out.append((g, caps, k, res.assignment))
-    return out
 
 
 class TestPinnedRounding:
@@ -788,16 +780,16 @@ class TestPinnedRounding:
         digest = hashlib.sha256()
         for g, caps, k, a in seeded_lp_points():
             n = g.vertex_count
-            trace = TraceLog()
+            trace = []
             stretch = round_y(RoundingContext(g, caps, trace=trace), a, k)
-            digest.update(f"{stretch}\n{trace.to_text()}{dump_assignment(a)}\n".encode())
+            digest.update(f"{stretch}\n{trace_text(trace)}{dump_assignment(a)}\n".encode())
         assert all(seen.values()), seen
         assert digest.hexdigest() == ROUND_Y_SHA256
 
     def test_narrow_make_safe_certificate_is_unchanged(self):
         ctx, a, cat = narrow_case()
-        trace = TraceLog()
+        trace = []
         ctx = RoundingContext(ctx.graph, ctx.capacities, trace=trace)
         out = make_safe(ctx, a, [cat])
-        text = f"{out!r}\n{trace.to_text()}{dump_assignment(a)}"
+        text = f"{out!r}\n{trace_text(trace)}{dump_assignment(a)}"
         assert hashlib.sha256(text.encode()).hexdigest() == NARROW_MAKE_SAFE_SHA256

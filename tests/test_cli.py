@@ -537,6 +537,8 @@ TEXT_LAYER_CASES = {
         {"i": UNDECODABLE}, ["solve", "{d}/i"], 3, "cannot read instance file"),
     "oracle-undecodable-instance": (
         {"i": UNDECODABLE}, ["oracle", "{d}/i"], 3, "cannot read instance file"),
+    "oracle-negative-radius": (
+        {"i": PATH5}, ["oracle", "{d}/i", "--radius", "-1"], 3, "radius must be >= 0"),
     "verify-utf8-solution-comment": (
         {"i": PATH5, "s": PATH5_SOLUTION + "# centre à é\n".encode()},
         ["verify", "{d}/i", "{d}/s"], 0, None),

@@ -9,7 +9,6 @@ from capkc.graph_core import Graph
 from capkc.lp_feasibility import verify_assignment_feasible
 from capkc.shifting import (
     RoundingContext,
-    TraceLog,
     chain_shift,
     group_shift,
     replay_trace,
@@ -17,7 +16,7 @@ from capkc.shifting import (
     validate_yflow,
 )
 
-from helpers import path_graph, rand_chain_case
+from helpers import path_graph, rand_chain_case, seeded_lp_points, trace_text
 
 
 F = Fraction
@@ -264,8 +263,6 @@ class TestFlowGraph:
     def test_frozen_aggregation(self):
         ctx, a = chain_scenario()
         arcs, out_at, in_at = validate_yflow(ctx, a, CHAIN_PATHS)
-        assert arcs[(2, 3)][0] == 1
-        assert arcs[(1, 2)][0] == F(4, 5)
         expect_fl = {
             (0, 2): F(2, 5),
             (1, 2): F(4, 5),
@@ -274,7 +271,7 @@ class TestFlowGraph:
             (3, 5): F(1, 5),
             (3, 6): F(2, 5),
         }
-        assert {arc: cell[1] for arc, cell in arcs.items()} == expect_fl
+        assert arcs == expect_fl
         assert out_at == {0: F(1, 5), 1: F(4, 5)}
         assert in_at == {4: F(3, 5), 5: F(1, 5), 6: F(1, 5)}
 
@@ -351,14 +348,49 @@ class TestChainShift:
         assert ran >= 200
 
 
+class TestOneTransfer:
+    def test_shift_is_a_one_arc_chain_shift(self):
+        # x follows y through the same transfer in both primitives
+        rng = random.Random(41)
+        compared = 0
+        for g, caps, _, point in seeded_lp_points(seed=3, count=20):
+            ctx = RoundingContext(g, caps)
+            fractional = [v for v, q in enumerate(point.y) if q.denominator != 1]
+            pairs = [(a, b) for a in fractional for b in fractional
+                     if a != b and caps[a] <= caps[b]]
+            for a, b in rng.sample(pairs, min(4, len(pairs))):
+                alpha = min(point.y[a], 1 - point.y[b])
+                by_shift, by_chain = point.copy(), point.copy()
+                shift(ctx, by_shift, a, b, alpha)
+                chain_shift(ctx, by_chain, [(alpha, (a, b))])
+                assert by_shift.y == by_chain.y
+                assert by_shift.x == by_chain.x
+                compared += 1
+        assert compared >= 40
+
+
 class TestTraceReplay:
+    def test_trail_is_a_list_of_lines(self):
+        ctx, a = chain_scenario()
+        ctx.trace = trail = []
+        chain_shift(ctx, a, CHAIN_PATHS)
+        group_shift(ctx, a, [0, 4])  # both fractional: one inner shift, 0 -> 4
+        assert a.y[0] == 0 and a.y[4] == F(4, 5)
+        assert trail == [
+            "chain 3 delta 3",
+            "path 1/5 0 2 3 6",
+            "path 3/5 1 2 3 4",
+            "path 1/5 1 2 3 5",
+            "group 2 0 4 delta 4",
+        ]
+
     def test_round_trip(self):
         ctx, a = chain_scenario()
-        ctx.trace = TraceLog()
+        ctx.trace = []
         start = a.copy()
         chain_shift(ctx, a, CHAIN_PATHS)
         shift(ctx, a, 0, 4, F(1, 10))
-        text = ctx.trace.to_text()
+        text = trace_text(ctx.trace)
         assert text.splitlines()[0].startswith("chain 3 delta ")
         replayed = replay_trace(ctx, start, text)
         assert replayed.y == a.y
@@ -367,10 +399,10 @@ class TestTraceReplay:
 
     def test_divergent_delta_detected(self):
         ctx, a = chain_scenario()
-        ctx.trace = TraceLog()
+        ctx.trace = []
         start = a.copy()
         chain_shift(ctx, a, CHAIN_PATHS)
-        lines = ctx.trace.to_text().splitlines()
+        lines = list(ctx.trace)
         lines[0] = "chain 3 delta 0"
         with pytest.raises(ValidationError):
             replay_trace(ctx, start, "\n".join(lines) + "\n")
@@ -413,9 +445,9 @@ class TestTraceReplay:
 
     def test_group_line_round_trip(self):
         g = path_graph(3)
-        ctx = RoundingContext(g, (1, 2, 3), trace=TraceLog())
+        ctx = RoundingContext(g, (1, 2, 3), trace=[])
         a = Assignment(3, y=[F(1, 2), F(1, 2), F(1, 2)])
         start = a.copy()
         group_shift(ctx, a, [0, 1, 2])
-        replayed = replay_trace(ctx, start, ctx.trace.to_text())
+        replayed = replay_trace(ctx, start, trace_text(ctx.trace))
         assert replayed.y == a.y

@@ -1,8 +1,9 @@
-"""Packaging: the `python -m capkc` entry point and every exported name."""
+"""Packaging: the `python -m capkc` entry point, every exported name, the README."""
 
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from capkc.graph_core import format_instance, parse_instance_text
 from capkc.instances import gen_fig1
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 
 def run_module(*argv):
@@ -43,3 +45,11 @@ class TestExports:
         for module in modules:
             for name in getattr(module, "__all__", ()):
                 assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+class TestReadme:
+    def test_every_python_block_runs(self):
+        blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text("utf-8"), re.M | re.S)
+        assert blocks
+        for i, block in enumerate(blocks):
+            exec(compile(block, f"README.md python block {i}", "exec"), {})
