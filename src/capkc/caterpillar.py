@@ -380,7 +380,7 @@ def separate(ctx, assignment, cat):
     back as a singleton with the assignment untouched.
     """
     validate_caterpillar(ctx, assignment, cat)
-    out = [c for c in _separate(ctx, assignment, cat, None, 0) if c.p > 0]
+    out = _separate(ctx, assignment, cat, None, 0)
     seen = set()
     caps = ctx.capacities
     for c in out:
@@ -401,8 +401,6 @@ def _separate(ctx, assignment, cat, parent_gamma, depth):
     if depth > 8 * ctx.graph.vertex_count + 64:
         raise PipelineError("separation recursion ran away")
     if cat.p == 0:
-        if any(u is not None for u in cat.leaves):
-            raise PipelineError("separation built an empty spine with leaves")
         return []
     if depth:
         _revalidate(ctx, assignment, cat, "separation")
@@ -532,11 +530,12 @@ def build_rounding_flow(cat, assignment, capacities):
     Recursive construction: scan slots left to right until the leaf mass first
     reaches one, pick the biggest-capacity leaf of that prefix as the basin,
     drain the rest of the prefix into it, and recurse on the remainder.  When
-    the prefix mass overshoots one, the crossing leaf is carried into the
-    recursion at reduced weight, or stood in for by a synthetic spine-head
-    pair whose paths are rewritten onto real vertices before returning.  The
-    recursion sees each leaf slot as (vertex, weight, capacity), or None, so
-    a carried or synthetic leaf is just a new slot.
+    the prefix mass overshoots one, the overshoot goes into the recursion as
+    one leaf hung from the crossing leaf's anchor: the crossing leaf itself
+    at reduced weight, or, when it is the basin, a synthetic stand-in whose
+    paths are rewritten onto real leaves before returning.  The recursion
+    sees each leaf slot as (vertex, weight, capacity), or None, so the
+    overshoot leaf is just a new slot.
 
     Does not touch the assignment; returns the (alpha, path) list, to feed
     to chain_shift.  Raises PipelineError naming the source/inner/sink
@@ -599,8 +598,10 @@ def _leaf_path(spine, slots, j, m, weight):
 def _rflow(spine, slots, fresh, budget):
     """The rounding flow's paths over `slots`, each (vertex, weight, capacity) or None.
 
-    `fresh` yields ids for synthetic vertices; `budget` is the recursion
-    depth still allowed.
+    A prefix that overshoots one recurses once, on the spine from the
+    crossing leaf's anchor v_i on, with the overshoot as the one leaf of
+    slot 1.  `fresh` yields ids for stand-in leaves; `budget` is the
+    recursion depth still allowed.
     """
     if budget < 0:
         raise PipelineError("rounding flow recursion ran away")
@@ -634,56 +635,23 @@ def _rflow(spine, slots, fresh, budget):
     if not alpha - 1 < z:
         raise PipelineError("prefix mass overshot by more than the crossing leaf")
 
+    # the overshoot alpha - 1 goes on as one leaf ua hung from v_i: the
+    # crossing leaf itself, or, when it is the basin, a synthetic stand-in
+    # with the runner-up's capacity, the runner-up then being the basin
     if i0 != i:
-        # carry the crossing leaf into the recursion at its overshoot
-        carried = (None, (ui, alpha - 1, cap_i)) + slots[i + 1 :]
-        sub = _rflow(spine[i - 1 :], carried, fresh, budget - 1)
-        starts = any(path[0] == ui for _, path in sub)
-        ends = any(path[-1] == ui for _, path in sub)
-        if starts == ends:
-            raise PipelineError("crossing leaf is neither drained nor filled below")
-        extra = [
-            _leaf_path(spine, slots, j, i0, slots[j][1]) for j in X if j not in (i0, i)
-        ]
-        if starts:
-            # the recursion drained the reduced weight; send the rest over
-            extra.append(_leaf_path(spine, slots, i, i0, z - (alpha - 1)))
-            return sub + extra
-        # the recursion filled ui; keep 1 - z of that and divert the rest
-        need = 1 - z
-        kept = []
-        # v_{i-1} down to i0's anchor; empty when i == 1 and i0 == 0
-        tail = _walk(spine, i, _anchor_index(p, i0))[1:] + (slots[i0][0],)
-        for w, path in sub:
-            if path[-1] != ui:
-                kept.append((w, path))
-                continue
-            if need > 0:
-                take = min(w, need)
-                kept.append((take, path))
-                need -= take
-                w -= take
-            if w > 0:
-                kept.append((w, path[:-1] + tail))
-        if need != 0:
-            raise PipelineError("nested fill fell short of the crossing leaf's gap")
-        return kept + extra
-
-    # the crossing leaf is itself the basin: stand in a synthetic spine head
-    # va with a leaf ua that weighs the overshoot and has the runner-up's capacity
-    others = [j for j in X if j != i]
-    i1 = min(others, key=lambda j: (-slots[j][2], slots[j][0]))
-    va = next(fresh)
-    ua = next(fresh)
-    stand_in = (None, (ua, alpha - 1, slots[i1][2])) + slots[i + 1 :]
-    sub = _rflow((va,) + spine[i:], stand_in, fresh, budget - 1)
+        ua, basin, cap = ui, i0, cap_i
+    else:
+        ua = next(fresh)
+        basin = min((j for j in X if j != i), key=lambda j: (-slots[j][2], slots[j][0]))
+        cap = slots[basin][2]
+    sub = _rflow(spine[i - 1 :], (None, (ua, alpha - 1, cap)) + slots[i + 1 :], fresh, budget - 1)
     starts = any(path[0] == ua for _, path in sub)
     ends = any(path[-1] == ua for _, path in sub)
     if starts == ends:
-        raise PipelineError("synthetic leaf is neither drained nor filled below")
-    if starts:
-        # resource the synthetic paths from the real prefix leaves
-        budgets = [[j, slots[j][1]] for j in others]
+        raise PipelineError("overshoot leaf is neither drained nor filled below")
+    if starts and ua != ui:
+        # re-source the stand-in's outflow from the real prefix leaves
+        budgets = [[j, slots[j][1]] for j in X if j != i]
         bi = 0
         moved = []
         out = []
@@ -691,14 +659,14 @@ def _rflow(spine, slots, fresh, budget):
             if path[0] != ua:
                 out.append((w, path))
                 continue
-            if path[1] != va:
-                raise PipelineError("synthetic source path skipped its spine head")
+            if path[1] != spine[i - 1]:
+                raise PipelineError("stand-in source path skipped its anchor")
             rest = path[2:]
             while w > 0:
                 while bi < len(budgets) and budgets[bi][1] == 0:
                     bi += 1
                 if bi >= len(budgets):
-                    raise PipelineError("real leaves cannot cover the synthetic outflow")
+                    raise PipelineError("real leaves cannot cover the stand-in outflow")
                 j, have = budgets[bi]
                 take = min(w, have)
                 budgets[bi][1] -= take
@@ -711,27 +679,30 @@ def _rflow(spine, slots, fresh, budget):
         if sum((w for w, _ in leftovers), Fraction(0)) != 1 - z:
             raise PipelineError("leftover budgets missed the crossing leaf's gap")
         return out + moved + leftovers
-    # synthetic leaf was filled: redirect that inflow to ui and the runner-up
+    drain = [_leaf_path(spine, slots, j, basin, slots[j][1]) for j in X if j not in (basin, i)]
+    if starts:
+        # the recursion drained the overshoot; send the rest of ui over
+        return sub + drain + [_leaf_path(spine, slots, i, basin, z - (alpha - 1))]
+    # the recursion filled ua: ui keeps 1 - z of that inflow, the rest goes
+    # on from v_i to the basin
     need = 1 - z
     out = []
-    tail1 = _walk(spine, i, _anchor_index(p, i1)) + (slots[i1][0],)
+    tail = _walk(spine, i, _anchor_index(p, basin))[1:] + (slots[basin][0],)
     for w, path in sub:
         if path[-1] != ua:
             out.append((w, path))
             continue
-        if path[-2] != va:
-            raise PipelineError("synthetic sink path skipped its spine head")
         if need > 0:
             take = min(w, need)
-            out.append((take, path[:-2] + (spine[i - 1], ui)))
+            out.append((take, path[:-1] + (ui,)))
             need -= take
             w -= take
         if w > 0:
-            out.append((w, path[:-2] + tail1))
+            out.append((w, path[:-1] + tail))
     if need != 0:
-        raise PipelineError("synthetic inflow fell short of the crossing leaf's gap")
-    out += [_leaf_path(spine, slots, j, i1, slots[j][1]) for j in others if j != i1]
-    return out
+        raise PipelineError("nested fill fell short of the crossing leaf's gap")
+    return out + drain
+
 
 # ---------------------------------------------------------------------------
 # the full y-rounding pipeline

@@ -50,8 +50,10 @@ class RoundingContext:
 def _move_x(assignment, moves):
     """For each (u, w, share), move share of u's pre-state x row to w.
 
-    Every amount is read before any is applied (x rows are read in place),
-    and the net changes are applied in sorted (center, client) order.
+    Every amount is read before any is applied (x rows are read in place).
+    The net changes are applied in insertion order: every reader of x either
+    sorts it (x_items) or folds it with max or exact sums, so the order of
+    x's rows and entries reaches no output.
     """
     net = {}
     for u, w, share in moves:
@@ -59,8 +61,7 @@ def _move_x(assignment, moves):
             amt = share * q
             net[(u, v)] = net.get((u, v), Fraction(0)) - amt
             net[(w, v)] = net.get((w, v), Fraction(0)) + amt
-    for (p, v) in sorted(net):
-        dq = net[(p, v)]
+    for (p, v), dq in net.items():
         if dq != 0:
             assignment.add_x(p, v, dq)
 

@@ -525,28 +525,36 @@ def rflow_line(before, line):
 
 
 def rflow_lines_run(run):
-    """run() and the set of _rflow line numbers it executed."""
+    """run() and, for each _rflow call, the set of its line numbers executed."""
     code = caterpillar._rflow.__code__
-    seen = set()
+    calls = []
 
-    def on_line(frame, event, arg):
-        if event == "line":
-            seen.add(frame.f_lineno)
+    def on_call(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        seen = set()
+        calls.append(seen)
+
+        def on_line(frame, event, arg):
+            if event == "line":
+                seen.add(frame.f_lineno)
+            return on_line
+
         return on_line
 
     outer = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
+    sys.settrace(on_call)
     try:
         result = run()
     finally:
         sys.settrace(outer)
-    return result, seen
+    return result, calls
 
 
 class TestRoundingFlowBranches:
-    # synthetic-head branches that the pipeline tests never reach: a path the
-    # drained or filled head passes on untouched, and a real leaf's budget
-    # running out while the head's outflow is re-sourced
+    # stand-in branches that the pipeline tests never reach: a path the
+    # drained or filled stand-in leaf passes on untouched, and a real leaf's
+    # budget running out while the stand-in's outflow is re-sourced
     @pytest.mark.parametrize(
         "spine_caps, leaf_caps, leaf_y, before, line, paths",
         [
@@ -580,16 +588,93 @@ class TestRoundingFlowBranches:
                 [(F(3, 10), (8, 3, 2, 7)), (F(1, 5), (6, 1, 0, 5)), (F(1, 2), (6, 1, 0, 4))],
             ),
         ],
-        ids=["drained-head-passes-a-path", "budget-exhausted", "filled-head-passes-a-path"],
+        ids=[
+            "drained-stand-in-passes-a-path",
+            "budget-exhausted",
+            "filled-stand-in-passes-a-path",
+        ],
     )
     def test_branch_runs_and_paths_are_pinned(
         self, spine_caps, leaf_caps, leaf_y, before, line, paths
     ):
         cat, a, caps = slot_structure(spine_caps, leaf_caps, leaf_y)
         assert is_safe(cat, caps)
-        flow, seen = rflow_lines_run(lambda: build_rounding_flow(cat, a, caps))
-        assert rflow_line(before, line) in seen
+        flow, calls = rflow_lines_run(lambda: build_rounding_flow(cat, a, caps))
+        # one call both stands in for its crossing leaf and runs the branch
+        stand_in = rflow_line("else:", "ua = next(fresh)")
+        assert any({stand_in, rflow_line(before, line)} <= seen for seen in calls)
         assert flow == paths
+
+
+def random_safe_slot_structures(rng, count):
+    """`count` safe slot_structure inputs: p in 1..7, capacities in 1..6, tenths of y.
+
+    Each slot is live with probability 3/4, a middle leaf no bigger than its
+    anchor; the last live leaf's y makes the leaf total an integer.
+    """
+    out = []
+    while len(out) < count:
+        p = rng.randint(1, 7)
+        spine_caps = tuple(rng.randint(1, 6) for _ in range(p))
+        leaf_caps = tuple(
+            rng.randint(1, spine_caps[j - 1] if 1 <= j <= p else 6)
+            if rng.random() < 0.75
+            else None
+            for j in range(p + 2)
+        )
+        live = [j for j, c in enumerate(leaf_caps) if c is not None]
+        leaf_y = [None if c is None else F(rng.randint(1, 9), 10) for c in leaf_caps]
+        if not live:
+            continue
+        leaf_y[live[-1]] = -sum(leaf_y[j] for j in live[:-1]) % 1
+        if leaf_y[live[-1]] == 0:
+            continue
+        cat, a, caps = slot_structure(spine_caps, leaf_caps, leaf_y)
+        if is_safe(cat, caps):
+            out.append((spine_caps, leaf_caps, tuple(leaf_y)))
+    return out
+
+
+# sha256 over (spine_caps, leaf_caps, leaf_y, flow) of build_rounding_flow on
+# random_safe_slot_structures(random.Random(20), 3000); must not move.
+ROUNDING_FLOW_SHA256 = "944e1d97ca3e94b2c3e452a59fa907ae2bd1353d510867edf76c30395d5851f5"
+
+
+class TestPinnedRoundingFlow:
+    def test_flows_are_unchanged(self, monkeypatch):
+        # spy: an overshoot recursion's slot 1 holds the crossing leaf at less
+        # than its y (carry) or a synthetic leaf (stand-in), which the
+        # recursion below either drains or fills
+        seen = {
+            ("carry", "drained"): 0,
+            ("carry", "filled"): 0,
+            ("stand-in", "drained"): 0,
+            ("stand-in", "filled"): 0,
+        }
+        rflow = caterpillar._rflow
+        y = []
+
+        def spy_rflow(spine, slots, fresh, budget):
+            sub = rflow(spine, slots, fresh, budget)
+            if slots[1] is not None:
+                u, w, _ = slots[1]
+                case = "stand-in" if u >= len(y) else "carry" if w < y[u] else None
+                if case:
+                    seen[case, "drained"] += any(path[0] == u for _, path in sub)
+                    seen[case, "filled"] += any(path[-1] == u for _, path in sub)
+            return sub
+
+        monkeypatch.setattr(caterpillar, "_rflow", spy_rflow)
+        digest = hashlib.sha256()
+        for spine_caps, leaf_caps, leaf_y in random_safe_slot_structures(
+            random.Random(20), 3000
+        ):
+            cat, a, caps = slot_structure(spine_caps, leaf_caps, leaf_y)
+            y = a.y
+            flow = build_rounding_flow(cat, a, caps)
+            digest.update(f"{(spine_caps, leaf_caps, leaf_y, flow)!r}\n".encode())
+        assert all(seen.values()), seen
+        assert digest.hexdigest() == ROUNDING_FLOW_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +842,7 @@ NARROW_MAKE_SAFE_SHA256 = "c837ca0850ec55124d329e66f7d744ec46ca1acefd7fd7ee008a3
 class TestPinnedRounding:
     def test_round_y_outputs_are_unchanged(self, monkeypatch):
         # spies: the seeds must still reach _split_at's chain shift and both
-        # the drained and the filled case of _rflow's synthetic spine head
+        # the drained and the filled case of _rflow's stand-in leaf
         seen = {"split_chain": 0, "drained": 0, "filled": 0}
         split_at, rflow = caterpillar._split_at, caterpillar._rflow
 
@@ -769,7 +854,7 @@ class TestPinnedRounding:
 
         def spy_rflow(spine, slots, fresh, budget):
             sub = rflow(spine, slots, fresh, budget)
-            if spine and spine[0] >= n:  # a synthetic spine head
+            if slots[1] is not None and slots[1][0] >= n:  # a stand-in leaf
                 ua = slots[1][0]
                 seen["drained"] += any(path[0] == ua for _, path in sub)
                 seen["filled"] += any(path[-1] == ua for _, path in sub)
@@ -785,6 +870,19 @@ class TestPinnedRounding:
             digest.update(f"{stretch}\n{trace_text(trace)}{dump_assignment(a)}\n".encode())
         assert all(seen.values()), seen
         assert digest.hexdigest() == ROUND_Y_SHA256
+
+    def test_x_insertion_order_reaches_no_output(self):
+        # shifts apply their net x changes in insertion order; x's rows and
+        # every row's entries, taken in reverse, must round the same way
+        def rounded(g, caps, k, a):
+            trace = []
+            stretch = round_y(RoundingContext(g, caps, trace=trace), a, k)
+            return stretch, trace_text(trace), dump_assignment(a)
+
+        for g, caps, k, a in seeded_lp_points():
+            flipped = a.copy()
+            flipped.x = {u: dict(reversed(row.items())) for u, row in reversed(a.x.items())}
+            assert rounded(g, caps, k, flipped) == rounded(g, caps, k, a)
 
     def test_narrow_make_safe_certificate_is_unchanged(self):
         ctx, a, cat = narrow_case()

@@ -484,3 +484,9 @@ class TestLpDump:
         text = format_lp_dump(m)
         assert "y_0 <=" not in text
         assert "Bounds" in text and "End" in text
+
+    def test_row_without_terms_still_prints_one(self):
+        # sum_y is the one row that holds no pair column; on an empty soft
+        # model (the hard check refuses k > |V|) it has no terms at all
+        m = build_lp1(Graph(0, []), [], 1, soft=True)
+        assert " sum_y: 0 y_0 = 1" in format_lp_dump(m).splitlines()
