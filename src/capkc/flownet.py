@@ -11,9 +11,16 @@ Fractions would work too, but only a test passes them.
 Deterministic: arcs are scanned in insertion order, so two runs on
 identically built networks produce identical flows.
 
+On the fresh bipartite network Dinic's first phase needs no BFS: it is
+one greedy pass over the offers and their clients, which bipartite_flow
+runs over the arc capacities before max_flow runs the remaining phases.
+The residual network, and with it every flow and the cut, is the one
+max_flow alone would leave.
+
 Termination: each phase raises the residual s-t distance, so there are at
 most V phases, and each augmenting path saturates an arc of the level
-graph, so a phase has at most E of them.
+graph, so a phase has at most E of them.  The greedy pass is the first
+phase, so the bound holds for bipartite_flow too.
 """
 
 from __future__ import annotations
@@ -129,24 +136,57 @@ def bipartite_flow(client_count, offers, demand):
     lists offer i's (client, flow) pairs of positive flow, in its client
     order.  Otherwise short is the set of clients on the sink side of a
     minimum cut: those the residual network does not reach from the source.
+
+    Every s-t path of the fresh network has three arcs, so Dinic's first
+    level graph is the whole network.  Its blocking-flow walk takes the
+    offers in order and each offer's clients in order, and pushes the least
+    of what is left on the source arc, the client arc and the client's sink
+    arc; a client whose sink arc is full is dead.  That walk runs here as
+    one pass over net.cap, and max_flow goes on from the residual network
+    it leaves, skipping the first phase's BFS and walk.
     """
     base = 1 + len(offers)
     sink = base + client_count
     net = MaxFlowNetwork(sink + 1)
-    firsts = []
+    heads = []
     for i, (supply, clients, unit) in enumerate(offers):
-        # the reverse of offer i's first client arc; the next are 2 ids apart
-        firsts.append(net.add_edge(0, 1 + i, supply) + 3)
+        heads.append(net.add_edge(0, 1 + i, supply))
         for v in clients:
             net.add_edge(1 + i, base + v, unit)
+    drain = len(net.to)  # client v's sink arc is drain + 2v
     for v in range(client_count):
         net.add_edge(base + v, sink, demand)
-    value = net.max_flow(0, sink)
+    cap = net.cap
+    value = 0
+    for h, (_, clients, _) in zip(heads, offers):
+        rest = cap[h]
+        a = h
+        for v in clients:
+            if not rest:
+                break
+            a += 2
+            d = drain + 2 * v
+            b = rest  # the first least of the three, as max_flow takes it
+            if cap[a] < b:
+                b = cap[a]
+            if cap[d] < b:
+                b = cap[d]
+            if b > 0:
+                rest -= b
+                cap[h] -= b
+                cap[h + 1] += b
+                cap[a] -= b
+                cap[a + 1] += b
+                cap[d] -= b
+                cap[d + 1] += b
+                value += b
+    value += net.max_flow(0, sink)
     if value != demand * client_count:
         reach = net.source_side_cut(0)
         return value, None, {v for v in range(client_count) if base + v not in reach}
+    # h + 3 is the reverse of the offer's first client arc; the next are 2 ids apart
     flows = [
-        [(v, q) for v, q in zip(clients, net.cap[r:r + 2 * len(clients):2]) if q > 0]
-        for r, (_, clients, _) in zip(firsts, offers)
+        [(v, q) for v, q in zip(clients, cap[h + 3:h + 3 + 2 * len(clients):2]) if q > 0]
+        for h, (_, clients, _) in zip(heads, offers)
     ]
     return value, flows, None

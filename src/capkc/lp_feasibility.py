@@ -61,6 +61,8 @@ class FeasibilityResult:
 
 def build_lp1(graph, capacities, k, soft=False):
     n = graph.vertex_count
+    if n == 0:
+        raise InputError("the graph has no vertex")
     if len(capacities) != n:
         raise InputError("capacity list length mismatch")
     for v, c in enumerate(capacities):
@@ -505,8 +507,6 @@ def format_lp_dump(model):
             mag = abs(q)
             coef_txt = "" if mag == 1 else f"{mag} "
             terms.append(f"{sign} {coef_txt}{var(c)}")
-        if not terms:
-            terms = ["+ 0 y_0"]
         expr = " ".join(terms)
         if expr.startswith("+ "):
             expr = expr[2:]

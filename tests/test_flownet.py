@@ -2,9 +2,11 @@ import random
 from collections import deque
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capkc.errors import PipelineError
 from capkc.flownet import MaxFlowNetwork, bipartite_flow
 
 
@@ -179,3 +181,113 @@ class TestBipartiteFlow:
                 for supply, clients, unit in offers
             ) + demand * (client_count - len(short))
             assert value < demand * client_count
+
+
+def plain_dinic(client_count, offers, demand):
+    """bipartite_flow's result by max_flow from zero flow, and the network left.
+
+    The same layout through add_edge; flows read with flow_on, the short
+    side with source_side_cut.
+    """
+    base = 1 + len(offers)
+    sink = base + client_count
+    net = MaxFlowNetwork(sink + 1)
+    arcs = []
+    for i, (supply, clients, unit) in enumerate(offers):
+        net.add_edge(0, 1 + i, supply)
+        arcs.append([(v, net.add_edge(1 + i, base + v, unit)) for v in clients])
+    for v in range(client_count):
+        net.add_edge(base + v, sink, demand)
+    value = net.max_flow(0, sink)
+    if value != demand * client_count:
+        reach = net.source_side_cut(0)
+        return (value, None, {v for v in range(client_count) if base + v not in reach}), net
+    flows = [[(v, net.flow_on(a)) for v, a in pairs if net.flow_on(a) > 0] for pairs in arcs]
+    return (value, flows, None), net
+
+
+def assert_same_as_plain_dinic(client_count, offers, demand):
+    nets = []
+    original = MaxFlowNetwork.max_flow
+
+    def spy(net, s, t):
+        nets.append(net)
+        return original(net, s, t)
+
+    MaxFlowNetwork.max_flow = spy
+    try:
+        value, flows, short = bipartite_flow(client_count, offers, demand)
+    finally:
+        MaxFlowNetwork.max_flow = original
+    (ref_value, ref_flows, ref_short), ref_net = plain_dinic(client_count, offers, demand)
+    # repr pins the types too: an int flow must not come back a Fraction
+    assert repr((value, flows)) == repr((ref_value, ref_flows))
+    assert short == ref_short
+    # the whole residual network, reverse arcs no result reads included
+    assert repr(nets[0].cap) == repr(ref_net.cap)
+
+
+class TestPlainDinic:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(bipartite_inputs())
+    def test_bipartite_flow_is_plain_dinic(self, inputs):
+        assert_same_as_plain_dinic(*inputs)
+
+    def test_seeded_networks(self):
+        rng = random.Random(21)
+        ints = [lambda: rng.choice([0, rng.randint(1, 5), rng.randint(1, 30)])]
+        fractions = [lambda: Fraction(rng.randint(0, 12), rng.randint(1, 6))]
+        for trial in range(900):
+            client_count = rng.randint(1, 12)
+            # int, Fraction, or both mixed: a tie must keep the type of
+            # the arc max_flow would take it from
+            kinds = [ints, fractions, ints + fractions][trial % 3]
+
+            def amount():
+                return rng.choice(kinds)()
+
+            offers = [
+                (amount(), rng.sample(range(client_count), rng.randint(0, client_count)), amount())
+                for _ in range(rng.randint(0, 8))
+            ]
+            assert_same_as_plain_dinic(client_count, offers, amount())
+
+    @pytest.mark.parametrize("inputs, bfs, result", [
+        # the greedy pass serves everyone: one BFS finds the sink cut off
+        ((3, [(3, [0, 1, 2], 1)], 1), 1, (3, [[(0, 1), (1, 1), (2, 1)]], None)),
+        # the greedy pass is maximum but short: the BFS that ends max_flow,
+        # then source_side_cut's
+        ((2, [(1, [0, 1], 1)], 1), 2, (1, None, {0, 1})),
+    ])
+    def test_first_phase_runs_no_bfs(self, monkeypatch, inputs, bfs, result):
+        calls = []
+        original = MaxFlowNetwork._levels
+
+        def spy(net, s):
+            calls.append(s)
+            return original(net, s)
+
+        monkeypatch.setattr(MaxFlowNetwork, "_levels", spy)
+        assert bipartite_flow(*inputs) == result
+        assert len(calls) == bfs
+
+
+class TestNegativeCapacity:
+    @pytest.mark.parametrize("inputs", [
+        (2, [(1, [0, 1], 1), (-1, [0], 1)], 1),
+        (2, [(1, [0, 1], 1), (1, [1], -1)], 1),
+        (2, [(2, [0, 1], 1)], -1),
+    ], ids=["supply", "unit", "demand"])
+    def test_is_refused_before_any_flow_moves(self, monkeypatch, inputs):
+        nets = []
+        original = MaxFlowNetwork.add_edge
+
+        def spy(net, u, v, capacity):
+            nets.append(net)
+            return original(net, u, v, capacity)
+
+        monkeypatch.setattr(MaxFlowNetwork, "add_edge", spy)
+        with pytest.raises(PipelineError, match="negative capacity"):
+            bipartite_flow(*inputs)
+        # every reverse arc laid out so far is empty: nothing crossed
+        assert nets and all(c == 0 for c in nets[-1].cap[1::2])

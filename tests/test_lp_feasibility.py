@@ -485,8 +485,10 @@ class TestLpDump:
         assert "y_0 <=" not in text
         assert "Bounds" in text and "End" in text
 
-    def test_row_without_terms_still_prints_one(self):
-        # sum_y is the one row that holds no pair column; on an empty soft
-        # model (the hard check refuses k > |V|) it has no terms at all
-        m = build_lp1(Graph(0, []), [], 1, soft=True)
-        assert " sum_y: 0 y_0 = 1" in format_lp_dump(m).splitlines()
+    @pytest.mark.parametrize("soft", [False, True])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_graph_without_vertex_is_refused(self, soft, k):
+        # refused before the k checks, so no dump ever names a y_0 the
+        # model lacks; with a vertex every dumped row holds a term
+        with pytest.raises(InputError, match="no vertex"):
+            build_lp1(Graph(0, []), [], k, soft)
