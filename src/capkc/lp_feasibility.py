@@ -16,7 +16,9 @@ Two solver routes with the same contract (zero-tolerance rational answers):
   Every generated inequality is implied by LP1 (constraints 2+3+4), and each
   round adds an inequality violated by the current master point, so the loop
   terminates: there are finitely many client sets.  A violated inequality is
-  new, as the master point meets every row the tableau holds.
+  new, as the master point meets every row the tableau holds.  In hard mode
+  the master's y_u <= 1 are the tableau's implicit column bounds (its
+  bounded-variable simplex), not rows; soft mode has no upper bound.
 * _solve_dense: phase-1 simplex over the full (x, y) variable space.
   Quadratic blowup; tests compare it with the cut loop on small instances.
 
@@ -117,6 +119,28 @@ def _eliminate(row, rhs, den, col, prow, prhs, pden):
     return _reduce(row, rhs, den)
 
 
+def _entering(wrow, art_cols, bland):
+    """The pricing step: the column whose rise lowers w, or None at the optimum.
+
+    Dantzig's rule takes the largest wrow entry, ties to the smallest column;
+    Bland's rule, the anti-cycling fallback, the smallest improving column.
+    """
+    entering = None
+    if bland:
+        for c in sorted(wrow):
+            if wrow[c] > 0 and c not in art_cols:
+                return c
+        return None
+    best = None
+    for c, v in wrow.items():
+        if v <= 0 or c in art_cols:
+            continue
+        if best is None or v > best or (v == best and c < entering):
+            best = v
+            entering = c
+    return entering
+
+
 class Phase1Tableau:
     """Incremental exact phase-1 simplex over {x >= 0} plus appended rows.
 
@@ -137,25 +161,44 @@ class Phase1Tableau:
     Scaling a row by a positive number changes neither rhs/a nor any sign,
     so every pivot choice, and every returned value, is that of a tableau
     over plain rationals.
+
+    With bounded=True every structural column also has the upper bound
+    x <= 1, held implicitly rather than as a row (the upper-bounding
+    technique: Dantzig 1955; Chvatal 1983, ch. 8).  A column at its upper
+    bound is stored complemented, as x = 1 - x', in every row, so a
+    nonbasic column always sits at 0 and rhs[i] / den[i] is always the
+    basic value; the pivot and elimination code is that of the unbounded
+    tableau.  The ratio test also stops where a bounded basic column
+    would rise to 1, which complements it before the pivot, and at the
+    entering column's own bound, a bound flip: the column is complemented
+    and no row is eliminated.  A bound flip wins a tie with a row, and
+    counts toward _MAX_PIVOTS like a pivot.
+    add_row substitutes the complemented columns into its input, and
+    values() maps them back.
     """
 
-    def __init__(self, num_vars):
+    def __init__(self, num_vars, bounded=False):
         self.num_vars = num_vars
+        self.bounded = bounded
         self.next_col = num_vars
         self.mat = []  # sparse integer rows; the basis column holds den[i]
         self.rhs = []
         self.den = []
         self.basis = []
         self.art_cols = set()
+        self.flipped = set()  # columns stored complemented, x = 1 - x'
 
     def add_row(self, coefs, sense, b):
         coefs = {c: v for c, v in coefs.items() if v != 0}
         den = lcm(b.denominator, *(q.denominator for q in coefs.values()))
         d = {c: q.numerator * (den // q.denominator) for c, q in coefs.items()}
         rb = b.numerator * (den // b.denominator)
-        # substitute out the current basic variables so the row enters in
-        # reduced form; tableau rows hold no other basic columns, so one pass
-        # suffices
+        # a * x = a - a * x' for each complemented column, then substitute
+        # out the current basic variables so the row enters in reduced form;
+        # tableau rows hold no other basic columns, so one pass suffices
+        for c in self.flipped & d.keys():
+            rb -= d[c]
+            d[c] = -d[c]
         for i, bc in enumerate(self.basis):
             if bc in d:
                 d, rb, den = _eliminate(d, rb, den, bc, self.mat[i], self.rhs[i], self.den[i])
@@ -186,7 +229,19 @@ class Phase1Tableau:
         for i, bc in enumerate(self.basis):
             if bc < self.num_vars:
                 vals[bc] = Fraction(self.rhs[i], self.den[i])
+        for c in self.flipped:
+            vals[c] = 1 - vals[c]
         return vals
+
+    def _complement(self, col):
+        """Substitute x = 1 - x' for column col in every row: a * x = a - a * x'."""
+        rhs = self.rhs
+        for i, row in enumerate(self.mat):
+            v = row.get(col)
+            if v is not None:
+                row[col] = -v
+                rhs[i] -= v
+        self.flipped ^= {col}
 
     def _pivot(self, pr, entering):
         mat, rhs, den = self.mat, self.rhs, self.den
@@ -239,6 +294,7 @@ class Phase1Tableau:
         """Drive the basic-artificial total to 0.  True iff feasible."""
         mat, rhs, den, basis = self.mat, self.rhs, self.den, self.basis
         art_cols = self.art_cols
+        nb = self.num_vars if self.bounded else 0  # columns below nb are bounded
         # objective w = sum of basic artificials, over nonbasic columns:
         # w = (wrhs - sum wrow[c] * x_c) / wden, one integer row like the rest.
         # Eliminating each artificial from {a: 1} by its own row leaves
@@ -253,48 +309,61 @@ class Phase1Tableau:
             self._expel_artificials()
             return True
 
-        degenerate_streak = 0
+        degenerate_streak = pivots = flips = 0
         for _ in range(_MAX_PIVOTS):
-            entering = None
-            if degenerate_streak < _BLAND_AFTER:
-                best = None
-                for c, v in wrow.items():
-                    if v <= 0 or c in art_cols:
-                        continue
-                    if best is None or v > best or (v == best and c < entering):
-                        best = v
-                        entering = c
-            else:
-                for c in sorted(wrow):
-                    if wrow[c] > 0 and c not in art_cols:
-                        entering = c
-                        break
+            entering = _entering(wrow, art_cols, degenerate_streak >= _BLAND_AFTER)
             if entering is None:
                 return False  # w minimized at a positive value
-            # ratio test: the least rhs[i] / a over a > 0 (den[i] cancels),
-            # compared by cross-multiplying
-            pr = None
+            # ratio test: the least step t at which a basic value reaches a
+            # bound, compared by cross-multiplying (den[i] cancels).  A row
+            # with a > 0 falls to 0 at rhs[i] / a; a bounded basic column
+            # with a < 0 rises to 1 at (den[i] - rhs[i]) / -a; a bounded
+            # entering column stops at its own bound, t = 1 (pr = -1).
+            # A bound flip wins ties, as it eliminates nothing.
+            pr, best_r, best_a, best_c = None, 0, 1, 0
+            if entering < nb:
+                pr, best_r, best_a, best_c = -1, 1, 1, -1
             for i, row in enumerate(mat):
                 a = row.get(entering)
-                if a is not None and a > 0:
+                if a is None:
+                    continue
+                if a > 0:
                     r = rhs[i]
-                    if pr is None or r * best_a < best_r * a or (
-                        r * best_a == best_r * a and basis[i] < best_basis
-                    ):
-                        pr, best_r, best_a, best_basis = i, r, a, basis[i]
+                elif basis[i] < nb:
+                    r, a = den[i] - rhs[i], -a
+                else:
+                    continue
+                if pr is None or r * best_a < best_r * a or (
+                    r * best_a == best_r * a and basis[i] < best_c
+                ):
+                    pr, best_r, best_a, best_c = i, r, a, basis[i]
             if pr is None:
                 raise PipelineError("phase-1 search direction unbounded; w >= 0 forbids this")
             degenerate_streak = degenerate_streak + 1 if best_r == 0 else 0
 
-            self._pivot(pr, entering)
-            if entering in wrow:
-                wrow, wrhs, wden = _eliminate(
-                    wrow, wrhs, wden, entering, mat[pr], rhs[pr], den[pr]
-                )
+            if pr < 0:
+                # bound flip: the entering column moves to its other bound
+                flips += 1
+                self._complement(entering)
+                v = wrow[entering]
+                wrow[entering] = -v
+                wrhs -= v
+            else:
+                pivots += 1
+                if mat[pr][entering] < 0:
+                    self._complement(basis[pr])  # leaves at its upper bound
+                self._pivot(pr, entering)
+                if entering in wrow:
+                    wrow, wrhs, wden = _eliminate(
+                        wrow, wrhs, wden, entering, mat[pr], rhs[pr], den[pr]
+                    )
             if wrhs == 0:
                 self._expel_artificials()
                 return True
-        raise PipelineError("phase-1 simplex exceeded the pivot budget")
+        raise PipelineError(
+            f"phase-1 simplex exceeded the pivot budget: {pivots} pivots"
+            f" and {flips} bound flips over {len(mat)} rows"
+        )
 
 
 def phase1_feasible(num_vars, rows):
@@ -378,11 +447,8 @@ def solve_feasibility(model):
     m = len(centers)
     nbhd = [sorted([v] + graph.neighbors(v)) for v in range(n)]
 
-    tab = Phase1Tableau(m)
+    tab = Phase1Tableau(m, bounded=not soft)  # hard mode: y <= 1 as bounds
     tab.add_row({i: 1 for i in range(m)}, "==", k)
-    if not soft:
-        for i in range(m):
-            tab.add_row({i: 1}, "<=", 1)
 
     # one-client inequalities seeded up front: sum of y over N[v] >= 1.
     # Clients that reach the same centers give the same row, added once.
@@ -425,7 +491,9 @@ def solve_feasibility(model):
         if lhs >= len(w_set) * scale:
             raise PipelineError("separated inequality is not violated; cut logic bug")
         tab.add_row(coefs, ">=", len(w_set))
-    raise PipelineError("cut loop exceeded the round budget")
+    raise PipelineError(
+        f"cut loop exceeded the round budget: {_MAX_ROUNDS} rounds over {len(tab.mat)} rows"
+    )
 
 
 def _lp1_rows(model):

@@ -834,8 +834,10 @@ class TestRandomizedPipeline:
 
 # sha256 over (stretch, certificate, dump_assignment) of round_y on
 # seeded_lp_points(), and of make_safe's certificate on narrow_case; both
-# taken before the text layer was unified and must not move.
-ROUND_Y_SHA256 = "b19590094e11fa062b3d61978e90ea829761e1c1d7ccff25794fbec375ae4b36"
+# taken before the text layer was unified and must not move.  The first
+# was re-recorded when hard mode's y <= 1 became column bounds of the LP
+# tableau, which moves the seeded LP points themselves.
+ROUND_Y_SHA256 = "50fe3483f8d43401364874aaead4998f086fdc6cd2087f8222eb93ea4bc71fa4"
 NARROW_MAKE_SAFE_SHA256 = "c837ca0850ec55124d329e66f7d744ec46ca1acefd7fd7ee008a333baddd88cb"
 
 

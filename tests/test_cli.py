@@ -208,6 +208,9 @@ class TestPinnedFractionalSolve:
 
     The digests were taken with the Fraction metric that preceded the
     integer one; the threshold 9/5 and radius 109/20 are not integers.
+    The certificate was re-recorded when hard mode's y <= 1 became column
+    bounds of the LP tableau: the LP point, and so the rounding steps, moved,
+    while the report, the solution and the LP dump did not.
     """
 
     def test_outputs_are_unchanged(self, tmp_path, capsys):
@@ -230,7 +233,7 @@ class TestPinnedFractionalSolve:
         } == {
             "report": "0f78fa30e9795c3b1009db0e93b0288ae1ac37f54b47fefc2321d3079f0ee008",
             "solution": "5367c4bdbebb7da01efa8f3f282b909219b9025d559ab96235838e85cacf2b80",
-            "certificate": "0d5b9a9536a7d7c6dd2bb713f43bc80dda87bd0295b318e4befd6107f85d7d38",
+            "certificate": "b879ff027021fe12c1f54d91680844508581df6cc7d0bca9058b47749bd50580",
             "lp dump": "203d7751d45483dedf7119ea3d389d289985362855da91159e8adc24a062e992",
         }
 

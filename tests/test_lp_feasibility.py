@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capkc import lp_feasibility
 from capkc.assignment import Assignment, dump_assignment
-from capkc.errors import InputError
+from capkc.errors import InputError, PipelineError
 from capkc.flownet import MaxFlowNetwork, bipartite_flow
 from capkc.graph_core import Graph, threshold_graph
 from capkc.instances import gen_fig1, gen_random_connected
@@ -61,6 +62,48 @@ def rational_systems(rng, count):
                 rows.append((coefs, sense, lhs))
         systems.append((nv, rows))
     return systems
+
+
+def unit_systems(rng, count):
+    """Seeded (num_vars, rows) systems for the unit-bounded tableau.
+
+    Two in three plant a point in [0, 1]^m whose entries are often exactly
+    0 or 1, so the bounds are tight; the rest plant one above 1 or append a
+    row that no x <= 1 meets, so the bounds alone can make them infeasible.
+    """
+    systems = []
+    for _ in range(count):
+        nv = rng.randint(1, 6)
+        kind = rng.randrange(3)
+        top = 2 if kind == 1 else 1
+        point = [rng.choice((F(0), F(1), F(rng.randint(0, 6 * top), 6))) for _ in range(nv)]
+        rows = []
+        for _ in range(rng.randint(1, 8)):
+            coefs = {
+                c: F(rng.randint(-7, 7), rng.randint(1, 3))
+                for c in range(nv)
+                if rng.random() < 0.7
+            }
+            lhs = sum(coefs.get(c, 0) * point[c] for c in range(nv))
+            slack = F(rng.randint(0, 3), rng.randint(1, 3))
+            sense = rng.choice(["<=", ">=", "=="])
+            b = {"<=": lhs + slack, ">=": lhs - slack, "==": lhs}[sense]
+            rows.append((coefs, sense, b))
+        if kind == 2:
+            rows.insert(rng.randint(0, len(rows)), ({rng.randrange(nv): F(2, 3)}, ">=", F(7, 9)))
+        systems.append((nv, rows))
+    return systems
+
+
+def bounded_solve(nv, rows, batches):
+    """A unit-bounded tableau fed rows in batches, solved warm after each."""
+    tab = Phase1Tableau(nv, bounded=True)
+    for batch in batches:
+        for coefs, sense, b in rows[batch]:
+            tab.add_row(coefs, sense, b)
+        if not tab.solve():
+            return None
+    return tab.values()
 
 
 def satisfies(vals, rows):
@@ -201,6 +244,95 @@ class TestPhase1:
             assert phase1_feasible(nv, bad) is None
 
 
+class TestBoundedTableau:
+    """bounded=True holds x <= 1 as column bounds; phase1_feasible with
+    explicit x <= 1 rows is the reference."""
+
+    @pytest.mark.parametrize("bland", [False, True])
+    def test_agrees_with_explicit_bound_rows(self, monkeypatch, bland):
+        seen = {"flip": 0, "upper_leave": 0, "warm_on_flipped": 0, "bland": 0}
+        complement, add_row = Phase1Tableau._complement, Phase1Tableau.add_row
+        entering = lp_feasibility._entering
+
+        def spy_complement(tab, col):
+            # a nonbasic column flips bounds; a basic one leaves at 1
+            seen["upper_leave" if col in tab.basis else "flip"] += 1
+            return complement(tab, col)
+
+        def spy_add_row(tab, coefs, sense, b):
+            seen["warm_on_flipped"] += any(coefs.get(c) for c in tab.flipped)
+            return add_row(tab, coefs, sense, b)
+
+        def spy_entering(wrow, art_cols, bland_rule):
+            seen["bland"] += bland_rule
+            return entering(wrow, art_cols, bland_rule)
+
+        monkeypatch.setattr(Phase1Tableau, "_complement", spy_complement)
+        monkeypatch.setattr(Phase1Tableau, "add_row", spy_add_row)
+        monkeypatch.setattr(lp_feasibility, "_entering", spy_entering)
+        if bland:
+            # Bland's rule after a single degenerate pivot
+            monkeypatch.setattr(lp_feasibility, "_BLAND_AFTER", 1)
+        rng = random.Random(37)
+        verdicts = set()
+        for nv, rows in unit_systems(rng, 300):
+            ref = phase1_feasible(nv, rows + [({c: 1}, "<=", 1) for c in range(nv)])
+            cut = rng.randint(0, len(rows))
+            vals = bounded_solve(nv, rows, [slice(0, cut), slice(cut, None)])
+            verdicts.add(vals is not None)
+            assert (vals is None) == (ref is None)
+            if vals is not None:
+                assert all(0 <= v <= 1 for v in vals)
+                assert satisfies(vals, rows)
+        assert verdicts == {False, True}
+        if not bland:
+            del seen["bland"]
+        assert all(seen.values()), seen
+
+    def test_a_row_on_a_column_at_its_bound(self):
+        # x0 + x1 == 2 puts both columns at 1; the warm row x0 <= 1/2 must
+        # read x0 through its complement and then push x1 past its bound
+        tab = Phase1Tableau(2, bounded=True)
+        tab.add_row({0: 1, 1: 1}, "==", 2)
+        assert tab.solve()
+        assert tab.values() == [1, 1] and tab.flipped
+        tab.add_row({0: 1}, "<=", F(1, 2))
+        assert not tab.solve()
+        tab = Phase1Tableau(2, bounded=True)
+        tab.add_row({0: 1, 1: 1}, "==", F(3, 2))
+        assert tab.solve()
+        tab.add_row({0: 2}, "<=", 1)
+        assert tab.solve()
+        assert tab.values() == [F(1, 2), 1]
+
+
+class TestBudgets:
+    def test_pivot_budget_names_its_counters(self, monkeypatch):
+        def tableau():
+            tab = Phase1Tableau(4, bounded=True)
+            tab.add_row({0: 1, 1: 1, 2: 1, 3: 1}, "==", F(7, 2))
+            tab.add_row({0: 1, 1: 2}, ">=", F(5, 2))
+            tab.add_row({2: 3, 3: 1}, "<=", F(7, 2))
+            return tab
+
+        tab = tableau()
+        assert tab.solve()
+        monkeypatch.setattr(lp_feasibility, "_MAX_PIVOTS", 4)  # bound flips count too
+        with pytest.raises(PipelineError) as err:
+            tableau().solve()
+        assert str(err.value) == (
+            "phase-1 simplex exceeded the pivot budget: 2 pivots and 2 bound flips over 3 rows"
+        )
+
+    def test_round_budget_names_its_counters(self, monkeypatch):
+        monkeypatch.setattr(lp_feasibility, "_MAX_ROUNDS", 2)
+        inst = gen_fig1()[0]
+        model = build_lp1(threshold_graph(inst, 1), list(inst.capacities), 3)
+        with pytest.raises(PipelineError) as err:
+            solve_feasibility(model)
+        assert str(err.value) == "cut loop exceeded the round budget: 2 rounds over 13 rows"
+
+
 class TestSolveFeasibility:
     @pytest.mark.parametrize("method", ["cuts", "dense"])
     def test_single_center_covers_path(self, method):
@@ -258,19 +390,62 @@ class TestSolveFeasibility:
         assert verify_assignment_feasible(g, [4] * 12, 3, a, 1)
         assert solve(g, [4] * 12, 3).feasible
 
-    def test_methods_agree_on_random_instances(self):
-        rng = random.Random(41)
-        checked = 0
-        for _ in range(40):
+    @staticmethod
+    def random_instances(seed=41, count=40):
+        rng = random.Random(seed)
+        for _ in range(count):
             n = rng.randint(2, 7)
             g = rand_connected_graph(rng, n)
             caps = [rng.randint(0, 3) for _ in range(n)]
             k = rng.randint(1, min(n, 4))
+            yield g, caps, k
+
+    def test_methods_agree_on_random_instances(self, monkeypatch):
+        # in hard mode the cut loop holds y <= 1 as column bounds, the dense
+        # reference as rows; some final points sit at a bound, reached by
+        # complementing a column
+        complements = []
+        complement = Phase1Tableau._complement
+        monkeypatch.setattr(
+            Phase1Tableau, "_complement",
+            lambda tab, col: complements.append(col) or complement(tab, col),
+        )
+        checked = at_bound = 0
+        for g, caps, k in self.random_instances():
             r_cuts = solve(g, caps, k, method="cuts")
             r_dense = solve(g, caps, k, method="dense")
             assert r_cuts.feasible == r_dense.feasible
+            if r_cuts.feasible:
+                at_bound += any(q == 1 for q in r_cuts.assignment.y)
             checked += 1
         assert checked == 40
+        assert at_bound >= 10 and complements
+
+    def test_hard_solve_adds_no_bound_row(self, monkeypatch):
+        rows = []
+        add_row = Phase1Tableau.add_row
+
+        def spy(tab, coefs, sense, b):
+            rows.append((tab.bounded, len(coefs), sense))
+            return add_row(tab, coefs, sense, b)
+
+        monkeypatch.setattr(Phase1Tableau, "add_row", spy)
+        for g, caps, k in self.random_instances():
+            solve(g, caps, k)
+        inst = gen_fig1()[0]
+        assert solve(threshold_graph(inst, 1), inst.capacities, 3).feasible
+        assert rows and all(bounded for bounded, _, _ in rows)
+        assert not [row for row in rows if row[1:] == (1, "<=")]
+
+    def test_soft_solve_never_flips_a_column(self, monkeypatch):
+        complements = []
+        monkeypatch.setattr(Phase1Tableau, "_complement", lambda tab, col: complements.append(col))
+        feasible = 0
+        for g, caps, k in self.random_instances(seed=47):
+            r_cuts = solve(g, caps, k + 1, soft=True)
+            assert r_cuts.feasible == solve(g, caps, k + 1, soft=True, method="dense").feasible
+            feasible += r_cuts.feasible
+        assert feasible and complements == []
 
     def test_monotone_in_k_with_positive_capacities(self):
         rng = random.Random(43)
@@ -284,26 +459,28 @@ class TestSolveFeasibility:
 
 
 class TestPinnedOutputs:
-    """Exact y and x of the cut solver, as recorded before the tableau moved
-    to integer rows.  Row scaling keeps every ratio and sign, so the pivot
-    path, and with it the returned point, must not move."""
+    """Exact y and x of the cut solver.  Recorded before the tableau moved
+    to integer rows, whose row scaling keeps every ratio and sign, and
+    re-recorded when hard mode's y <= 1 became column bounds instead of
+    rows: that changes the pivot path, so the point may move, but LP1's
+    feasibility, and with it every threshold, cannot."""
 
     CASES = {
         "fig1": (
             lambda: gen_fig1()[0], 3,
-            "1 1/2 0 0 0 0 1 1/2 0 0 0 0",
-            "1d09c4541075740202124cea342e1c8dabbc7582970dcd0bebaa282c152cc765",
+            "1/2 1 0 0 0 0 1 1/2 0 0 0 0",
+            "a5860f40759c8a90eacee28a14d09a68eb5c96a63f299ddf992af482fb10ac24",
         ),
         "random24": (
             lambda: gen_random_connected(24, 0.5, (1, 4), 9, 5), 9,
-            "1 0 0 3/4 0 1 1/2 1/4 1/6 1 0 0 3/4 1/6 3/4 1 1/3 1/4 0 0 5/6 0 0 1/4",
-            "3f6c5bdd89cc75342885cc6a24f7ba7af9f536df1970b37e6b012815589c314d",
+            "2/3 1/6 0 1 0 1 2/3 0 0 5/6 1/6 0 1 0 1/2 1 0 1/3 1/3 1/3 1 0 0 0",
+            "1a2cab3933094b7a7d667a606d7b0556d00c789b74ab01183ada37d0a54dedf9",
         ),
         "random30": (
             lambda: gen_random_connected(30, 0.5, (2, 5), 9, 3), 9,
-            "31/114 0 0 3/19 1 0 83/114 49/114 1/57 65/114 0 5/6 1 0 1/3 17/114"
-            " 21/38 13/38 0 6/19 0 17/57 0 29/114 17/114 49/114 1 0 0 1/6",
-            "c658c7f498d8feb223fe3959bb9592074f6d6066bb0926b50f053b6242ea2543",
+            "43/118 0 0 0 50/59 9/118 75/118 43/118 0 75/118 9/59 57/59 1 1/2 2/59"
+            " 2/59 75/118 0 0 16/59 9/59 39/118 0 43/118 3/59 43/118 109/118 9/118 0 13/59",
+            "96cf6510728c30609eae5e6f201a134d2154e8fee61993d6dd368c9c8847b6b1",
         ),
     }
 
