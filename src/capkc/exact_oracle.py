@@ -11,14 +11,15 @@ bitmasks.  The enumeration also skips every set under a prefix that,
 together with all later candidates, cannot cover every client.  Neither
 test can reject a feasible set, and the surviving sets keep their
 lexicographic order, so the first feasible set is the same as without
-them.  Deliberately simple and exact; refuses instances whose
-enumeration would exceed ENUMERATION_LIMIT = ten million candidate sets.
+them.  Deliberately simple and exact.
 
-The limit counts center sets, not time.  Every set that survives both
-tests costs one seat flow over all n clients, so an instance under the
-limit can still run for minutes: the 277-vertex hub-sparse benchmark
-instance (25 positive-capacity vertices, k = 18, C(25, 18) = 480,700
-sets) ran for more than four minutes without finishing.
+It refuses an instance whose work bound, the number of candidate sets
+times the n clients, exceeds ENUMERATION_LIMIT = ten million: every set
+that survives both tests costs one seat flow over all n clients.  The
+277-vertex hub-sparse benchmark instance (25 positive-capacity vertices,
+k = 18) has C(25, 18) = 480,700 sets, about 1.3e8 set-client pairs, so
+it is refused at once; counting sets alone let it run for more than four
+minutes without finishing.
 """
 
 import math
@@ -56,11 +57,11 @@ def _solution_from_flow(inst, opened, cutoff):
     )
 
 
-def _refuse_beyond_limit(count):
-    if count > ENUMERATION_LIMIT:
+def _refuse_beyond_limit(count, n):
+    if count * n > ENUMERATION_LIMIT:
         raise InputError(
-            f"exact search would enumerate {count} center sets;"
-            f" refusing beyond {ENUMERATION_LIMIT}"
+            f"exact search would enumerate {count} center sets for {n} clients;"
+            f" refusing beyond {ENUMERATION_LIMIT} set-client pairs"
         )
 
 
@@ -121,12 +122,12 @@ def feasible_at(inst, d, mode=None):
         if k > n:
             return None
         size = min(k, len(candidates))
-        _refuse_beyond_limit(math.comb(len(candidates), size))
+        _refuse_beyond_limit(math.comb(len(candidates), size), n)
     else:
         if not candidates:
             return None
         size = k
-        _refuse_beyond_limit(math.comb(len(candidates) + k - 1, k))
+        _refuse_beyond_limit(math.comb(len(candidates) + k - 1, k), n)
     # client v is within reach of u iff scaled[u][v] <= cutoff, as in seat_flow
     masks = [
         sum(1 << v for v, dist in enumerate(inst.scaled[u]) if dist <= cutoff)

@@ -43,6 +43,15 @@ def check_vertex_count(n):
         raise InputError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
 
 
+def check_capacities(capacities, n):
+    """Refuse a capacity list that is not n nonnegative ints (exit 3)."""
+    if len(capacities) != n:
+        raise InputError("capacity list length mismatch")
+    for v, c in enumerate(capacities):
+        if not isinstance(c, int) or c < 0:
+            raise InputError(f"capacity of vertex {v} must be a nonnegative integer")
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
@@ -224,11 +233,7 @@ class WeightedMetricInstance:
             raise InputError(f"mode must be '{HARD}' or '{SOFT}', got {mode!r}")
         if k < 1:
             raise InputError("k must be >= 1")
-        if len(capacities) != vertex_count:
-            raise InputError("capacity list length mismatch")
-        for v, c in enumerate(capacities):
-            if not isinstance(c, int) or c < 0:
-                raise InputError(f"capacity of vertex {v} must be a nonnegative integer")
+        check_capacities(capacities, vertex_count)
         self.vertex_count = vertex_count
         self.scaled = scaled
         self.scale = scale

@@ -36,7 +36,7 @@ from math import gcd, lcm
 from .assignment import Assignment
 from .errors import InputError, PipelineError
 from .flownet import bipartite_flow
-from .graph_core import INF
+from .graph_core import INF, check_capacities
 from .rational import write_text
 
 _MAX_PIVOTS = 500_000
@@ -65,11 +65,7 @@ def build_lp1(graph, capacities, k, soft=False):
     n = graph.vertex_count
     if n == 0:
         raise InputError("the graph has no vertex")
-    if len(capacities) != n:
-        raise InputError("capacity list length mismatch")
-    for v, c in enumerate(capacities):
-        if not isinstance(c, int) or c < 0:
-            raise InputError(f"capacity of vertex {v} must be a nonnegative integer")
+    check_capacities(capacities, n)
     if k < 1:
         raise InputError("k must be >= 1")
     if not soft and k > n:

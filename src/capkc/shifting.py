@@ -248,23 +248,16 @@ def chain_shift(ctx, assignment, paths):
             raise ValidationError(f"y-flow arc ({u},{w}) spans components")
         d_max = max(d_max, d)
 
-    moves = []
-    for (u, w), fl in arcs.items():
-        if fl == 0:
-            continue
-        denom = ctx.L(u) * y[u]
-        if denom == 0:
-            raise PipelineError(f"arc tail {u} has fl > 0 but no serving capacity")
-        moves.append((u, w, fl / denom))
-    _move_x(assignment, moves)
+    # fl > 0 needs a source with L(s) > 0, so the tail (that source, with
+    # y >= its outflow, or an interior vertex with y = 1 and L >= L(s))
+    # serves: L(u) * y_u > 0
+    _move_x(assignment, [(u, w, fl / (ctx.L(u) * y[u])) for (u, w), fl in arcs.items() if fl])
 
     for s, q in out_at.items():
         y[s] -= q
     for t, q in in_at.items():
         y[t] += q
 
-    if assignment.sum_y() != k_pre:
-        raise PipelineError("chain shift changed the y total")
     if not verify_assignment_feasible(
         graph, ctx.capacities, k_pre, assignment, pre_delta + d_max
     ):

@@ -37,8 +37,9 @@ def ks_independent_set(graph):
     Vertices are scanned in BFS order from vertex 0, which is what makes
     the second property hold: when a vertex is taken, its BFS parent was
     already within two hops of an earlier pick, so every pick lands
-    within three hops of a previous one; graph_core.anchor_tree at reach 3
-    checks it.  Returns the set sorted by id.  Distances are read as
+    within three hops of a previous one; in solve_soft, _fold_tree's
+    anchor tree at reach 3 checks that it spans the set.  Returns the
+    set sorted by id.  Distances are read as
     hops[s][v] from anchor s (the table is symmetric), so only the anchors'
     hop rows are ever built.
     """
@@ -51,22 +52,15 @@ def ks_independent_set(graph):
     for v in bfs(graph.adjacency, 0)[0]:
         if all(hops[s][v] > 2 for s in chosen):
             chosen.append(v)
-    anchors = sorted(chosen)
-    if len(anchor_tree(hops, anchors, 3)[0]) != len(anchors):
-        raise PipelineError("anchor set spread across several G^3 components")
-    return anchors
+    return sorted(chosen)
 
 
 def _anchor_of(hops, anchors, v):
     # Within 1 hop the anchor is unique (anchors are G^2-independent);
     # at exactly 2 hops take the lowest id.
-    near = [s for s in anchors if hops[s][v] <= 1]
-    if near:
-        if len(near) > 1:
-            raise PipelineError(
-                f"anchors {near[0]} and {near[1]} are both adjacent to {v}"
-            )
-        return near[0]
+    for s in anchors:
+        if hops[s][v] <= 1:
+            return s
     for s in anchors:
         if hops[s][v] <= _ANCHOR_REACH:
             return s
@@ -113,9 +107,9 @@ def solve_soft(graph, capacities, k, assignment):
 
     hops = graph.hop_distances()
     anchors = ks_independent_set(graph)
-    if len(anchors) > k:
-        raise PipelineError(f"{len(anchors)} anchors exceed the budget k = {k}")
 
+    # every vertex adds its y to one anchor, so the masses total k; each is
+    # at least 1, so there are at most k anchors
     u = {s: Fraction(0) for s in anchors}
     anchor_of = [_anchor_of(hops, anchors, v) for v in range(n)]
     for v in range(n):
@@ -123,13 +117,10 @@ def solve_soft(graph, capacities, k, assignment):
     for s in anchors:
         if u[s] < 1:
             raise PipelineError(f"anchor {s} gathered only {u[s]} opening mass")
-    if sum(u.values()) != k:
-        raise PipelineError("anchor masses do not add up to k")
 
+    # the fold keeps the total k and leaves every anchor integral
     _fold_tree(hops, anchors, u)
     opened = {s: int(u[s]) for s in anchors if u[s] > 0}
-    if sum(opened.values()) != k:
-        raise PipelineError("integral masses do not add up to k")
 
     # Relocation target: the roomiest vertex within reach, lowest id on ties.
     new_home = {}

@@ -1,9 +1,11 @@
 """Shared test fixtures: random graphs, LP points, chain-shift cases, gadgets, traces."""
 
+import functools
 import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
@@ -88,7 +90,16 @@ def rand_connected_graph(rng, n, extra=None):
 
 
 def seeded_lp_points(seed=1, count=100):
-    """Fractional LP1 points on random connected graphs, capacities in {0..8}."""
+    """Fractional LP1 points on random connected graphs, capacities in {0..8}.
+
+    Solved once per (seed, count); every call gets its own copies of the
+    capacity lists and assignments, so a caller may round them in place.
+    """
+    return [(g, list(caps), k, a.copy()) for g, caps, k, a in _lp_points(seed, count)]
+
+
+@functools.lru_cache(maxsize=None)
+def _lp_points(seed, count):
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -98,8 +109,8 @@ def seeded_lp_points(seed=1, count=100):
         k = rng.randint(2, max(2, n // 2))
         res = solve_feasibility(build_lp1(g, list(caps), k))
         if res.feasible and any(q.denominator != 1 for q in res.assignment.y):
-            out.append((g, caps, k, res.assignment))
-    return out
+            out.append((g, tuple(caps), k, res.assignment))
+    return tuple(out)
 
 
 def two_hub_gadget(offset=0):
@@ -185,3 +196,20 @@ def rand_chain_case(rng):
     if not paths:
         return None
     return graph, caps, a, paths
+
+
+class Refused:
+    """An input-check case's expected outcome: `error` with a message matching `match`."""
+
+    def __init__(self, error, match):
+        self.error = error
+        self.match = match
+
+
+def assert_outcome(call, expected):
+    """call() raises as a Refused expects, or returns `expected` (a False or [] result)."""
+    if isinstance(expected, Refused):
+        with pytest.raises(expected.error, match=expected.match):
+            call()
+    else:
+        assert call() == expected

@@ -14,7 +14,7 @@ from capkc.assignment import (
 from capkc.errors import InputError, PipelineError
 from capkc.graph_core import Graph
 
-from helpers import with_comments
+from helpers import Refused, assert_outcome, with_comments
 
 
 def small():
@@ -142,3 +142,26 @@ class TestAssignmentIO:
     def test_parse_rejections(self, bad):
         with pytest.raises(InputError):
             parse_assignment_text(bad, 3)
+
+
+def across(u, v):
+    """An assignment over two vertices with x[u, v] = 1."""
+    a = Assignment(2)
+    a.set_x(u, v, Fraction(1))
+    return a
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            (lambda: Assignment(2, y=[1]), Refused(InputError, "y length mismatch")),
+            (
+                lambda: global_delta(across(0, 1), Graph(2, [])),
+                Refused(PipelineError, r"x\[0,1\] > 0 across components"),
+            ),
+        ],
+        ids=["y-length", "delta-across-components"],
+    )
+    def test_check(self, call, expected):
+        assert_outcome(call, expected)

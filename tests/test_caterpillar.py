@@ -3,6 +3,7 @@ import inspect
 import random
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -26,6 +27,8 @@ from capkc.lp_feasibility import build_lp1, solve_feasibility, verify_assignment
 from capkc.shifting import RoundingContext, chain_shift, replay_trace
 
 from helpers import (
+    Refused,
+    assert_outcome,
     path_graph,
     rand_connected_graph,
     seeded_lp_points,
@@ -33,6 +36,7 @@ from helpers import (
     two_hub_gadget,
     two_hub_witness,
 )
+from rounding_scenarios import SCENARIOS, scenario
 
 
 F = Fraction
@@ -606,14 +610,13 @@ class TestRoundingFlowBranches:
         assert flow == paths
 
 
-def random_safe_slot_structures(rng, count):
-    """`count` safe slot_structure inputs: p in 1..7, capacities in 1..6, tenths of y.
+def random_slot_structures(rng):
+    """Endless slot_structure inputs: p in 1..7, capacities in 1..6, tenths of y.
 
     Each slot is live with probability 3/4, a middle leaf no bigger than its
     anchor; the last live leaf's y makes the leaf total an integer.
     """
-    out = []
-    while len(out) < count:
+    while True:
         p = rng.randint(1, 7)
         spine_caps = tuple(rng.randint(1, 6) for _ in range(p))
         leaf_caps = tuple(
@@ -629,10 +632,40 @@ def random_safe_slot_structures(rng, count):
         leaf_y[live[-1]] = -sum(leaf_y[j] for j in live[:-1]) % 1
         if leaf_y[live[-1]] == 0:
             continue
-        cat, a, caps = slot_structure(spine_caps, leaf_caps, leaf_y)
+        yield spine_caps, leaf_caps, tuple(leaf_y)
+
+
+def random_safe_slot_structures(rng, count):
+    """The first `count` safe structures of random_slot_structures(rng)."""
+    out = []
+    for spine_caps, leaf_caps, leaf_y in random_slot_structures(rng):
+        cat, _, caps = slot_structure(spine_caps, leaf_caps, leaf_y)
         if is_safe(cat, caps):
-            out.append((spine_caps, leaf_caps, tuple(leaf_y)))
-    return out
+            out.append((spine_caps, leaf_caps, leaf_y))
+            if len(out) == count:
+                return out
+
+
+def hub_served(cat, a, caps):
+    """The slot structure's context, with one more vertex, a hub that serves what leaves lack.
+
+    The spine is a path, each leaf hangs from its anchor and the hub (y = 1,
+    capacity n) is adjacent to every vertex: spine vertices serve
+    themselves, a leaf u serves y_u of itself and the hub the rest, so the
+    assignment is feasible at distance 1.
+    """
+    n = len(caps)
+    edges = [(v, v + 1) for v in range(cat.p - 1)] + [(v, n) for v in range(n)]
+    edges += [(u, cat.anchor(j)) for j, u in enumerate(cat.leaves) if u is not None]
+    hubbed = Assignment(n + 1, y=[*a.y, F(1)])
+    hubbed.set_x(n, n, F(1))
+    for v in cat.spine:
+        hubbed.set_x(v, v, F(1))
+    for u in cat.leaves:
+        if u is not None:
+            hubbed.set_x(u, u, a.y[u])
+            hubbed.set_x(n, u, 1 - a.y[u])
+    return RoundingContext(Graph(n + 1, edges), [*caps, n]), hubbed
 
 
 # sha256 over (spine_caps, leaf_caps, leaf_y, flow) of build_rounding_flow on
@@ -675,6 +708,102 @@ class TestPinnedRoundingFlow:
             digest.update(f"{(spine_caps, leaf_caps, leaf_y, flow)!r}\n".encode())
         assert all(seen.values()), seen
         assert digest.hexdigest() == ROUNDING_FLOW_SHA256
+
+
+# ---------------------------------------------------------------------------
+# facts the rounding moves rely on
+
+
+def rounding_inputs():
+    """(graph, capacities, k, assignment): the seeded LP points, the rare scenarios, wide."""
+    yield from seeded_lp_points()
+    for name in SCENARIOS:
+        yield scenario(name)
+    ctx, a, _ = wide_case()
+    yield ctx.graph, list(ctx.capacities), 11, a
+
+
+def rounded_under(monkeypatch, name, spy):
+    """Round with caterpillar.<name> wrapped by spy(inner, *args).
+
+    round_y runs on every rounding input, make_safe on narrow_case, and
+    separate then make_safe on 3,000 random slot structures, hub-served.
+    """
+    inner = getattr(caterpillar, name)
+    monkeypatch.setattr(caterpillar, name, lambda *args: spy(inner, *args))
+    for g, caps, k, a in rounding_inputs():
+        round_y(RoundingContext(g, caps), a, k)
+    ctx, a, cat = narrow_case()
+    make_safe(ctx, a, [cat])
+    for structure in islice(random_slot_structures(random.Random(5)), 3000):
+        cat, a, caps = slot_structure(*structure)
+        ctx, a = hub_served(cat, a, caps)
+        make_safe(ctx, a, separate(ctx, a, cat))
+
+
+class TestRoundingMoveFacts:
+    # facts that the rounding moves rely on without re-checking them
+
+    def test_anchors_saturate_from_disjoint_neighbourhoods(self, monkeypatch):
+        # each pick claims its 2-ball, so two picks are 3 or more hops apart:
+        # every anchor fills from its own pick's closed neighbourhood (its
+        # donors lie within 2 hops of it and of each other), and no vertex
+        # serves two anchors
+        fills = {}  # anchor -> itself and its donors
+        shift = caterpillar.shift
+
+        def spy(ctx, assignment, u, f, alpha):
+            fills.setdefault(f, {f}).add(u)
+            shift(ctx, assignment, u, f, alpha)
+
+        monkeypatch.setattr(caterpillar, "shift", spy)
+        filled = 0
+        for g, caps, _, a in rounding_inputs():
+            fills.clear()
+            cat = build_caterpillar(RoundingContext(g, caps), a)
+            hops = g.hop_distances()
+            assert len(set(cat.spine)) == cat.p and set(fills) <= set(cat.spine)
+            assert all(a.y[f] == 1 for f in cat.spine)
+            balls = list(fills.values())
+            for i, ball in enumerate(balls):
+                assert all(hops[u][v] <= 2 for u in ball for v in ball)
+                assert all(not ball & other for other in balls[i + 1 :])
+            filled += len(balls)
+        assert filled >= 100
+
+    def test_pushes_fit_the_headroom_of_the_leaves_they_walk(self, monkeypatch):
+        # _split_at pushes ceil(s2) - s2 <= s1 (the witness clause) into the
+        # leaves right of v_i, _defuse min(1, headroom) into all of them
+        pushes = {"split": [], "defuse": []}
+
+        def spy(inner, ctx, assignment, cat, i, slots, amount):
+            cap = ctx.capacities[cat.vertex(i)]
+            live = [cat.leaves[j] for j in slots if cat.leaves[j] is not None]
+            room = sum((1 - assignment.y[u] for u in live if ctx.capacities[u] > cap), F(0))
+            caller = "defuse" if slots == range(cat.p + 2) else "split"
+            pushes[caller].append((amount, room))
+            return inner(ctx, assignment, cat, i, slots, amount)
+
+        rounded_under(monkeypatch, "_push_to_leaves", spy)
+        assert len(pushes["split"]) >= 1000 and len(pushes["defuse"]) >= 20
+        for amount, room in pushes["split"] + pushes["defuse"]:
+            assert 0 < amount <= room
+
+    def test_regroups_take_distinct_vertices_and_leave_one_fractional(self, monkeypatch):
+        groups = []
+
+        def spy(inner, ctx, assignment, group):
+            members = [u for u in group if u is not None]
+            left = inner(ctx, assignment, group)
+            frac = [u for u in members if 0 < assignment.y[u] < 1]
+            groups.append((members, frac, left))
+            return left
+
+        rounded_under(monkeypatch, "_regroup", spy)
+        assert len(groups) >= 100
+        for members, frac, left in groups:
+            assert len(set(members)) == len(members)
+            assert frac == ([] if left is None else [left])
 
 
 # ---------------------------------------------------------------------------
@@ -893,3 +1022,35 @@ class TestPinnedRounding:
         out = make_safe(ctx, a, [cat])
         text = f"{out!r}\n{trace_text(trace)}{dump_assignment(a)}"
         assert hashlib.sha256(text.encode()).hexdigest() == NARROW_MAKE_SAFE_SHA256
+
+
+# ---------------------------------------------------------------------------
+# checks on caller input
+
+
+def integral_unserved():
+    """A two-vertex path with y = (1, 0) and no x: the total is 1, yet nobody is served."""
+    a = Assignment(2)
+    a.y[0] = F(1)
+    return RoundingContext(path_graph(2), [1, 1]), a
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            (lambda: separate(*integral_unserved(), Caterpillar(1, (), (None, None))), []),
+            (
+                lambda: round_y(RoundingContext(path_graph(2), [1, 1]), Assignment(2), 0),
+                Refused(ValidationError, "k must be at least 1"),
+            ),
+            (
+                # integral y: without the check round_y would return at once
+                lambda: round_y(*integral_unserved(), 1),
+                Refused(ValidationError, "not feasible at distance 1"),
+            ),
+        ],
+        ids=["separate-spineless", "round-y-k-below-one", "round-y-infeasible-at-one"],
+    )
+    def test_check(self, call, expected):
+        assert_outcome(call, expected)

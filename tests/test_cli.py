@@ -451,6 +451,13 @@ class TestOracle:
         assert main(["oracle", str(inst), "--radius", "fast"]) == 3
         assert "bad --radius" in capsys.readouterr().err
 
+    def test_work_beyond_the_limit_is_refused(self, tmp_path, capsys):
+        # 5,852,925 center sets, under ten million, times 30 clients is not
+        inst = path_instance(tmp_path, [1] * 30, 8)
+        assert main(["oracle", str(inst)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "5852925 center sets for 30 clients" in err
+
 
 class TestParserIsBuiltOnce:
     """main reuses one parser; no call may see another call's options."""

@@ -1,5 +1,6 @@
 """Brute-force oracle: golden answers, enumeration order, refusal guard, set filter."""
 
+import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, groupby
 from unittest import mock
@@ -15,7 +16,14 @@ from capkc.graph_core import HARD, SOFT, WeightedMetricInstance, candidate_radii
 from capkc.instances import gen_fig1, gen_random_connected
 from capkc.x_rounding import Solution, format_solution, seat_flow, validate_solution
 
-from helpers import METRIC_SETTINGS, exact_metric, radii_and_midpoints, weighted_graphs
+from helpers import (
+    METRIC_SETTINGS,
+    Refused,
+    assert_outcome,
+    exact_metric,
+    radii_and_midpoints,
+    weighted_graphs,
+)
 
 
 def line_instance(caps, k, mode=HARD):
@@ -60,6 +68,19 @@ class TestFeasibleAt:
         with pytest.raises(InputError, match="refusing beyond"):
             feasible_at(inst, 1)
         assert ENUMERATION_LIMIT == 10**7
+
+    def test_refuses_by_sets_times_clients(self):
+        # C(30, 8) = 5,852,925 sets fit under ten million, but each may cost
+        # a seat flow over all 30 clients: about 1.8e8 set-client pairs
+        sets = math.comb(30, 8)
+        assert sets <= ENUMERATION_LIMIT < sets * 30
+        with pytest.raises(InputError, match=f"{sets} center sets for 30 clients"):
+            feasible_at(line_instance([1] * 30, 8), 1)
+
+    def test_limit_bounds_the_product(self):
+        exact_oracle._refuse_beyond_limit(ENUMERATION_LIMIT // 16, 16)
+        with pytest.raises(InputError, match="refusing beyond 10000000 set-client pairs"):
+            exact_oracle._refuse_beyond_limit(ENUMERATION_LIMIT // 16 + 1, 16)
 
 
 class TestExactOpt:
@@ -230,3 +251,18 @@ class TestFilterAndPruneAreExact:
         got = list(_covering_sets(CountedMasks(masks), seats, size, step, full, need))
         assert got == want
         assert len(reads) == m + entered
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            (
+                lambda: feasible_at(line_instance([1, 1], 1), 1, mode="both"),
+                Refused(InputError, "unknown mode 'both'"),
+            ),
+        ],
+        ids=["unknown-mode"],
+    )
+    def test_check(self, call, expected):
+        assert_outcome(call, expected)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from capkc.errors import PipelineError
 from capkc.flownet import MaxFlowNetwork, bipartite_flow
 
+from helpers import Refused, assert_outcome
+
 
 def reference_max_flow(n, edges, s, t):
     """Plain BFS augmenting-path max flow, kept independent of the real code."""
@@ -291,3 +293,18 @@ class TestNegativeCapacity:
             bipartite_flow(*inputs)
         # every reverse arc laid out so far is empty: nothing crossed
         assert nets and all(c == 0 for c in nets[-1].cap[1::2])
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            (
+                lambda: MaxFlowNetwork(2).max_flow(0, 0),
+                Refused(PipelineError, "source equals sink"),
+            ),
+        ],
+        ids=["source-is-sink"],
+    )
+    def test_check(self, call, expected):
+        assert_outcome(call, expected)

@@ -13,6 +13,7 @@ from capkc.exact_oracle import feasible_at
 from capkc.instances import gen_fig1, gen_gap_construction, gen_x3c
 from capkc.x_rounding import validate_solution
 from capkc.graph_core import (
+    HARD,
     Graph,
     INF,
     MAX_VERTICES,
@@ -30,6 +31,8 @@ from capkc.graph_core import (
 
 from helpers import (
     METRIC_SETTINGS,
+    Refused,
+    assert_outcome,
     exact_metric,
     pq_weights,
     radii_and_midpoints,
@@ -668,3 +671,67 @@ class TestFeasibleAtIsMonotone:
                     inst.scaled, inst.capacities, k, sol, soft=mode == "soft", scale=inst.scale
                 )
         assert answers == sorted(answers), list(zip(radii, answers))
+
+
+def instance(scaled=((0,),), capacities=(1,), k=1, mode=HARD):
+    return WeightedMetricInstance(
+        len(scaled), [list(row) for row in scaled], 1, list(capacities), k, mode, []
+    )
+
+
+def from_edges(edges, n=2):
+    return WeightedMetricInstance.from_weighted_edges(n, edges, [1] * n, 1, HARD)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            (lambda: Graph(-1, []), Refused(InputError, "vertex_count must be nonnegative")),
+            (lambda: instance(mode="both"), Refused(InputError, "mode must be 'hard' or 'soft'")),
+            (lambda: instance(k=0), Refused(InputError, "k must be >= 1")),
+            (
+                lambda: instance(capacities=(1, 1)),
+                Refused(InputError, "capacity list length mismatch"),
+            ),
+            (
+                lambda: instance(capacities=(-1,)),
+                Refused(InputError, "capacity of vertex 0 must be a nonnegative integer"),
+            ),
+            (lambda: from_edges([(0, 0, 1)]), Refused(InputError, "self-loop at vertex 0")),
+            (lambda: from_edges([(0, 2, 1)]), Refused(InputError, r"edge \(0,2\) out of range")),
+            (
+                lambda: from_edges([(0, 1, -1)]),
+                Refused(InputError, r"negative edge weight on \(0,1\)"),
+            ),
+            (
+                lambda: WeightedMetricInstance.from_distance_matrix([[1]], [1], 1, HARD),
+                Refused(InputError, r"d\(0,0\) must be 0"),
+            ),
+            (
+                lambda: WeightedMetricInstance.from_distance_matrix(
+                    [[0, -1], [-1, 0]], [1, 1], 1, HARD
+                ),
+                Refused(InputError, r"negative distance at \(0,1\)"),
+            ),
+            (
+                lambda: threshold_graph(instance(), -1),
+                Refused(InputError, "threshold radius must be >= 0"),
+            ),
+        ],
+        ids=[
+            "negative-vertex-count",
+            "unknown-mode",
+            "k-below-one",
+            "capacity-count",
+            "negative-capacity",
+            "self-loop",
+            "edge-out-of-range",
+            "negative-weight",
+            "nonzero-diagonal",
+            "negative-distance",
+            "negative-threshold",
+        ],
+    )
+    def test_check(self, call, expected):
+        assert_outcome(call, expected)

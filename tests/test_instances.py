@@ -75,9 +75,12 @@ class TestGapConstruction:
             assert inst.capacities[v] == (23 if v in keep else 0)
 
     def test_witness_total_is_exactly_k(self):
-        for k in (24, 25, 30):
+        # for every k that gap_layout takes (24..46) the padding's deficit
+        # fits the hubs' headroom, so the witness totals k with every y in [0, 1]
+        for k in range(24, 47):
             _, w = gen_gap_construction(k)
             assert w.sum_y() == k
+            assert all(0 <= q <= 1 for q in w.y)
 
     def test_witness_padding_fills_in_id_order(self):
         _, w = gen_gap_construction(24)

@@ -24,7 +24,14 @@ from capkc.lp_feasibility import (
     verify_assignment_feasible,
 )
 
-from helpers import path_graph, rand_connected_graph, two_hub_gadget, two_hub_witness
+from helpers import (
+    Refused,
+    assert_outcome,
+    path_graph,
+    rand_connected_graph,
+    two_hub_gadget,
+    two_hub_witness,
+)
 
 F = Fraction
 
@@ -669,3 +676,34 @@ class TestLpDump:
         # model lacks; with a vertex every dumped row holds a term
         with pytest.raises(InputError, match="no vertex"):
             build_lp1(Graph(0, []), [], k, soft)
+
+
+def serves_both(n):
+    """An n-vertex assignment whose vertex 0 opens once and serves vertices 0 and 1."""
+    a = Assignment(n)
+    a.y[0] = Fraction(1)
+    a.set_x(0, 0, Fraction(1))
+    a.set_x(0, 1, Fraction(1))
+    return a
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            (
+                lambda: Phase1Tableau(1).add_row({0: Fraction(1)}, "<", Fraction(1)),
+                Refused(PipelineError, "bad sense '<'"),
+            ),
+            # the point meets LP1 on the path 0 - 1, but it has a third vertex
+            (
+                lambda: verify_assignment_feasible(path_graph(2), [2, 2], 1, serves_both(3), 1),
+                False,
+            ),
+            # nothing to serve, so only the delta check refuses
+            (lambda: verify_assignment_feasible(Graph(0, []), [], 0, Assignment(0), -1), False),
+        ],
+        ids=["bad-sense", "vertex-count", "negative-delta"],
+    )
+    def test_check(self, call, expected):
+        assert_outcome(call, expected)

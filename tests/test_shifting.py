@@ -16,7 +16,14 @@ from capkc.shifting import (
     validate_yflow,
 )
 
-from helpers import path_graph, rand_chain_case, seeded_lp_points, trace_text
+from helpers import (
+    Refused,
+    assert_outcome,
+    path_graph,
+    rand_chain_case,
+    seeded_lp_points,
+    trace_text,
+)
 
 
 F = Fraction
@@ -326,6 +333,25 @@ class TestChainShift:
             chain_shift(ctx, a, [(F(1, 2), (0, 2, 3, 6))])
         assert a.y == before.y and a.x == before.x
 
+    def test_every_loaded_arc_tail_serves(self):
+        # chain_shift divides each arc's flow fl > 0 by L(u) * y_u of its tail
+        # u: the source (y at least its outflow) or an interior vertex (y = 1,
+        # L at least the source's), so with fl > 0 that product is positive
+        rng = random.Random(29)
+        loaded = 0
+        for _ in range(400):
+            case = rand_chain_case(rng)
+            if case is None:
+                continue
+            graph, caps, a, paths = case
+            arcs, _, _ = validate_yflow(RoundingContext(graph, caps), a, paths)
+            for (u, _), fl in arcs.items():
+                assert fl >= 0
+                if fl:
+                    assert caps[u] * a.y[u] > 0
+                    loaded += 1
+        assert loaded >= 400
+
     def test_random_flows_keep_lp_constraints(self):
         rng = random.Random(23)
         ran = 0
@@ -451,3 +477,33 @@ class TestTraceReplay:
         group_shift(ctx, a, [0, 1, 2])
         replayed = replay_trace(ctx, start, trace_text(ctx.trace))
         assert replayed.y == a.y
+
+
+def two_apart():
+    """Two isolated vertices with y = (1/2, 0); vertex 0 serves half of itself."""
+    a = Assignment(2, y=[F(1, 2), F(0)])
+    a.set_x(0, 0, F(1, 2))
+    return RoundingContext(Graph(2, []), [1, 1]), a
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            (
+                lambda: RoundingContext(path_graph(2), [1]),
+                Refused(ValidationError, "capacity list length mismatch"),
+            ),
+            (
+                lambda: shift(*two_apart(), 1, 0, F(1, 2)),
+                Refused(ValidationError, "shift source 1 has no y mass"),
+            ),
+            (
+                lambda: chain_shift(*two_apart(), [(F(1, 2), (0, 1))]),
+                Refused(ValidationError, r"y-flow arc \(0,1\) spans components"),
+            ),
+        ],
+        ids=["capacity-count", "empty-shift-source", "arc-across-components"],
+    )
+    def test_check(self, call, expected):
+        assert_outcome(call, expected)

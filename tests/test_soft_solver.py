@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from capkc import soft_solver
 from capkc.assignment import Assignment
 from capkc.errors import PipelineError, ValidationError
 from capkc.graph_core import Graph
@@ -12,7 +13,7 @@ from capkc.lp_feasibility import build_lp1, solve_feasibility
 from capkc.soft_solver import _fold_tree, ks_independent_set, solve_soft
 from capkc.x_rounding import validate_solution
 
-from helpers import path_graph, rand_connected_graph
+from helpers import Refused, assert_outcome, path_graph, rand_connected_graph
 
 
 class TestAnchorSet:
@@ -61,6 +62,18 @@ class TestFoldTree:
         u = {0: Fraction(1, 2), 3: Fraction(1), 6: Fraction(1, 2)}
         _fold_tree(path_graph(7).hop_distances(), anchors, u)
         assert u == {0: 1, 3: 1, 6: 0}
+
+    def test_random_folds_keep_the_total_and_end_integral(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            g = rand_connected_graph(rng, rng.randint(2, 16))
+            anchors = ks_independent_set(g)
+            u = {s: Fraction(rng.randint(0, 12), rng.randint(1, 6)) for s in anchors}
+            u[anchors[-1]] += -sum(u.values()) % 1  # an integral total
+            total = sum(u.values())
+            _fold_tree(g.hop_distances(), anchors, u)
+            assert sum(u.values()) == total
+            assert all(q.denominator == 1 and q >= 0 for q in u.values())
 
     def test_anchors_out_of_reach_are_rejected(self):
         u = {0: Fraction(1), 4: Fraction(1)}
@@ -132,7 +145,18 @@ class TestSolveSoft:
         with pytest.raises(ValidationError, match="not feasible"):
             solve_soft(g, [1, 1, 1], 3, a)
 
-    def test_random_lp_solutions_round_within_eleven(self):
+    def test_random_lp_solutions_round_within_eleven(self, monkeypatch):
+        # each vertex adds its y to one anchor, so the anchor masses total k,
+        # each at least 1 (so at most k anchors), and the fold keeps the total
+        folds = []
+        fold = soft_solver._fold_tree
+
+        def spy(hops, anchors, u):
+            gathered = dict(u)
+            fold(hops, anchors, u)
+            folds.append((gathered, dict(u)))
+
+        monkeypatch.setattr(soft_solver, "_fold_tree", spy)
         rng = random.Random(57)
         done = 0
         while done < 12:
@@ -150,3 +174,22 @@ class TestSolveSoft:
             validate_solution(g.hop_distances(), caps, k, sol, soft=True)
             assert sol.radius <= 11
             assert sol.open_count() == k
+            gathered, folded = folds[-1]
+            assert len(gathered) <= k and all(q >= 1 for q in gathered.values())
+            assert sum(gathered.values()) == sum(folded.values()) == k
+            assert all(q.denominator == 1 for q in folded.values())
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            (
+                lambda: ks_independent_set(Graph(0, [])),
+                Refused(ValidationError, "anchor selection needs a non-empty graph"),
+            ),
+        ],
+        ids=["empty-graph"],
+    )
+    def test_check(self, call, expected):
+        assert_outcome(call, expected)

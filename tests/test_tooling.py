@@ -1,5 +1,6 @@
-"""Packaging: the `python -m capkc` entry point, every exported name, the README."""
+"""Packaging: the `python -m capkc` entry point, exported names, imports, the README."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -53,3 +54,56 @@ class TestReadme:
         assert blocks
         for i, block in enumerate(blocks):
             exec(compile(block, f"README.md python block {i}", "exec"), {})
+
+
+def unread_imports(text):
+    """Names the module text imports but never reads, with their line numbers.
+
+    A name listed in the module's literal __all__ counts as read, and so
+    does every name of an import line marked `# noqa: F401`; __future__
+    imports are skipped.
+    """
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    imported = {}
+    exported = set()
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= {elt.value for elt in node.value.elts}
+    return sorted(
+        (line, name) for name, line in imported.items() if name not in read | exported
+    )
+
+
+class TestImports:
+    def test_no_src_module_imports_a_name_it_never_reads(self):
+        unused = [
+            f"{path.name}:{line}: {name}"
+            for path in sorted((SRC / "capkc").glob("*.py"))
+            for line, name in unread_imports(path.read_text("utf-8"))
+        ]
+        assert unused == []
+
+    def test_an_unread_import_is_found(self):
+        text = (
+            "from __future__ import annotations\n"
+            "import os\n"
+            "import sys  # noqa: F401\n"
+            "from math import gcd, lcm\n"
+            "from json import dumps\n"
+            "__all__ = ['dumps']\n"
+            "print(gcd(4, 6))\n"
+        )
+        assert unread_imports(text) == [(2, "os"), (4, "lcm")]

@@ -1,11 +1,13 @@
 """Uniform-capacity infeasibility witnesses and their soundness."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from capkc import uniform_witness
 from capkc.errors import InputError
 from capkc.graph_core import Graph
 from capkc.lp_feasibility import build_lp1, solve_feasibility
@@ -18,7 +20,14 @@ from capkc.uniform_witness import (
     write_witness,
 )
 
-from helpers import METRIC_SETTINGS, path_graph, rand_connected_graph, with_comments
+from helpers import (
+    METRIC_SETTINGS,
+    Refused,
+    assert_outcome,
+    path_graph,
+    rand_connected_graph,
+    with_comments,
+)
 
 
 class TestVerify:
@@ -156,3 +165,26 @@ class TestWitnessFormat:
     def test_malformed_line_is_named(self, text, message):
         with pytest.raises(InputError, match=f"^{message}$"):
             parse_witness_text(text)
+
+
+def greedy_search_without_verifier(capacity):
+    """greedy_witness_search with the verifier, which repeats its capacity check, disabled."""
+    with mock.patch.object(
+        uniform_witness, "verify_uniform_witness", side_effect=AssertionError("verifier reached")
+    ):
+        return greedy_witness_search(path_graph(3), capacity, 1)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            (
+                lambda: greedy_search_without_verifier(0),
+                Refused(InputError, "uniform capacity must be at least 1, got 0"),
+            ),
+        ],
+        ids=["capacity-zero"],
+    )
+    def test_check(self, call, expected):
+        assert_outcome(call, expected)

@@ -15,6 +15,7 @@ from capkc.caterpillar import round_y
 from capkc.x_rounding import (
     Solution,
     format_solution,
+    open_unused,
     parse_solution_text,
     read_solution,
     round_x,
@@ -23,7 +24,14 @@ from capkc.x_rounding import (
     write_solution,
 )
 
-from helpers import rand_connected_graph, two_hub_gadget, two_hub_witness, with_comments
+from helpers import (
+    Refused,
+    assert_outcome,
+    rand_connected_graph,
+    two_hub_gadget,
+    two_hub_witness,
+    with_comments,
+)
 
 
 def hard_assignment(n, ones):
@@ -280,3 +288,18 @@ class TestSolutionFormat:
         text = "# cert\n\nsolution 1 0\ncenter 0 1  # hub\nassign 0 0\n"
         back = parse_solution_text(text)
         assert back.centers == {0: 1}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            (
+                lambda: open_unused(Solution(k=1, radius=0, centers={0: 1}, phi=(0,)), 2),
+                Refused(InputError, "cannot open 2 distinct centers on 1 vertices"),
+            ),
+        ],
+        ids=["too-few-vertices"],
+    )
+    def test_check(self, call, expected):
+        assert_outcome(call, expected)
