@@ -383,30 +383,35 @@ def phase1_feasible(num_vars, rows):
 def verify_assignment_feasible(graph, capacities, k, assignment, delta, soft=False):
     """True iff the assignment meets LP1 with every x entry within delta hops.
 
-    y and x are put over their one common denominator, scale, first, so
-    every test runs on ints, both sides scale times the rational ones.
+    Each y and x value's (numerator, denominator) is read once; scale is
+    the lcm of the distinct denominators, and every value is put over it
+    by one multiplication with scale // denominator, so every test runs on
+    ints, both sides scale times the rational ones.
     """
     n = graph.vertex_count
     if assignment.vertex_count != n or delta < 0:
         return False
-    y, xs = assignment.y, assignment.x
-    scale = lcm(
-        *(q.denominator for q in y),
-        *(q.denominator for row in xs.values() for q in row.values()),
-    )
-    ys = [q.numerator * (scale // q.denominator) for q in y]
+    xs = assignment.x
+    y_ratios = [q.as_integer_ratio() for q in assignment.y]
+    x_ratios = [q.as_integer_ratio() for row in xs.values() for q in row.values()]
+    dens = {d for _, d in y_ratios}
+    dens.update(d for _, d in x_ratios)
+    scale = lcm(*dens)
+    factor = {d: scale // d for d in dens}
+    ys = [p * factor[d] for p, d in y_ratios]
     if any(q < 0 for q in ys) or (not soft and any(q > scale for q in ys)):
         return False
     if sum(ys) != k * scale:
         return False
     hops = graph.hop_distances()
     client_total = [0] * n
+    ratios = iter(x_ratios)
     for u, row in xs.items():
         yu = ys[u]
         load = 0
         hu = hops[u]
-        for v, q in row.items():
-            q = q.numerator * (scale // q.denominator)
+        for v, (p, d) in zip(row, ratios):
+            q = p * factor[d]
             if q <= 0 or q > yu:
                 return False
             d = hu[v]

@@ -6,6 +6,9 @@ source and sink sets are the path starts and ends.  A shift of alpha from a
 to b is the one-arc y-flow (alpha, (a, b)): in every primitive x follows y
 in proportion, through one transfer (_move_x), and every step writes its
 certificate line, with the delta it leaves, through one recorder (_record).
+The transfer nets its amounts on int (numerator, denominator) pairs and
+builds one Fraction per x entry it changes; verify_assignment_feasible,
+which chain_shift calls after every move, checks LP1 on ints too.
 
 Every primitive re-checks its algebraic laws after mutating (exact rational
 comparisons, zero tolerance); a failed law is a PipelineError because only a
@@ -16,6 +19,7 @@ violated clause.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .assignment import global_delta, radius_of
 from .errors import PipelineError, ValidationError
@@ -51,19 +55,40 @@ def _move_x(assignment, moves):
     """For each (u, w, share), move share of u's pre-state x row to w.
 
     Every amount is read before any is applied (x rows are read in place).
-    The net changes are applied in insertion order: every reader of x either
+    The amounts are netted on ints: share * q is the pair (share.numerator
+    * q.numerator, share.denominator * q.denominator), and each (p, v)
+    sums its pairs as one numerator over the lcm of their denominators.
+    Each nonzero net change then costs one Fraction, old value plus net,
+    applied through set_x in insertion order: every reader of x either
     sorts it (x_items) or folds it with max or exact sums, so the order of
     x's rows and entries reaches no output.
     """
     net = {}
     for u, w, share in moves:
+        sn, sd = share.as_integer_ratio()
         for v, q in assignment.x_row(u).items():
-            amt = share * q
-            net[(u, v)] = net.get((u, v), Fraction(0)) - amt
-            net[(w, v)] = net.get((w, v), Fraction(0)) + amt
-    for (p, v), dq in net.items():
-        if dq != 0:
-            assignment.add_x(p, v, dq)
+            qn, qd = q.as_integer_ratio()
+            num, den = sn * qn, sd * qd
+            _net_add(net, (u, v), -num, den)
+            _net_add(net, (w, v), num, den)
+    for (p, v), (num, den) in net.items():
+        if num:
+            on, od = assignment.x_row(p).get(v, 0).as_integer_ratio()
+            assignment.set_x(p, v, Fraction(on * den + num * od, od * den))
+
+
+def _net_add(net, key, num, den):
+    """Add num / den to net[key], a (numerator, denominator) pair of ints."""
+    old = net.get(key)
+    if old is None:
+        net[key] = (num, den)
+        return
+    n0, d0 = old
+    if d0 == den:
+        net[key] = (n0 + num, den)
+    else:
+        m = lcm(d0, den)
+        net[key] = (n0 * (m // d0) + num * (m // den), m)
 
 
 def _record(ctx, assignment, step, paths=()):

@@ -57,14 +57,12 @@ def ks_independent_set(graph):
 
 def _anchor_of(hops, anchors, v):
     # Within 1 hop the anchor is unique (anchors are G^2-independent);
-    # at exactly 2 hops take the lowest id.
+    # at exactly 2 hops take the lowest id.  ks_independent_set is maximal
+    # in G^2, so some anchor is within 2 hops; min raises ValueError if not.
     for s in anchors:
         if hops[s][v] <= 1:
             return s
-    for s in anchors:
-        if hops[s][v] <= _ANCHOR_REACH:
-            return s
-    raise PipelineError(f"vertex {v} sits more than two hops from every anchor")
+    return min(s for s in anchors if hops[s][v] <= _ANCHOR_REACH)
 
 
 def _fold_tree(hops, anchors, u):

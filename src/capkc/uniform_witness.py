@@ -65,8 +65,6 @@ def greedy_witness_search(graph, capacity, k):
     core, so test the result against None.  Heuristic only: None means
     the search failed, which proves nothing.
     """
-    if capacity < 1:
-        raise InputError(f"uniform capacity must be at least 1, got {capacity}")
     n = graph.vertex_count
     hops = graph.hop_distances()
     if verify_uniform_witness(graph, capacity, k, ()):

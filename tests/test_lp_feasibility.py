@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from capkc import lp_feasibility
 from capkc.assignment import Assignment, dump_assignment
 from capkc.errors import InputError, PipelineError
 from capkc.flownet import MaxFlowNetwork, bipartite_flow
-from capkc.graph_core import Graph, threshold_graph
+from capkc.graph_core import INF, Graph, threshold_graph
 from capkc.instances import gen_fig1, gen_random_connected
 from capkc.lp_feasibility import (
     Phase1Tableau,
@@ -636,6 +637,165 @@ class TestVerify:
         for v in range(3):
             a.set_x(0, v, F(1))
         assert not verify_assignment_feasible(g, [3, 0, 0], 1, a, 99)
+
+
+def lp1_failures(graph, caps, k, a, delta, soft):
+    """Every LP1 clause the assignment breaks, in plain Fraction arithmetic.
+
+    Unlike verify_assignment_feasible it does not stop at the first
+    broken clause (only a vertex count mismatch ends it), so a test can
+    tell which clause alone decides.
+    """
+    n = graph.vertex_count
+    if a.vertex_count != n:
+        return {"vertex count"}
+    failed = set()
+    if delta < 0:
+        failed.add("negative delta")
+    y = a.y
+    if any(q < 0 for q in y):
+        failed.add("y < 0")
+    if not soft and any(q > 1 for q in y):
+        failed.add("y > 1")
+    if sum(y) != k:
+        failed.add("sum y")
+    hops = graph.hop_distances()
+    total = [F(0)] * n
+    for u, row in a.x.items():
+        load = 0
+        for v, q in row.items():
+            if q <= 0:
+                failed.add("x <= 0")
+            if q > y[u]:
+                failed.add("x > y")
+            if hops[u][v] == INF:
+                failed.add("unreachable")
+            elif hops[u][v] > delta:
+                failed.add("beyond delta")
+            load += q
+            total[v] += q
+        if load > caps[u] * y[u]:
+            failed.add("load")
+    if any(t != 1 for t in total):
+        failed.add("serve")
+    return failed
+
+
+def rand_split(rng, parts):
+    """parts positive Fractions over mixed denominators that total exactly 1."""
+    weights = [F(rng.randint(1, 6), rng.randint(1, 7)) for _ in range(parts)]
+    return [w / sum(weights) for w in weights]
+
+
+def rand_lp1_point(rng, soft):
+    """A random LP1-feasible (graph, caps, k, assignment, delta).
+
+    x splits each client over up to three centers within delta hops (a
+    whole client is the int 1); y is the least each center needs, plus
+    the slack up to an integral k; capacities keep hard y at most 1 and
+    let soft y pass 1.  Some graphs have two components, and an integral
+    y is sometimes an int.
+    """
+    n = rng.randint(3, 9)
+    if rng.random() < 0.3:
+        m = rng.randint(1, n - 1)
+        left, right = rand_connected_graph(rng, m), rand_connected_graph(rng, n - m)
+        graph = Graph(n, list(left.edges) + [(u + m, v + m) for u, v in right.edges])
+    else:
+        graph = rand_connected_graph(rng, n)
+    delta = rng.randint(1, 3)
+    hops = graph.hop_distances()
+    a = Assignment(n)
+    for v in range(n):
+        near = [u for u in range(n) if hops[u][v] <= delta]
+        centers = rng.sample(near, min(rng.randint(1, 3), len(near)))
+        if len(centers) == 1:
+            a.set_x(centers[0], v, 1)
+        else:
+            for u, q in zip(centers, rand_split(rng, len(centers))):
+                a.set_x(u, v, q)
+    caps = [rng.randint(0, 3) for _ in range(n)]
+    for u, row in a.x.items():
+        load = sum(row.values())
+        caps[u] = rng.randint(max(1, -(-load // 3)), 3) if soft else math.ceil(load) + rng.randint(0, 2)
+        a.y[u] = max(max(row.values()), F(load) / caps[u])
+    k = math.ceil(sum(a.y))
+    slack = k - sum(a.y)
+    for v in rng.sample(range(n), n):
+        step = slack if soft else min(slack, 1 - a.y[v])
+        a.y[v] += step
+        slack -= step
+    for v in range(n):
+        if a.y[v].denominator == 1 and rng.random() < 0.5:
+            a.y[v] = int(a.y[v])
+    return graph, caps, k, a, delta
+
+
+def perturb(rng, graph, caps, k, a, delta):
+    """One small random change, of a kind that can break each LP1 clause alone."""
+    a = a.copy()
+    n = graph.vertex_count
+    kind = rng.randrange(7)
+    e = F(rng.randint(1, 4), rng.randint(2, 9))
+    if kind == 0:  # move y mass: y < 0, y > 1, x > y, load
+        u, w = rng.sample(range(n), 2)
+        # half the time from a vertex that serves no one to one with room,
+        # so that y < 0 can break alone
+        idle = [v for v in range(n) if v not in a.x]
+        if idle and rng.random() < 0.5:
+            u = rng.choice(idle)
+            w = rng.choice([v for v in range(n) if v != u and a.y[v] + e <= 1]
+                           or [v for v in range(n) if v != u])
+        a.y[u] -= e
+        a.y[w] += e
+    elif kind == 1 and a.x:  # move x mass to another center: x > y, load, reach
+        u = rng.choice(list(a.x))
+        v = rng.choice(list(a.x[u]))
+        w = rng.choice([c for c in range(n) if c != u])
+        e = min(e, a.x[u][v])
+        a.add_x(u, v, -e)
+        a.add_x(w, v, e)
+    elif kind == 2:  # sum y
+        k += rng.choice((-1, 1))
+    elif kind == 3 and a.x:  # a stored x entry of 0 (set_x never stores one)
+        u = rng.choice(list(a.x))
+        near = [v for v in range(n) if graph.hop_distances()[u][v] <= delta and v not in a.x[u]]
+        if near:
+            a.x[u][rng.choice(near)] = F(0)
+    elif kind == 4 and a.x:  # change one x entry: serve, with x > y and load
+        u = rng.choice(list(a.x))
+        v = rng.choice(list(a.x[u]))
+        a.add_x(u, v, rng.choice((-1, 1)) * min(e, a.x[u][v] / 2))
+    elif kind == 5:  # a smaller delta: beyond delta
+        delta = rng.randint(-1, delta - 1)
+    else:  # one vertex too many or too few
+        a = Assignment(n + rng.choice((-1, 1)))
+    return graph, caps, k, a, delta
+
+
+class TestIntVerify:
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    def test_random_points_match_fraction_arithmetic(self, soft):
+        # each clause must be the only one broken on some case, so dropping
+        # or weakening any test of the int path changes some answer; delta < 0
+        # decides alone only on a graph with no vertex (TestInputChecks)
+        rng = random.Random(83 + soft)
+        alone = Counter()
+        for _ in range(400):
+            point = rand_lp1_point(rng, soft)
+            assert lp1_failures(*point, soft) == set()
+            assert verify_assignment_feasible(*point, soft)
+            for _ in range(6):
+                case = perturb(rng, *point)
+                failed = lp1_failures(*case, soft)
+                assert verify_assignment_feasible(*case, soft) == (not failed), failed
+                if len(failed) == 1:
+                    alone.update(failed)
+        clauses = {"vertex count", "y < 0", "sum y", "x <= 0", "x > y",
+                   "unreachable", "beyond delta", "load", "serve"}
+        if not soft:
+            clauses.add("y > 1")
+        assert set(alone) == clauses and min(alone.values()) >= 10, alone
 
 
 LP_DUMP = """\\ LP1 feasibility model (no objective)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,10 @@ from capkc.assignment import Assignment, global_delta
 from capkc.errors import PipelineError, ValidationError
 from capkc.graph_core import Graph
 from capkc.lp_feasibility import verify_assignment_feasible
+from capkc import shifting
 from capkc.shifting import (
     RoundingContext,
+    _move_x,
     chain_shift,
     group_shift,
     replay_trace,
@@ -372,6 +375,113 @@ class TestChainShift:
             assert verify_assignment_feasible(graph, caps, k, a, pre + d_max)
             ran += 1
         assert ran >= 200
+
+
+def fraction_move_x(assignment, moves):
+    """_move_x in plain Fraction arithmetic: net every amount, then apply in insertion order."""
+    net = {}
+    for u, w, share in moves:
+        for v, q in assignment.x_row(u).items():
+            amt = share * q
+            net[(u, v)] = net.get((u, v), 0) - amt
+            net[(w, v)] = net.get((w, v), 0) + amt
+    for (p, v), dq in net.items():
+        if dq != 0:
+            assignment.set_x(p, v, assignment.get_x(p, v) + dq)
+
+
+def rand_shares(rng, whole):
+    """Shares over mixed denominators; they total exactly 1 when whole, else less."""
+    weights = [F(rng.randint(1, 5), rng.randint(1, 7)) for _ in range(rng.randint(1, 3))]
+    scale = sum(weights) if whole else sum(weights) + F(rng.randint(1, 4), rng.randint(1, 5))
+    return [q / scale for q in weights]
+
+
+def rand_moves_case(rng):
+    """An x state and a move list for _move_x, every source giving up at most its row.
+
+    Entries are ints and Fractions; some vertices have no row, so moves land
+    on fresh rows and entries; targets repeat; a whole source row moved out
+    cancels to exactly 0 over several denominators and the row empties.
+    """
+    n = rng.randint(3, 8)
+    a = Assignment(n)
+    for u in rng.sample(range(n), rng.randint(1, n)):
+        for v in rng.sample(range(n), rng.randint(1, n)):
+            a.set_x(u, v, 1 if rng.random() < 0.3 else F(rng.randint(1, 9), rng.randint(1, 12)))
+    moves = []
+    for u in range(n):
+        if rng.random() < 0.5:
+            continue
+        targets = [w for w in range(n) if w != u]
+        for share in rand_shares(rng, whole=rng.random() < 0.5):
+            moves.append((u, rng.choice(targets[:2] if rng.random() < 0.5 else targets), share))
+    rng.shuffle(moves)
+    return a, moves
+
+
+def x_state(a):
+    """x with its row and entry order and each value's type: all that _move_x may set."""
+    return [(u, [(v, type(q), q) for v, q in row.items()]) for u, row in a.x.items()]
+
+
+class TestIntMoves:
+    def test_random_moves_match_fraction_arithmetic(self):
+        rng = random.Random(61)
+        seen = Counter()
+        for _ in range(600):
+            a, moves = rand_moves_case(rng)
+            ref = a.copy()
+            rows_before = set(a.x)
+            entries_before = {(u, v) for u, row in a.x.items() for v in row}
+            seen["int entry"] += any(type(q) is int for row in a.x.values() for q in row.values())
+            seen["repeated target"] += len({w for _, w, _ in moves}) < len(moves)
+            seen["fresh row"] += any(w not in rows_before for _, w, _ in moves)
+            _move_x(a, moves)
+            fraction_move_x(ref, moves)
+            assert x_state(a) == x_state(ref)
+            seen["emptied row"] += bool(rows_before - set(a.x))
+            seen["cancelled entry"] += any(v not in a.x_row(u) for u, v in entries_before)
+        assert len(seen) == 5 and min(seen.values()) >= 50, seen
+
+    def test_overdrawn_rows_fail_alike(self):
+        # shares doubled: a source row moved out whole now goes negative, and
+        # set_x refuses it at the same entry, after the same earlier changes
+        rng = random.Random(67)
+        refused = 0
+        for _ in range(300):
+            a, moves = rand_moves_case(rng)
+            moves = [(u, w, 2 * share) for u, w, share in moves]
+            ref = a.copy()
+            outcomes = []
+            for move, state in ((_move_x, a), (fraction_move_x, ref)):
+                try:
+                    move(state, moves)
+                    outcomes.append(None)
+                except PipelineError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            assert x_state(a) == x_state(ref)
+            refused += outcomes[0] is not None
+        assert refused >= 100
+
+    def test_one_fraction_per_changed_entry(self, monkeypatch):
+        built = []
+
+        def counting_fraction(*args):
+            built.append(args)
+            return F(*args)
+
+        monkeypatch.setattr(shifting, "Fraction", counting_fraction)
+        rng = random.Random(71)
+        for _ in range(200):
+            a, moves = rand_moves_case(rng)
+            before = {(u, v): q for u, row in a.x.items() for v, q in row.items()}
+            built.clear()
+            _move_x(a, moves)
+            after = {(u, v): q for u, row in a.x.items() for v, q in row.items()}
+            changed = [e for e in before.keys() | after.keys() if before.get(e) != after.get(e)]
+            assert len(built) == len(changed)
 
 
 class TestOneTransfer:

@@ -10,7 +10,13 @@ from capkc.assignment import Assignment
 from capkc.errors import PipelineError, ValidationError
 from capkc.graph_core import Graph
 from capkc.lp_feasibility import build_lp1, solve_feasibility
-from capkc.soft_solver import _fold_tree, ks_independent_set, solve_soft
+from capkc.soft_solver import (
+    _ANCHOR_REACH,
+    _anchor_of,
+    _fold_tree,
+    ks_independent_set,
+    solve_soft,
+)
 from capkc.x_rounding import validate_solution
 
 from helpers import Refused, assert_outcome, path_graph, rand_connected_graph
@@ -52,6 +58,31 @@ class TestAnchorSet:
             for _ in s:  # each round joins every anchor within 3 hops of one reached
                 reached |= {b for b in s if any(hops[a][b] <= 3 for a in reached)}
             assert reached == set(s)
+
+
+class TestAnchorOf:
+    def test_every_vertex_gets_an_anchor_within_reach(self):
+        # ks_independent_set is maximal in G^2, so every vertex has an anchor
+        # within two hops: the one within 1 hop if any, else the lowest id
+        rng = random.Random(43)
+        at_two = 0
+        for _ in range(200):
+            g = rand_connected_graph(rng, rng.randint(1, 24))
+            hops = g.hop_distances()
+            anchors = ks_independent_set(g)
+            for v in range(g.vertex_count):
+                s = _anchor_of(hops, anchors, v)
+                assert s in anchors and hops[s][v] <= _ANCHOR_REACH
+                near = [a for a in anchors if hops[a][v] <= 1]
+                assert s == (near[0] if near else min(a for a in anchors if hops[a][v] == 2))
+                at_two += hops[s][v] == 2
+        assert at_two >= 100
+
+    def test_a_vertex_out_of_reach_fails_loudly(self):
+        # not an input ks_independent_set gives; the lookup must not return None
+        g = path_graph(5)
+        with pytest.raises(ValueError):
+            _anchor_of(g.hop_distances(), [0], 4)
 
 
 class TestFoldTree:

