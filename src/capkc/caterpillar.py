@@ -289,7 +289,7 @@ def build_caterpillar(ctx, assignment):
     while unclaimed:
         v = min(unclaimed, key=lambda u: (-caps[u], u))
         ball = graph.closed_neighborhood(v)
-        f = min(ball, key=lambda u: (-caps[u], -y[u], u))
+        f = max(ball, key=lambda u: (caps[u], y[u], -u))
         two_ball = set()
         for u in ball:
             two_ball.update(graph.closed_neighborhood(u))

@@ -5,9 +5,12 @@ the other.  bipartite_flow is the one builder of that network, for the
 seat flow of x_rounding, the soft solver and the exact oracle, and for the
 LP's separation flow.  It keeps the network to itself: a caller gets the
 flows when every client is served, else the sink side of a minimum cut,
-never a node or an arc id.  Callers pass int capacities only, so every
-flow value is an int; no floating point.  Nothing here rounds, so exact
-Fractions would work too, but only a test passes them.
+never a node or an arc id.  A client node may stand for several identical
+clients (weights): the LP's cut loop separates on one node per client
+class before it lays out one node per client.  Callers pass int
+capacities only, so every flow value is an int; no floating point.
+Nothing here rounds, so exact Fractions would work too, but only a test
+passes them.
 Deterministic: arcs are scanned in insertion order, so two runs on
 identically built networks produce identical flows.
 
@@ -125,17 +128,23 @@ class MaxFlowNetwork:
         return {v for v, lv in enumerate(self._levels(s)) if lv >= 0}
 
 
-def bipartite_flow(client_count, offers, demand):
+def bipartite_flow(client_count, offers, demand, weights=None):
     """One max flow over source -> offer -> client -> sink.
 
     offers lists (supply, clients, unit), clients a sequence: an arc
     source -> offer of capacity supply, then an arc offer -> v of capacity
     unit for each v in clients.  Every client v then has an arc v -> sink
-    of capacity demand.  Returns (value, flows, short), exactly one of
-    flows and short None.  When every client gets its demand, flows[i]
-    lists offer i's (client, flow) pairs of positive flow, in its client
-    order.  Otherwise short is the set of clients on the sink side of a
-    minimum cut: those the residual network does not reach from the source.
+    of capacity demand.  With weights, client v stands for weights[v] >= 1
+    identical clients: its offer arcs carry unit * weights[v] and its sink
+    arc demand * weights[v].  Returns (value, flows, short), exactly one of
+    flows and short None.  When every client gets its demand (demand times
+    the sum of the weights), flows[i] lists offer i's (client, flow) pairs
+    of positive flow, in its client order.  Otherwise short is the set of
+    clients on the sink side of a minimum cut: those the residual network
+    does not reach from the source.  That set is the same for every
+    maximum flow (the sink side of the minimal minimum cut), so a weighted
+    client is short exactly when the clients it stands for are short in
+    the network with one node for each of them.
 
     Every s-t path of the fresh network has three arcs, so Dinic's first
     level graph is the whole network.  Its blocking-flow walk takes the
@@ -152,10 +161,10 @@ def bipartite_flow(client_count, offers, demand):
     for i, (supply, clients, unit) in enumerate(offers):
         heads.append(net.add_edge(0, 1 + i, supply))
         for v in clients:
-            net.add_edge(1 + i, base + v, unit)
+            net.add_edge(1 + i, base + v, unit if weights is None else unit * weights[v])
     drain = len(net.to)  # client v's sink arc is drain + 2v
     for v in range(client_count):
-        net.add_edge(base + v, sink, demand)
+        net.add_edge(base + v, sink, demand if weights is None else demand * weights[v])
     cap = net.cap
     value = 0
     for h, (_, clients, _) in zip(heads, offers):
@@ -181,7 +190,7 @@ def bipartite_flow(client_count, offers, demand):
                 cap[d + 1] += b
                 value += b
     value += net.max_flow(0, sink)
-    if value != demand * client_count:
+    if value != demand * (client_count if weights is None else sum(weights)):
         reach = net.source_side_cut(0)
         return value, None, {v for v in range(client_count) if base + v not in reach}
     # h + 3 is the reverse of the offer's first client arc; the next are 2 ids apart

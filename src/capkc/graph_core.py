@@ -273,7 +273,8 @@ class WeightedMetricInstance:
                 raise InputError(f"self-loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise InputError(f"edge ({u},{v}) out of range")
-            w = Fraction(w)
+            if not isinstance(w, (int, Fraction)):
+                w = Fraction(w)
             if w < 0:
                 raise InputError(f"negative edge weight on ({u},{v})")
             normalized.append((u, v, w))

@@ -452,15 +452,38 @@ def solve_feasibility(model):
     tab.add_row({i: 1 for i in range(m)}, "==", k)
 
     # one-client inequalities seeded up front: sum of y over N[v] >= 1.
-    # Clients that reach the same centers give the same row, added once.
+    # Clients that reach the same centers (a class) give the same row,
+    # added once; cls[v] is v's class, numbered in first-seen order.
     seeds = {}
+    cls = []
     for v in range(n):
         cols = tuple(col[u] for u in nbhd[v] if u in col)
         if not cols:
             return FeasibilityResult(None)  # nobody can serve v
-        seeds[cols] = None
+        cls.append(seeds.setdefault(cols, len(seeds)))
     for cols in seeds:
         tab.add_row({c: 1 for c in cols}, ">=", 1)
+
+    # Each round separates first on one node per class, weighted by its
+    # size.  The short clients of a max flow are those the residual network
+    # does not reach from the source, the sink side of the minimal minimum
+    # cut, the same set for every maximum flow.  Swapping two clients of a
+    # class maps the network onto itself, so that set is a union of classes;
+    # the class network's cuts are the client network's cuts that are unions
+    # of classes, at the same capacity, so its short classes expand to
+    # exactly the clients the client network leaves short.  Only a round
+    # whose class flow serves everyone runs the client network, for its
+    # flows.  That costs one extra flow, so classes are used only when they
+    # at least halve the clients.
+    reach = None
+    if 2 * len(seeds) <= n:
+        size = [0] * len(seeds)
+        for c in cls:
+            size[c] += 1
+        reach = [[] for _ in range(m)]  # center column -> classes it serves
+        for c, cols in enumerate(seeds):
+            for i in cols:
+                reach[i].append(c)
 
     for _ in range(_MAX_ROUNDS):
         if not tab.solve():
@@ -470,18 +493,27 @@ def solve_feasibility(model):
         scale = lcm(*(q.denominator for q in vals))
         ys = [q.numerator * (scale // q.denominator) for q in vals]
         live = [i for i in range(m) if ys[i] > 0]
-        _, flows, w_set = bipartite_flow(
-            n, [(caps[centers[i]] * ys[i], nbhd[centers[i]], ys[i]) for i in live], scale
-        )
-        if flows is not None:
-            a = Assignment(n)
-            for i, u in enumerate(centers):
-                a.y[u] = vals[i]
-            for i, pairs in zip(live, flows):
-                u = centers[i]
-                for v, q in pairs:
-                    a.set_x(u, v, Fraction(q, scale))
-            return _finish(model, a)
+        short = None
+        if reach is not None:
+            short = bipartite_flow(
+                len(size), [(caps[centers[i]] * ys[i], reach[i], ys[i]) for i in live],
+                scale, size,
+            )[2]
+        if short is not None:
+            w_set = {v for v in range(n) if cls[v] in short}
+        else:
+            _, flows, w_set = bipartite_flow(
+                n, [(caps[centers[i]] * ys[i], nbhd[centers[i]], ys[i]) for i in live], scale
+            )
+            if flows is not None:
+                a = Assignment(n)
+                for i, u in enumerate(centers):
+                    a.y[u] = vals[i]
+                for i, pairs in zip(live, flows):
+                    u = centers[i]
+                    for v, q in pairs:
+                        a.set_x(u, v, Fraction(q, scale))
+                return _finish(model, a)
 
         coefs = {}
         for i, u in enumerate(centers):

@@ -304,6 +304,21 @@ class TestBuildCaterpillar:
         assert cat == Caterpillar(21, (0,), (None, None, None))
         assert a.y == [F(1), F(0), F(1), F(0), F(0), F(0)]
 
+    def test_donor_key_needs_no_negation(self):
+        # the sweep's donor: most capacity, then most y, then the least id;
+        # max over (caps, y, -u) picks what min over (-caps, -y, u) did
+        rng = random.Random(25)
+        by_id = 0
+        for _ in range(3000):
+            n = rng.randint(1, 10)
+            caps = [rng.choice([0, 2, 2, 5]) for _ in range(n)]
+            y = [rng.choice([0, F(1, 2), F(1, 2), F(2, 3), 1]) for _ in range(n)]
+            ball = rng.sample(range(n), rng.randint(1, n))
+            old = min(ball, key=lambda u: (-caps[u], -y[u], u))
+            assert max(ball, key=lambda u: (caps[u], y[u], -u)) == old
+            by_id += sum((caps[u], y[u]) == (caps[old], y[old]) for u in ball) > 1
+        assert by_id >= 250
+
 
 # ---------------------------------------------------------------------------
 # separation

@@ -274,6 +274,87 @@ class TestPlainDinic:
         assert len(calls) == bfs
 
 
+def expanded(client_count, offers, weights):
+    """The network with one client per unit of weight: (count, offers, members).
+
+    members[v] lists the clients that weighted client v stands for.
+    """
+    members, count = [], 0
+    for w in weights:
+        members.append(list(range(count, count + w)))
+        count += w
+    offers = [
+        (supply, [u for v in clients for u in members[v]], unit)
+        for supply, clients, unit in offers
+    ]
+    return count, offers, members
+
+
+def assert_weights_are_copies(client_count, offers, demand, weights):
+    value, flows, short = bipartite_flow(client_count, offers, demand, weights)
+    count, copies, members = expanded(client_count, offers, weights)
+    ref_value, ref_flows, ref_short = bipartite_flow(count, copies, demand)
+    assert value == ref_value
+    assert (flows is None) == (ref_flows is None)
+    if short is None:
+        assert value == demand * sum(weights)
+        served = [0] * client_count
+        for (_, clients, unit), pairs in zip(offers, flows):
+            for v, q in pairs:
+                assert 0 < q <= unit * weights[v]
+                served[v] += q
+        assert served == [demand * w for w in weights]
+    else:
+        assert {u for v in short for u in members[v]} == ref_short
+
+
+@st.composite
+def weighted_inputs(draw):
+    client_count, offers, demand = draw(bipartite_inputs())
+    weights = draw(st.lists(st.integers(1, 4), min_size=client_count, max_size=client_count))
+    return client_count, offers, demand, weights
+
+
+class TestWeightedClients:
+    """A client of weight w gives the flow and the cut of w identical clients."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(weighted_inputs())
+    def test_same_as_identical_copies(self, inputs):
+        assert_weights_are_copies(*inputs)
+
+    def test_seeded_networks(self):
+        rng = random.Random(25)
+        kinds = [
+            lambda: rng.choice([0, rng.randint(1, 5), rng.randint(1, 30)]),
+            lambda: Fraction(rng.randint(0, 12), rng.randint(1, 6)),
+        ]
+        short = 0
+        for trial in range(600):
+            client_count = rng.randint(1, 10)
+            kind = kinds[trial % 2]
+            offers = [
+                (kind(), rng.sample(range(client_count), rng.randint(0, client_count)), kind())
+                for _ in range(rng.randint(0, 6))
+            ]
+            weights = [rng.choice([1, 1, 2, rng.randint(3, 9)]) for _ in range(client_count)]
+            demand = kind()
+            assert_weights_are_copies(client_count, offers, demand, weights)
+            short += bipartite_flow(client_count, offers, demand, weights)[2] is not None
+        # both outcomes are exercised
+        assert 100 <= short <= 500
+
+    @pytest.mark.parametrize("inputs", [
+        (3, [(3, [0, 1, 2], 1)], 1),
+        (2, [(1, [0, 1], 1)], 1),
+        (3, [(Fraction(5, 2), [2, 0], Fraction(3, 2)), (0, [1], 4)], Fraction(1, 2)),
+    ])
+    def test_unit_weights_change_nothing(self, inputs):
+        client_count = inputs[0]
+        weighted = bipartite_flow(*inputs, [1] * client_count)
+        assert repr(weighted) == repr(bipartite_flow(*inputs))
+
+
 class TestNegativeCapacity:
     @pytest.mark.parametrize("inputs", [
         (2, [(1, [0, 1], 1), (-1, [0], 1)], 1),

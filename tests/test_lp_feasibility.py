@@ -13,7 +13,7 @@ from capkc.assignment import Assignment, dump_assignment
 from capkc.errors import InputError, PipelineError
 from capkc.flownet import MaxFlowNetwork, bipartite_flow
 from capkc.graph_core import INF, Graph, threshold_graph
-from capkc.instances import gen_fig1, gen_random_connected
+from capkc.instances import gen_fig1, gen_gap_construction, gen_random_connected
 from capkc.lp_feasibility import (
     Phase1Tableau,
     _lp1_rows,
@@ -579,6 +579,163 @@ class TestIntegerSeparation:
         # a sink arc holds the round's common denominator: rounds with
         # fractional points ran, over ints
         assert max(c for c, to_sink in seen if to_sink) > 1
+
+
+def cloned_models(seed, count):
+    """Seeded LP1 models whose clients often reach the same centers.
+
+    A random connected graph, then clones of its vertices: a clone has the
+    vertex's neighbours, and half the time the vertex too, and mostly
+    capacity 0.  Hard and soft alternate.
+    """
+    rng = random.Random(seed)
+    for t in range(count):
+        n = rng.randint(2, 7)
+        g = rand_connected_graph(rng, n)
+        edges = set(g.edges)
+        caps = [rng.randint(0, 8) for _ in range(n)]
+        for v in range(n):
+            for _ in range(rng.choice([1, 2, 3, 5])):
+                twins = g.neighbors(v) + ([v] if rng.random() < 0.5 else [])
+                edges.update((u, len(caps)) for u in twins)
+                caps.append(caps[v] if rng.random() < 0.15 else 0)
+        soft = t % 2 == 1
+        k = rng.randint(1, 7 if soft else min(7, len(caps)))
+        yield build_lp1(Graph(len(caps), edges), caps, k, soft)
+
+
+def client_classes(model):
+    """Each class's clients: equal sets of positive-capacity centers in N[v]."""
+    g, caps = model.graph, model.capacities
+    members = {}
+    for v in range(g.vertex_count):
+        key = frozenset(u for u in [v] + g.neighbors(v) if caps[u] > 0)
+        members.setdefault(key, []).append(v)
+    return list(members.values())
+
+
+def spy_flows(monkeypatch, answer_classes=True):
+    """Record the cut loop's flows as (client_count, offers, demand, weights, result).
+
+    With answer_classes False, a class-level call returns no cut without
+    running, so every round runs the client network.
+    """
+    calls = []
+
+    def spy(client_count, offers, demand, weights=None):
+        if weights is not None and not answer_classes:
+            result = (None, None, None)
+        else:
+            result = bipartite_flow(client_count, offers, demand, weights)
+        calls.append((client_count, offers, demand, weights, result))
+        return result
+
+    monkeypatch.setattr(lp_feasibility, "bipartite_flow", spy)
+    return calls
+
+
+def spy_rows(monkeypatch):
+    rows = []
+    add_row = Phase1Tableau.add_row
+
+    def spy(tab, coefs, sense, b):
+        rows.append((dict(coefs), sense, b))
+        return add_row(tab, coefs, sense, b)
+
+    monkeypatch.setattr(Phase1Tableau, "add_row", spy)
+    return rows
+
+
+class TestClientClasses:
+    """The cut loop separates on one node per client class; its cuts are the
+    client network's, so every row and the final point are unchanged."""
+
+    def test_class_cuts_are_the_client_cuts(self, monkeypatch):
+        rows = spy_rows(monkeypatch)
+        used = class_cuts = served = 0
+        for model in cloned_models(seed=25, count=400):
+            members = client_classes(model)
+            n = model.graph.vertex_count
+            hoods = {
+                frozenset([u] + model.graph.neighbors(u))
+                for u in range(n) if model.capacities[u] > 0
+            }
+            runs = []
+            for answer_classes in (True, False):
+                rows.clear()
+                with monkeypatch.context() as m:
+                    calls = spy_flows(m, answer_classes)
+                    res = solve_feasibility(model)
+                point = dump_assignment(res.assignment) if res.feasible else None
+                runs.append((point, list(rows), calls))
+            (point, cut_rows, calls), (ref_point, ref_rows, ref_calls) = runs
+            # the same rows in the same order, so the same pivots and point
+            assert (point, cut_rows) == (ref_point, ref_rows)
+            if 2 * len(members) > n:
+                assert all(weights is None for _, _, _, weights, _ in calls)
+                assert len(calls) == len(ref_calls)
+                continue
+            used += 1
+            for j, (count, offers, demand, weights, result) in enumerate(calls):
+                if weights is None:
+                    continue
+                assert (count, weights) == (len(members), [len(c) for c in members])
+                clients = [
+                    (supply, {v for c in classes for v in members[c]}, unit)
+                    for supply, classes, unit in offers
+                ]
+                assert all(frozenset(vs) in hoods for _, vs, _ in clients)
+                ref = bipartite_flow(n, [(s, sorted(vs), u) for s, vs, u in clients], demand)
+                short = result[2]
+                if short is None:
+                    served += 1
+                    assert ref[2] is None
+                    # the client network follows on the same offers
+                    _, next_offers, next_demand, next_weights, _ = calls[j + 1]
+                    assert next_weights is None and next_demand == demand
+                    assert [(s, set(vs), u) for s, vs, u in next_offers] == clients
+                else:
+                    class_cuts += 1
+                    assert {v for c in short for v in members[c]} == ref[2]
+        assert used >= 150 and class_cuts >= 60 and served >= 30
+
+    def test_hub_chain_runs_one_client_flow(self, monkeypatch):
+        inst = gen_gap_construction(24, nonuniform=True)[0]
+        g = threshold_graph(inst, 1)
+        calls = spy_flows(monkeypatch)
+        assert solve_feasibility(build_lp1(g, list(inst.capacities), inst.k)).feasible
+        weighted = [weights is not None for _, _, _, weights, _ in calls]
+        # every round but the last ends on a class cut; the last one's class
+        # flow serves everyone and the client network gives x
+        assert weighted == [True] * (len(calls) - 1) + [False]
+        assert len(calls) >= 3 and calls[-2][4][2] is None
+        # the class network's arcs are ints too: supplies, units, the
+        # common denominator and the class sizes
+        amounts = [
+            x for _, offers, demand, weights, _ in calls
+            for x in [demand, *(weights or []), *(a for s, _, u in offers for a in (s, u))]
+        ]
+        assert all(type(x) is int for x in amounts)
+
+    def test_no_class_flow_without_classes(self, monkeypatch):
+        # fig1 has 10 classes for 12 clients (only its hubs pair up)
+        rng = random.Random(27)
+        inst = gen_fig1()[0]
+        models = [build_lp1(threshold_graph(inst, 1), list(inst.capacities), 3)]
+        for _ in range(40):
+            n = rng.randint(4, 9)
+            caps = [rng.randint(1, 4) for _ in range(n)]
+            models.append(build_lp1(rand_connected_graph(rng, n), caps, rng.randint(2, n)))
+        checked = 0
+        for model in models:
+            if 2 * len(client_classes(model)) <= model.graph.vertex_count:
+                continue
+            with monkeypatch.context() as m:
+                calls = spy_flows(m)
+                solve_feasibility(model)
+            assert all(weights is None for _, _, _, weights, _ in calls)
+            checked += bool(calls)
+        assert checked >= 30
 
 
 class TestVerify:
