@@ -100,17 +100,7 @@ def radius_of(assignment, graph, u):
 
 def global_delta(assignment, graph):
     """Max radius over all centers; the solution is feasible on G^delta."""
-    best = 0
-    hops = graph.hop_distances()
-    for u, row in assignment.x.items():
-        hu = hops[u]
-        for v in row:
-            d = hu[v]
-            if d == INF:
-                raise PipelineError(f"x[{u},{v}] > 0 across components")
-            if d > best:
-                best = d
-    return best
+    return max((radius_of(assignment, graph, u) for u in assignment.x), default=0)
 
 
 # ---------------------------------------------------------------------------

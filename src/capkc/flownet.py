@@ -7,8 +7,9 @@ LP's separation flow.  It keeps the network to itself: a caller gets the
 flows when every client is served, else the sink side of a minimum cut,
 never a node or an arc id.  A client node may stand for several identical
 clients (weights): the LP's cut loop separates on one node per client
-class before it lays out one node per client.  Callers pass int
-capacities only, so every flow value is an int; no floating point.
+class, or per client, and over classes lays out one node per client only
+for x.  Callers pass int capacities only, so every flow value is an int;
+no floating point.
 Nothing here rounds, so exact Fractions would work too, but only a test
 passes them.
 Deterministic: arcs are scanned in insertion order, so two runs on

@@ -13,7 +13,6 @@ produces candidate sets for test data but carries no guarantee.
 from fractions import Fraction
 
 from .errors import InputError
-from .graph_core import INF
 from .rational import parse_int, read_text, records, write_text
 
 __all__ = [
@@ -46,11 +45,9 @@ def verify_uniform_witness(graph, capacity, k, core):
     hops = graph.hop_distances()
     for i, u in enumerate(core):
         for w in core[i + 1 :]:
-            if hops[u][w] != INF and hops[u][w] < _FAR:
+            if hops[u][w] < _FAR:
                 return False
-    remote = sum(
-        1 for v in range(n) if all(hops[u][v] == INF or hops[u][v] >= _FAR for u in core)
-    )
+    remote = sum(1 for v in range(n) if all(hops[u][v] >= _FAR for u in core))
     return len(core) + Fraction(remote, capacity) > k
 
 
@@ -76,15 +73,11 @@ def greedy_witness_search(graph, capacity, k):
                 return tuple(sorted(core))
             best = None
             for v in range(n):
-                gap = min(
-                    (hops[u][v] for u in core),
-                    key=lambda d: n + 1 if d == INF else d,
-                )
-                if gap != INF and gap < _FAR:
+                gap = min(hops[u][v] for u in core)
+                if gap < _FAR:
                     continue
-                rank = n + 1 if gap == INF else gap
-                if best is None or rank > best[0]:
-                    best = (rank, v)
+                if best is None or gap > best[0]:
+                    best = (gap, v)
             if best is None:
                 break
             core.append(best[1])

@@ -21,7 +21,7 @@ from capkc.caterpillar import (
     separate,
     validate_caterpillar,
 )
-from capkc.errors import PipelineError, ValidationError
+from capkc.errors import ValidationError
 from capkc.graph_core import Graph
 from capkc.lp_feasibility import build_lp1, solve_feasibility, verify_assignment_feasible
 from capkc.shifting import RoundingContext, chain_shift, replay_trace

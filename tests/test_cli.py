@@ -1062,6 +1062,66 @@ class TestOracleBracketsTheSolve:
         assert gaps >= 3  # the joined gadgets, at least
 
 
+def relabel_pair(tmp_path, seed, mode):
+    """Paths of a seeded p/q instance and of a copy with its vertices permuted.
+
+    n 5..14, about 2/7 of capacities 0; half the instances carry 1..3
+    capacity-0 clones of one vertex, so that LP clients share classes.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(5, 11)
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(n // 2):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    edges = [(u, v, Fraction(rng.randint(1, 9), rng.randint(1, 4))) for u, v in sorted(pairs)]
+    caps = [rng.choice((0, 0, 1, 2, 3, 4, 5)) for _ in range(n)]
+    if rng.random() < 0.5:
+        v = rng.randrange(n)
+        hood = [(w if u == v else u, q) for u, w, q in edges if v in (u, w)]
+        for c in range(n, n + rng.randint(1, 3)):
+            edges += [(u, c, q) for u, q in hood]
+            caps.append(0)
+    n = len(caps)
+    k = rng.randint(1, max(1, n // 3))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    moved = [0] * n
+    for v, c in enumerate(caps):
+        moved[perm[v]] = c
+    paths = [tmp_path / f"relabel-{mode}-{seed}-{side}.txt" for side in "ab"]
+    write_instance(WeightedMetricInstance.from_weighted_edges(n, edges, caps, k, mode), paths[0])
+    edges = [(perm[u], perm[v], q) for u, v, q in edges]
+    write_instance(WeightedMetricInstance.from_weighted_edges(n, edges, moved, k, mode), paths[1])
+    return paths
+
+
+class TestRelabelling:
+    """Threshold and solvability do not depend on the vertex numbering.
+
+    The LP's pivot path does, so this guards every change to it.
+    """
+
+    @pytest.mark.parametrize("mode", [HARD, SOFT])
+    def test_a_relabelled_instance_has_the_same_answer(self, tmp_path, capsys, mode):
+        sol = tmp_path / "sol.txt"
+        outcomes = []
+        for seed in range(100):
+            answers = []
+            for path in relabel_pair(tmp_path, seed, mode):
+                sol.unlink(missing_ok=True)
+                code = main(["solve", str(path), "-o", str(sol)])
+                lines = capsys.readouterr().out.splitlines()
+                answers.append((code, [ln for ln in lines if ln.startswith("threshold:")]))
+                if code == 0:
+                    assert main(["verify", str(path), str(sol)]) == 0, path.name
+                    capsys.readouterr()
+            assert answers[0] == answers[1], seed
+            outcomes.append(answers[0][0])
+        assert outcomes.count(0) >= 30 and outcomes.count(2) >= 10
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "capkc", "gen", "fig1"],

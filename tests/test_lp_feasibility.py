@@ -614,19 +614,41 @@ def client_classes(model):
     return list(members.values())
 
 
-def spy_flows(monkeypatch, answer_classes=True):
+def client_partition(model):
+    """The parts the cut loop separates on: the classes when they at least
+    halve the clients, else one part per client."""
+    members = client_classes(model)
+    n = model.graph.vertex_count
+    return members if 2 * len(members) <= n else [[v] for v in range(n)]
+
+
+def expand(parts, offers):
+    """Offers over parts as offers over their clients, ascending."""
+    return [(s, sorted(v for p in ps for v in parts[p]), u) for s, ps, u in offers]
+
+
+def client_answer(parts, n):
+    """A partition-level flow answered by the client network on the expanded offers."""
+    part_of = {v: p for p, members in enumerate(parts) for v in members}
+
+    def answer(count, offers, demand, weights):
+        value, flows, short = bipartite_flow(n, expand(parts, offers), demand)
+        return value, flows, None if short is None else {part_of[v] for v in short}
+
+    return answer
+
+
+def spy_flows(monkeypatch, answer=bipartite_flow):
     """Record the cut loop's flows as (client_count, offers, demand, weights, result).
 
-    With answer_classes False, a class-level call returns no cut without
-    running, so every round runs the client network.
+    answer gives the result of each partition-level call, the calls with
+    weights; the others run the real flow.
     """
     calls = []
 
     def spy(client_count, offers, demand, weights=None):
-        if weights is not None and not answer_classes:
-            result = (None, None, None)
-        else:
-            result = bipartite_flow(client_count, offers, demand, weights)
+        run = bipartite_flow if weights is None else answer
+        result = run(client_count, offers, demand, weights)
         calls.append((client_count, offers, demand, weights, result))
         return result
 
@@ -647,57 +669,71 @@ def spy_rows(monkeypatch):
 
 
 class TestClientClasses:
-    """The cut loop separates on one node per client class; its cuts are the
-    client network's, so every row and the final point are unchanged."""
+    """Each cut round runs one flow over a client partition: its classes when
+    they at least halve the clients, else one part per client.  Its cuts are
+    the client network's, so every row and the final point are unchanged."""
 
     def test_class_cuts_are_the_client_cuts(self, monkeypatch):
         rows = spy_rows(monkeypatch)
-        used = class_cuts = served = 0
+        used = class_cuts = served = fine_rounds = 0
         for model in cloned_models(seed=25, count=400):
-            members = client_classes(model)
-            n = model.graph.vertex_count
-            hoods = {
-                frozenset([u] + model.graph.neighbors(u))
-                for u in range(n) if model.capacities[u] > 0
-            }
+            g, caps = model.graph, model.capacities
+            n = g.vertex_count
+            parts = client_partition(model)
+            coarse = len(parts) < n
+            centers = [u for u in range(n) if caps[u] > 0]
+            hoods = [sorted([u] + g.neighbors(u)) for u in centers]
             runs = []
-            for answer_classes in (True, False):
+            for answer in (bipartite_flow, client_answer(parts, n)):
                 rows.clear()
                 with monkeypatch.context() as m:
-                    calls = spy_flows(m, answer_classes)
+                    calls = spy_flows(m, answer)
                     res = solve_feasibility(model)
                 point = dump_assignment(res.assignment) if res.feasible else None
                 runs.append((point, list(rows), calls))
-            (point, cut_rows, calls), (ref_point, ref_rows, ref_calls) = runs
+            (point, cut_rows, calls), (ref_point, ref_rows, _) = runs
             # the same rows in the same order, so the same pivots and point
             assert (point, cut_rows) == (ref_point, ref_rows)
-            if 2 * len(members) > n:
-                assert all(weights is None for _, _, _, weights, _ in calls)
-                assert len(calls) == len(ref_calls)
-                continue
-            used += 1
+            # one flow per round; the client network follows only a serving
+            # flow over parts that merge clients, for x
+            second = [j for j, call in enumerate(calls) if call[3] is None]
+            assert second == ([len(calls) - 1] if coarse and point else [])
+            used += coarse
+            fine_rounds += 0 if coarse else len(calls)
+            short_sets = []
             for j, (count, offers, demand, weights, result) in enumerate(calls):
                 if weights is None:
                     continue
-                assert (count, weights) == (len(members), [len(c) for c in members])
-                clients = [
-                    (supply, {v for c in classes for v in members[c]}, unit)
-                    for supply, classes, unit in offers
-                ]
-                assert all(frozenset(vs) in hoods for _, vs, _ in clients)
-                ref = bipartite_flow(n, [(s, sorted(vs), u) for s, vs, u in clients], demand)
+                assert (count, weights) == (len(parts), [len(p) for p in parts])
+                clients = expand(parts, offers)
+                assert all(vs in hoods for _, vs, _ in clients)
+                if not coarse:
+                    assert [vs for _, vs, _ in offers] == [vs for _, vs, _ in clients]
+                ref = bipartite_flow(n, clients, demand)
                 short = result[2]
                 if short is None:
-                    served += 1
+                    served += coarse
                     assert ref[2] is None
-                    # the client network follows on the same offers
-                    _, next_offers, next_demand, next_weights, _ = calls[j + 1]
-                    assert next_weights is None and next_demand == demand
-                    assert [(s, set(vs), u) for s, vs, u in next_offers] == clients
+                    if coarse:
+                        _, next_offers, next_demand, _, _ = calls[j + 1]
+                        assert next_demand == demand
+                        assert [(s, list(vs), u) for s, vs, u in next_offers] == clients
                 else:
-                    class_cuts += 1
-                    assert {v for c in short for v in members[c]} == ref[2]
-        assert used >= 150 and class_cuts >= 60 and served >= 30
+                    class_cuts += coarse
+                    w_set = {v for p in short for v in parts[p]}
+                    assert w_set == ref[2]
+                    short_sets.append(w_set)
+            # the cut rows close the row list, one per short flow, with
+            # coefficients min(L(u), |N[u] cap W|) for the expanded W
+            cuts = cut_rows[len(cut_rows) - len(short_sets):]
+            for (coefs, sense, b), w_set in zip(cuts, short_sets):
+                want = {
+                    i: min(caps[u], len(w_set.intersection(hood)))
+                    for i, (u, hood) in enumerate(zip(centers, hoods))
+                }
+                assert coefs == {i: c for i, c in want.items() if c > 0}
+                assert (sense, b) == (">=", len(w_set))
+        assert used >= 150 and class_cuts >= 60 and served >= 30 and fine_rounds >= 300
 
     def test_hub_chain_runs_one_client_flow(self, monkeypatch):
         inst = gen_gap_construction(24, nonuniform=True)[0]
@@ -718,7 +754,8 @@ class TestClientClasses:
         assert all(type(x) is int for x in amounts)
 
     def test_no_class_flow_without_classes(self, monkeypatch):
-        # fig1 has 10 classes for 12 clients (only its hubs pair up)
+        # fig1 has 10 classes for 12 clients (only its hubs pair up), so it
+        # separates on one part per client: the client network itself
         rng = random.Random(27)
         inst = gen_fig1()[0]
         models = [build_lp1(threshold_graph(inst, 1), list(inst.capacities), 3)]
@@ -728,12 +765,18 @@ class TestClientClasses:
             models.append(build_lp1(rand_connected_graph(rng, n), caps, rng.randint(2, n)))
         checked = 0
         for model in models:
-            if 2 * len(client_classes(model)) <= model.graph.vertex_count:
+            g, caps = model.graph, model.capacities
+            n = g.vertex_count
+            if 2 * len(client_classes(model)) <= n:
                 continue
+            hoods = [sorted([u] + g.neighbors(u)) for u in range(n) if caps[u] > 0]
             with monkeypatch.context() as m:
                 calls = spy_flows(m)
                 solve_feasibility(model)
-            assert all(weights is None for _, _, _, weights, _ in calls)
+            for count, offers, demand, weights, result in calls:
+                assert (count, weights) == (n, [1] * n)
+                assert all(vs in hoods for _, vs, _ in offers)
+                assert repr(result) == repr(bipartite_flow(n, offers, demand))
             checked += bool(calls)
         assert checked >= 30
 

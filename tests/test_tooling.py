@@ -87,14 +87,20 @@ def unread_imports(text):
     )
 
 
+def unread_imports_in(folder):
+    return [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(folder.glob("*.py"))
+        for line, name in unread_imports(path.read_text("utf-8"))
+    ]
+
+
 class TestImports:
     def test_no_src_module_imports_a_name_it_never_reads(self):
-        unused = [
-            f"{path.name}:{line}: {name}"
-            for path in sorted((SRC / "capkc").glob("*.py"))
-            for line, name in unread_imports(path.read_text("utf-8"))
-        ]
-        assert unused == []
+        assert unread_imports_in(SRC / "capkc") == []
+
+    def test_no_test_module_imports_a_name_it_never_reads(self):
+        assert unread_imports_in(Path(__file__).resolve().parent) == []
 
     def test_an_unread_import_is_found(self):
         text = (
