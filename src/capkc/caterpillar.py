@@ -14,7 +14,7 @@ the leaf's capacity by the anchor's.  None marks an empty slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import count
 from math import ceil
@@ -52,23 +52,20 @@ _KEEP_RADIUS = 47
 _SEPARATE_DELTA = 68
 
 
-@dataclass(frozen=True)
-class Caterpillar:
+class Caterpillar(namedtuple("Caterpillar", "delta spine leaves")):
     """Spine P = (v_1..v_p) plus leaf row P' = (v'_0..v'_{p+1})."""
 
-    delta: int
-    spine: tuple
-    leaves: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "spine", tuple(self.spine))
-        object.__setattr__(self, "leaves", tuple(self.leaves))
-        if self.delta < 1:
+    def __new__(cls, delta, spine, leaves):
+        spine, leaves = tuple(spine), tuple(leaves)
+        if delta < 1:
             raise ValidationError("caterpillar: delta must be at least 1")
-        if len(self.leaves) != len(self.spine) + 2:
+        if len(leaves) != len(spine) + 2:
             raise ValidationError(
                 "caterpillar: leaf row length must be spine length plus two"
             )
+        return super().__new__(cls, delta, spine, leaves)
 
     @property
     def p(self):
@@ -715,12 +712,13 @@ def round_y(ctx, assignment, k):
         raise ValidationError("k must be at least 1")
     if assignment.sum_y() != k:
         raise ValidationError("assignment places a different total than k")
-    if not verify_assignment_feasible(graph, caps, k, assignment, 1):
-        raise ValidationError("assignment is not feasible at distance 1")
     y = assignment.y
     if all(q.denominator == 1 for q in y):
+        if not verify_assignment_feasible(graph, caps, k, assignment, 1):
+            raise ValidationError("assignment is not feasible at distance 1")
         return global_delta(assignment, graph)
 
+    # build_caterpillar makes the same distance-1 check
     cat = build_caterpillar(ctx, assignment)
     parts = separate(ctx, assignment, cat)
     if not verify_assignment_feasible(graph, caps, k, assignment, _SEPARATE_DELTA):

@@ -9,7 +9,7 @@ pipeline or to the LP verifier.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .assignment import Assignment
@@ -62,21 +62,13 @@ def gen_fig1():
     return inst, witness
 
 
-@dataclass(frozen=True)
-class GapLayout:
-    """Id blocks of the gap construction for parameter k.
+GapLayout = namedtuple("GapLayout", "k root rays connectors hubs middles")
+GapLayout.__doc__ = """Id blocks of the gap construction for parameter k.
 
-    root is the star center; rays[i] is the i-th star leaf; connectors[i]
-    bridges rays[i] to the i-th gadget; gadget i is hubs[i] = (a, b) plus
-    middles[i], the a/b-shared clients.
-    """
-
-    k: int
-    root: int
-    rays: tuple
-    connectors: tuple
-    hubs: tuple
-    middles: tuple
+root is the star center; rays[i] is the i-th star leaf; connectors[i]
+bridges rays[i] to the i-th gadget; gadget i is hubs[i] = (a, b) plus
+middles[i], the a/b-shared clients.
+"""
 
 
 def gap_layout(k):
@@ -176,19 +168,13 @@ def gen_gap_construction(k, nonuniform=False):
     return inst, witness
 
 
-@dataclass(frozen=True)
-class X3CLayout:
-    """Id blocks of the exact-cover reduction.
+X3CLayout = namedtuple("X3CLayout", "copies set_vertices guarded pendants")
+X3CLayout.__doc__ = """Id blocks of the exact-cover reduction.
 
-    copies[c][e] is copy c of universe element e (f + 1 copies each);
-    set_vertices[j] carries set j, guarded[j] is its private connector,
-    pendants[j] the connector's 3f + 1 private leaves.
-    """
-
-    copies: tuple
-    set_vertices: tuple
-    guarded: tuple
-    pendants: tuple
+copies[c][e] is copy c of universe element e (f + 1 copies each);
+set_vertices[j] carries set j, guarded[j] is its private connector,
+pendants[j] the connector's 3f + 1 private leaves.
+"""
 
 
 def x3c_layout(set_count, universe_size):

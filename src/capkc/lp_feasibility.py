@@ -32,7 +32,7 @@ hard mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -47,17 +47,13 @@ _MAX_ROUNDS = 10_000
 _BLAND_AFTER = 50  # degenerate pivots before switching to Bland's rule
 
 
-@dataclass(frozen=True)
-class LPModel:
-    graph: object
-    capacities: tuple
-    k: int
-    soft: bool
+LPModel = namedtuple("LPModel", "graph capacities k soft")
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
-    assignment: object  # Assignment when feasible, None otherwise
+class FeasibilityResult(namedtuple("FeasibilityResult", "assignment")):
+    """assignment is the LP point (an Assignment) when feasible, None otherwise."""
+
+    __slots__ = ()
 
     @property
     def feasible(self):
@@ -392,7 +388,7 @@ def verify_assignment_feasible(graph, capacities, k, assignment, delta, soft=Fal
     ints, both sides scale times the rational ones.
     """
     n = graph.vertex_count
-    if assignment.vertex_count != n or delta < 0:
+    if assignment.vertex_count != n:
         return False
     xs = assignment.x
     y_ratios = [q.as_integer_ratio() for q in assignment.y]

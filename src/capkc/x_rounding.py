@@ -16,7 +16,6 @@ format shared by the soft solver, the exact oracle and the command line
 tools.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, PipelineError, ValidationError
@@ -39,7 +38,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class Solution:
     """Opened centers plus a full client assignment.
 
@@ -50,14 +48,26 @@ class Solution:
     rational when expressed in a weighted metric.
     """
 
-    k: int
-    radius: object
-    centers: dict = field(default_factory=dict)
-    phi: tuple = ()
+    __slots__ = ("k", "radius", "centers", "phi")
 
-    def __post_init__(self):
-        self.centers = dict(self.centers)
-        self.phi = tuple(self.phi)
+    def __init__(self, k, radius, centers, phi):
+        self.k = k
+        self.radius = radius
+        self.centers = dict(centers)
+        self.phi = tuple(phi)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.radius, self.centers, self.phi) == (
+            other.k, other.radius, other.centers, other.phi
+        )
+
+    def __repr__(self):
+        return (
+            f"Solution(k={self.k!r}, radius={self.radius!r}, "
+            f"centers={self.centers!r}, phi={self.phi!r})"
+        )
 
     def open_count(self):
         """Number of opened centers counted with multiplicity."""

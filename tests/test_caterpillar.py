@@ -23,6 +23,7 @@ from capkc.caterpillar import (
 )
 from capkc.errors import ValidationError
 from capkc.graph_core import Graph
+from capkc.instances import gen_fig1
 from capkc.lp_feasibility import build_lp1, solve_feasibility, verify_assignment_feasible
 from capkc.shifting import RoundingContext, chain_shift, replay_trace
 
@@ -903,6 +904,24 @@ class TestRoundY:
         replayed = replay_trace(ctx, before, trace_text(trace))
         assert replayed.y == a.y
         assert sorted(replayed.x_items()) == sorted(a.x_items())
+
+    def test_fractional_point_is_verified_at_distance_one_once(self, monkeypatch):
+        # fig1's two gadgets joined hub to hub, so that its LP point is one
+        # component's; build_caterpillar's check is the only distance-1 one
+        inst, _ = gen_fig1()
+        g = Graph(12, [(u, v) for u, v, _ in inst.edges] + [(0, 6)])
+        a = solve_feasibility(build_lp1(g, list(inst.capacities), inst.k)).assignment
+        assert any(q.denominator != 1 for q in a.y)
+        deltas = []
+        real = caterpillar.verify_assignment_feasible
+
+        def spy(graph, capacities, k, assignment, delta, soft=False):
+            deltas.append(delta)
+            return real(graph, capacities, k, assignment, delta, soft)
+
+        monkeypatch.setattr(caterpillar, "verify_assignment_feasible", spy)
+        round_y(RoundingContext(g, list(inst.capacities)), a, inst.k)
+        assert deltas.count(1) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,17 @@ class TestMetric:
         )
         assert exact_metric(inst)[0][2] == 1
 
+    def test_string_weight_is_read_as_its_fraction(self):
+        # a weight that is neither int nor Fraction goes through Fraction(w)
+        def build(w):
+            return WeightedMetricInstance.from_weighted_edges(
+                3, [(0, 1, w), (1, 2, 1)], [1, 1, 1], 1, "hard"
+            )
+
+        got, want = build("3/2"), build(Fraction(3, 2))
+        assert (got.scale, got.scaled) == (want.scale, want.scaled)
+        assert want.scaled == [[0, 3, 5], [3, 0, 2], [5, 2, 0]]
+
     def test_disconnected_pairs_are_infinite(self):
         inst = WeightedMetricInstance.from_weighted_edges(
             3, [(0, 1, 1)], [1, 1, 1], 1, "hard"
@@ -705,6 +716,10 @@ class TestInputChecks:
                 Refused(InputError, r"negative edge weight on \(0,1\)"),
             ),
             (
+                lambda: from_edges([(0, 1, "-1/2")]),
+                Refused(InputError, r"negative edge weight on \(0,1\)"),
+            ),
+            (
                 lambda: WeightedMetricInstance.from_distance_matrix([[1]], [1], 1, HARD),
                 Refused(InputError, r"d\(0,0\) must be 0"),
             ),
@@ -728,6 +743,7 @@ class TestInputChecks:
             "self-loop",
             "edge-out-of-range",
             "negative-weight",
+            "negative-string-weight",
             "nonzero-diagonal",
             "negative-distance",
             "negative-threshold",

@@ -850,8 +850,6 @@ def lp1_failures(graph, caps, k, a, delta, soft):
     if a.vertex_count != n:
         return {"vertex count"}
     failed = set()
-    if delta < 0:
-        failed.add("negative delta")
     y = a.y
     if any(q < 0 for q in y):
         failed.add("y < 0")
@@ -977,8 +975,8 @@ class TestIntVerify:
     @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
     def test_random_points_match_fraction_arithmetic(self, soft):
         # each clause must be the only one broken on some case, so dropping
-        # or weakening any test of the int path changes some answer; delta < 0
-        # decides alone only on a graph with no vertex (TestInputChecks)
+        # or weakening any test of the int path changes some answer; a
+        # negative delta breaks "beyond delta" or, with no x entry, "serve"
         rng = random.Random(83 + soft)
         alone = Counter()
         for _ in range(400):
@@ -1060,10 +1058,15 @@ class TestInputChecks:
                 lambda: verify_assignment_feasible(path_graph(2), [2, 2], 1, serves_both(3), 1),
                 False,
             ),
-            # nothing to serve, so only the delta check refuses
-            (lambda: verify_assignment_feasible(Graph(0, []), [], 0, Assignment(0), -1), False),
+            # nothing to serve and no hop to exceed, so any delta is met
+            (lambda: verify_assignment_feasible(Graph(0, []), [], 0, Assignment(0), -1), True),
+            # the point meets LP1 at delta 1; every hop is at least 0 > -1
+            (
+                lambda: verify_assignment_feasible(path_graph(2), [2, 2], 1, serves_both(2), -1),
+                False,
+            ),
         ],
-        ids=["bad-sense", "vertex-count", "negative-delta"],
+        ids=["bad-sense", "vertex-count", "negative-delta", "negative-delta-path"],
     )
     def test_check(self, call, expected):
         assert_outcome(call, expected)

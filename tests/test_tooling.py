@@ -1,4 +1,4 @@
-"""Packaging: the `python -m capkc` entry point, exported names, imports, the README."""
+"""Packaging: the `python -m capkc` entry point, exported names, records, imports, the README."""
 
 import ast
 import importlib
@@ -9,9 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import capkc
-from capkc.graph_core import format_instance, parse_instance_text
-from capkc.instances import gen_fig1
+from capkc.caterpillar import Caterpillar
+from capkc.graph_core import Graph, format_instance, parse_instance_text
+from capkc.instances import gap_layout, gen_fig1, x3c_layout
+from capkc.lp_feasibility import FeasibilityResult, build_lp1
+from capkc.x_rounding import Solution
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 README = SRC.parent / "README.md"
@@ -46,6 +51,29 @@ class TestExports:
         for module in modules:
             for name in getattr(module, "__all__", ()):
                 assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+class TestRecords:
+    def test_immutable_records_refuse_assignment(self):
+        records = [
+            build_lp1(Graph(2, [(0, 1)]), [1, 1], 1),
+            FeasibilityResult(None),
+            Caterpillar(1, [0], [None, None, None]),
+            gap_layout(24),
+            x3c_layout(2, 3),
+        ]
+        for record in records:
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+        assert repr(records[2]) == "Caterpillar(delta=1, spine=(0,), leaves=(None, None, None))"
+
+    def test_solution_is_mutable_and_compares_by_fields(self):
+        sol = Solution(k=1, radius=0, centers={0: 1}, phi=[0])
+        assert repr(sol) == "Solution(k=1, radius=0, centers={0: 1}, phi=(0,))"
+        assert sol == Solution(1, 0, {0: 1}, (0,)) and sol != (1, 0, {0: 1}, (0,))
+        sol.centers[1] = 1
+        assert sol != Solution(1, 0, {0: 1}, (0,))
 
 
 class TestReadme:
@@ -95,7 +123,41 @@ def unread_imports_in(folder):
     ]
 
 
+def imported_modules(text):
+    """Top-level names of the modules the module text imports, relative ones left out."""
+    names = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
 class TestImports:
+    def test_no_src_module_imports_dataclasses(self):
+        # building a dataclass costs about as much as the rest of an import;
+        # the records are namedtuples and Solution a __slots__ class
+        assert [
+            path.name
+            for path in sorted((SRC / "capkc").glob("*.py"))
+            if "dataclasses" in imported_modules(path.read_text("utf-8"))
+        ] == []
+
+    def test_cli_import_leaves_dataclasses_unloaded(self):
+        # a fresh interpreter, so a transitive import shows too
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import capkc.cli\n"
+            "print('dataclasses' in set(sys.modules) - before)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
     def test_no_src_module_imports_a_name_it_never_reads(self):
         assert unread_imports_in(SRC / "capkc") == []
 
