@@ -12,8 +12,17 @@ from fractions import Fraction
 from .errors import InputError, PipelineError
 from .graph_core import INF
 from .rational import (
-    format_rational, parse_int, parse_rational, read_text, records, write_text
+    format_rational, parse_int, parse_rational, records, write_text
 )
+
+__all__ = [
+    "Assignment",
+    "radius_of",
+    "global_delta",
+    "dump_assignment",
+    "write_assignment",
+    "parse_assignment_text",
+]
 
 
 class Assignment:
@@ -144,6 +153,3 @@ def parse_assignment_text(text, vertex_count):
             raise InputError(f"line {lineno}: {exc}") from exc
     return a
 
-
-def read_assignment(path, vertex_count):
-    return parse_assignment_text(read_text(path, "assignment"), vertex_count)

@@ -1,33 +1,33 @@
-"""LP1 construction and exact feasibility testing.
+"""LP1 construction and exact feasibility testing (zero-tolerance rational answers).
 
-Two solver routes with the same contract (zero-tolerance rational answers):
-
-* solve_feasibility, the cut loop: a master LP over y only, solved by the
-  exact phase-1 simplex below, with lazily separated client-set inequalities
-  sum_u min(L(u), |N[u] cap W|) * y_u >= |W|.  Separation is an exact
-  max-flow on ints over flownet.bipartite_flow, the network that also
-  seats clients: source -> center u (L(u) * y_u) -> client v in N[u]
-  (y_u) -> sink (1), for each center with y_u > 0.  The master point is
-  put over its common denominator D, so every capacity is D times the
-  rational one; Dinic only compares and adds capacities, so every flow
-  and the min cut scale with them.  Each round runs one such flow over a
-  client partition fixed at setup, one node per part weighted by its size
-  (the classes of clients that reach the same centers, or one part per
-  client).  If it serves every client, the client network's flows over D
-  are x; otherwise its short parts, the sink side of its min cut expanded
-  to clients, are the W of the next inequality.
-  Every generated inequality is implied by LP1 (constraints 2+3+4), and each
-  round adds an inequality violated by the current master point, so the loop
-  terminates: there are finitely many client sets.  A violated inequality is
-  new, as the master point meets every row the tableau holds.  In hard mode
-  the master's y_u <= 1 are the tableau's implicit column bounds (its
-  bounded-variable simplex), not rows; soft mode has no upper bound.
-* _solve_dense: phase-1 simplex over the full (x, y) variable space.
-  Quadratic blowup; tests compare it with the cut loop on small instances.
+solve_feasibility is the cut loop: a master LP over y only, solved by the
+exact phase-1 simplex below, with lazily separated client-set inequalities
+sum_u min(L(u), |N[u] cap W|) * y_u >= |W|.  Separation is an exact
+max-flow on ints over flownet.bipartite_flow, the network that also
+seats clients: source -> center u (L(u) * y_u) -> client v in N[u]
+(y_u) -> sink (1), for each center with y_u > 0.  The master point is
+put over its common denominator D, so every capacity is D times the
+rational one; Dinic only compares and adds capacities, so every flow
+and the min cut scale with them.  Each round runs one such flow over a
+client partition fixed at setup, one node per part weighted by its size
+(the classes of clients that reach the same centers, or one part per
+client).  If it serves every client, the client network's flows over D
+are x; otherwise its short parts, the sink side of its min cut expanded
+to clients, are the W of the next inequality.
+Every generated inequality is implied by LP1 (constraints 2+3+4), and each
+round adds an inequality violated by the current master point, so the loop
+terminates: there are finitely many client sets.  A violated inequality is
+new, as the master point meets every row the tableau holds.  In hard mode
+the master's y_u <= 1 are the tableau's implicit column bounds (its
+bounded-variable simplex), not rows; soft mode has no upper bound.
+When the twin classes of centers (equal capacity, and equal open or equal
+closed neighbourhoods) at least halve the centers, the master holds one
+column per class, the y its members share, and each round expands its
+point to the centers before the flow; otherwise one column per center.
 
 Vertices with capacity 0 get y pinned to 0 up front; with the pin, k larger
 than the number of positive-capacity vertices is naturally infeasible in
-hard mode.
+hard mode.  _lp1_rows lays out the full LP1 over (x, y) for the text dump.
 """
 
 from __future__ import annotations
@@ -141,8 +141,8 @@ class Phase1Tableau:
 
     Rows may be added between solves; the basis carries over, so re-solving
     after one extra row usually takes a handful of pivots.  The cut loop in
-    solve_feasibility leans on this: a fresh solve of its master costs
-    seconds at 500+ vertices, a warm one does not.
+    solve_feasibility leans on this: its master grows by one row per round,
+    and a cold solve each round would repeat every pivot made so far.
     Anti-cycling: Dantzig entering, falling back to Bland's rule after a
     degenerate streak; leaving ties always break on the smallest basis column.
 
@@ -361,20 +361,6 @@ class Phase1Tableau:
         )
 
 
-def phase1_feasible(num_vars, rows):
-    """Decide feasibility of {x >= 0} + rows; rows are (coefs, sense, rhs).
-
-    coefs maps column -> rational, sense is one of '<=', '>=', '=='.
-    Returns per-column values (Fractions) or None if infeasible.
-    """
-    tab = Phase1Tableau(num_vars)
-    for coefs, sense, b in rows:
-        tab.add_row(coefs, sense, b)
-    if not tab.solve():
-        return None
-    return tab.values()
-
-
 # ---------------------------------------------------------------------------
 # verification (constraints 1-5 and 7 exactly, plus the distance rule)
 
@@ -436,6 +422,53 @@ def _finish(model, assignment):
     return FeasibilityResult(assignment)
 
 
+def _twin_columns(graph, caps, centers):
+    """Each center column's master column, one per twin class; None if that saves little.
+
+    Twins are centers with equal capacity and equal open neighbourhoods
+    (false twins, never adjacent) or equal closed ones (true twins, always
+    adjacent).  No vertex has both kinds: a false twin u' and a true twin
+    u'' of u would make u'' adjacent to u' but not u' to u''.  So a center
+    is in its false twins' class if it has a false twin, else in its true
+    twins' class.  Each kind is found by one sort, which puts a class in a
+    run and compares neighbour lists in place; keying a dict by neighbour
+    tuples read the mixed benchmark's peak_alloc_mib 3.5% higher, as freed
+    small tuples stay on the interpreter's free lists.  Classes are
+    numbered in first-seen center order, and None unless they at least
+    halve the centers.
+    """
+    adj = graph.adjacency
+    # twins have equal capacity and degree, so these pairs bound the classes
+    # from below; that settles 25 of the 27 scans of a mixed benchmark pass,
+    # where running every scan in full took 2% of the pass
+    if 2 * len({(caps[u], len(adj[u])) for u in centers}) > len(centers):
+        return None
+    leader = {}  # center -> the first center of its class, where that is another
+
+    def join(us, hood):
+        us = sorted(us, key=lambda u: (caps[u], hood[u]))
+        for a, b in zip(us, us[1:]):
+            if caps[a] == caps[b] and hood[a] == hood[b]:
+                leader[b] = leader.get(a, a)
+
+    join(centers, adj)
+    paired = leader.keys() | leader.values()
+    solo = [u for u in centers if u not in paired]
+    join(solo, {u: sorted(graph.closed_neighborhood(u)) for u in solo})
+    classes = {}
+    out = [classes.setdefault(leader.get(u, u), len(classes)) for u in centers]
+    return out if 2 * len(classes) <= len(centers) else None
+
+
+def _merge(twin, coefs):
+    """Center-column coefficients summed onto their master columns."""
+    out = {}
+    for i, c in coefs.items():
+        t = twin[i]
+        out[t] = out.get(t, 0) + c
+    return out
+
+
 def solve_feasibility(model):
     """Decide LP1 by the cut loop; the FeasibilityResult holds a verified point."""
     graph, caps, k, soft = model.graph, model.capacities, model.k, model.soft
@@ -445,9 +478,6 @@ def solve_feasibility(model):
         return FeasibilityResult(None)  # no capacity anywhere, yet k >= 1 clients
     col = {u: i for i, u in enumerate(centers)}
     m = len(centers)
-
-    tab = Phase1Tableau(m, bounded=not soft)  # hard mode: y <= 1 as bounds
-    tab.add_row({i: 1 for i in range(m)}, "==", k)
 
     # one-client inequalities seeded up front: sum of y over N[v] >= 1.
     # Clients that reach the same centers (a class) give the same row,
@@ -459,8 +489,32 @@ def solve_feasibility(model):
         if not cols:
             return FeasibilityResult(None)  # nobody can serve v
         cls.append(seeds.setdefault(cols, len(seeds)))
-    for cols in seeds:
-        tab.add_row({c: 1 for c in cols}, ">=", 1)
+
+    # The master holds one column per twin class of centers when the
+    # classes at least halve them, else one per center.  Swapping two
+    # twins is an automorphism of the graph that keeps capacities, so it
+    # maps LP1 onto itself; LP1 is convex, so if it is feasible, so is the
+    # average of a feasible point over those swaps, whose y is constant on
+    # each class.  A class column is that shared y, and its coefficient
+    # in a row is the sum of its members' coefficients.  Every row is
+    # implied by LP1, so an infeasible master still proves LP1
+    # infeasible; each round expands the master point to the centers and
+    # separates on it, so a violated cut is violated in the master too.
+    twin = _twin_columns(graph, caps, centers)
+    if twin is None:
+        tab = Phase1Tableau(m, bounded=not soft)  # hard mode: y <= 1 as bounds
+        tab.add_row({i: 1 for i in range(m)}, "==", k)
+        for cols in seeds:
+            tab.add_row({c: 1 for c in cols}, ">=", 1)
+    else:
+        tab = Phase1Tableau(max(twin) + 1, bounded=not soft)
+        tab.add_row(_merge(twin, dict.fromkeys(range(m), 1)), "==", k)
+        rows = {}  # distinct client rows can merge into one master row
+        for cols in seeds:
+            row = _merge(twin, dict.fromkeys(cols, 1))
+            rows.setdefault(tuple(row.items()), row)
+        for row in rows.values():
+            tab.add_row(row, ">=", 1)
 
     # Each round separates on a partition of the clients, one flow node per
     # part weighted by its size.  The short clients of a max flow, the sink
@@ -492,6 +546,8 @@ def solve_feasibility(model):
         if not tab.solve():
             return FeasibilityResult(None)
         vals = tab.values()
+        if twin is not None:
+            vals = [vals[t] for t in twin]
         # the master point over its common denominator: y_i = ys[i] / scale
         scale = lcm(*(q.denominator for q in vals))
         ys = [q.numerator * (scale // q.denominator) for q in vals]
@@ -523,7 +579,7 @@ def solve_feasibility(model):
         lhs = sum(c * ys[i] for i, c in coefs.items())
         if lhs >= w_size * scale:
             raise PipelineError("separated inequality is not violated; cut logic bug")
-        tab.add_row(coefs, ">=", w_size)
+        tab.add_row(coefs if twin is None else _merge(twin, coefs), ">=", w_size)
     raise PipelineError(
         f"cut loop exceeded the round budget: {_MAX_ROUNDS} rounds over {len(tab.mat)} rows"
     )
@@ -562,21 +618,6 @@ def _lp1_rows(model):
         elif not soft:
             rows.append(({u: 1}, "<=", 1, f"cap1_{u}"))
     return rows, pair_col
-
-
-def _solve_dense(model):
-    n = model.graph.vertex_count
-    rows, pair_col = _lp1_rows(model)
-    vals = phase1_feasible(n + len(pair_col), [(c, s, b) for c, s, b, _ in rows])
-    if vals is None:
-        return FeasibilityResult(None)
-    a = Assignment(n)
-    for u in range(n):
-        a.y[u] = vals[u]
-    for (u, v), c in pair_col.items():
-        if vals[c] > 0:
-            a.set_x(u, v, vals[c])
-    return _finish(model, a)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shared test fixtures: random graphs, LP points, chain-shift cases, gadgets, traces."""
+"""Test fixtures: random graphs, LP points, the dense LP1 reference, chain shifts, gadgets."""
 
 import functools
 import math
@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from capkc.assignment import Assignment
 from capkc.graph_core import INF, Graph
-from capkc.lp_feasibility import build_lp1, solve_feasibility
+from capkc.lp_feasibility import (
+    FeasibilityResult,
+    Phase1Tableau,
+    _finish,
+    _lp1_rows,
+    build_lp1,
+    solve_feasibility,
+)
 
 
 def trace_text(trace):
@@ -111,6 +118,40 @@ def _lp_points(seed, count):
         if res.feasible and any(q.denominator != 1 for q in res.assignment.y):
             out.append((g, tuple(caps), k, res.assignment))
     return tuple(out)
+
+
+def phase1_feasible(num_vars, rows):
+    """Decide feasibility of {x >= 0} + rows; rows are (coefs, sense, rhs).
+
+    coefs maps column -> rational, sense is one of '<=', '>=', '=='.
+    Returns per-column values (Fractions) or None if infeasible.
+    """
+    tab = Phase1Tableau(num_vars)
+    for coefs, sense, b in rows:
+        tab.add_row(coefs, sense, b)
+    if not tab.solve():
+        return None
+    return tab.values()
+
+
+def _solve_dense(model):
+    """LP1 decided in one phase-1 simplex over the full (x, y) variable space.
+
+    The differential reference for the cut loop: quadratic blowup, so
+    small instances only.  A feasible point is verified as the cut loop's is.
+    """
+    n = model.graph.vertex_count
+    rows, pair_col = _lp1_rows(model)
+    vals = phase1_feasible(n + len(pair_col), [(c, s, b) for c, s, b, _ in rows])
+    if vals is None:
+        return FeasibilityResult(None)
+    a = Assignment(n)
+    for u in range(n):
+        a.y[u] = vals[u]
+    for (u, v), c in pair_col.items():
+        if vals[c] > 0:
+            a.set_x(u, v, vals[c])
+    return _finish(model, a)
 
 
 def two_hub_gadget(offset=0):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capkc import cli, graph_core
-from capkc.assignment import global_delta, read_assignment
+from capkc.assignment import global_delta, parse_assignment_text
 from capkc.cli import (
     _budget_range,
     _minimal_budget,
@@ -358,7 +358,7 @@ class TestGen:
         assert code == 0
         inst = read_instance(inst_path)
         assert inst.vertex_count == 12
-        witness = read_assignment(wit_path, 12)
+        witness = parse_assignment_text(wit_path.read_text(), 12)
         assert witness.sum_y() == 3
         capsys.readouterr()
 

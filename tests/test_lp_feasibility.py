@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import importlib.util
+import io
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,25 +14,26 @@ from hypothesis import strategies as st
 
 from capkc import lp_feasibility
 from capkc.assignment import Assignment, dump_assignment
+from capkc.cli import main
 from capkc.errors import InputError, PipelineError
 from capkc.flownet import MaxFlowNetwork, bipartite_flow
-from capkc.graph_core import INF, Graph, threshold_graph
+from capkc.graph_core import INF, Graph, format_instance, threshold_graph
 from capkc.instances import gen_fig1, gen_gap_construction, gen_random_connected
 from capkc.lp_feasibility import (
     Phase1Tableau,
     _lp1_rows,
-    _solve_dense,
     build_lp1,
     format_lp_dump,
-    phase1_feasible,
     solve_feasibility,
     verify_assignment_feasible,
 )
 
 from helpers import (
     Refused,
+    _solve_dense,
     assert_outcome,
     path_graph,
+    phase1_feasible,
     rand_connected_graph,
     two_hub_gadget,
     two_hub_witness,
@@ -39,6 +44,14 @@ F = Fraction
 # sha256 of phase1_feasible's points on rational_systems(Random(29), 200),
 # one line per system, recorded on the Fraction tableau
 RATIONAL_DIGEST = "55ea1c3fc8bc078c135bf6ab9d321e0482625a2762f3e5bd1779b7eb0074b960"
+
+CORPUS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+
+# TestTwinColumns: sha256 of the repr of every master's [columns, bounded,
+# add_row calls...] over the inputs that do not halve their centers,
+# recorded before the master had class columns
+TWIN_FREE_TABLEAUS = 27
+TWIN_FREE_DIGEST = "5e7a1ae6c48e73f98860d9659fd65504edc767077abf3878761475acfccf3183"
 
 
 def solve(graph, caps, k, soft=False, method="cuts"):
@@ -338,7 +351,9 @@ class TestBudgets:
         model = build_lp1(threshold_graph(inst, 1), list(inst.capacities), 3)
         with pytest.raises(PipelineError) as err:
             solve_feasibility(model)
-        assert str(err.value) == "cut loop exceeded the round budget: 2 rounds over 13 rows"
+        # fig1's 12 centers form 4 twin classes, so the master starts with
+        # the sum row and 4 seed rows (10 with one column per center)
+        assert str(err.value) == "cut loop exceeded the round budget: 2 rounds over 7 rows"
 
 
 class TestSolveFeasibility:
@@ -471,13 +486,15 @@ class TestPinnedOutputs:
     to integer rows, whose row scaling keeps every ratio and sign, and
     re-recorded when hard mode's y <= 1 became column bounds instead of
     rows: that changes the pivot path, so the point may move, but LP1's
-    feasibility, and with it every threshold, cannot."""
+    feasibility, and with it every threshold, cannot.  fig1 was re-recorded
+    again when twin classes got one master column each: its 12 centers form
+    4 classes, and its point is now constant on each, the hubs at 3/4."""
 
     CASES = {
         "fig1": (
             lambda: gen_fig1()[0], 3,
-            "1/2 1 0 0 0 0 1 1/2 0 0 0 0",
-            "a5860f40759c8a90eacee28a14d09a68eb5c96a63f299ddf992af482fb10ac24",
+            "3/4 3/4 0 0 0 0 3/4 3/4 0 0 0 0",
+            "0501ba06e7abc45e48f68ec0aeb285ea8ca80062c3cb3d7d8871ca040e1f8881",
         ),
         "random24": (
             lambda: gen_random_connected(24, 0.5, (1, 4), 9, 5), 9,
@@ -779,6 +796,162 @@ class TestClientClasses:
                 assert repr(result) == repr(bipartite_flow(n, offers, demand))
             checked += bool(calls)
         assert checked >= 30
+
+
+def twin_models(seed, count):
+    """Seeded LP1 models made of twins, hard and soft alternately.
+
+    Each vertex of a random connected graph becomes a group of 1-3
+    vertices with its capacity; a group is a clique (true twins) or has no
+    inner edge (false twins), and an edge joins every vertex of one group
+    to every vertex of the other.  A quarter of the models get one stray
+    edge, which breaks some twins.
+    """
+    rng = random.Random(seed)
+    for t in range(count):
+        base = rand_connected_graph(rng, rng.randint(2, 6))
+        groups, caps = [], []
+        for _ in range(base.vertex_count):
+            size = rng.choice([1, 2, 2, 3])
+            groups.append(range(len(caps), len(caps) + size))
+            caps += [rng.choice([0, 1, 2, 3, 4])] * size
+        edges = set()
+        for group in groups:
+            if rng.random() < 0.5:
+                edges.update((a, b) for a in group for b in group if a < b)
+        for a, b in base.edges:
+            edges.update((u, w) for u in groups[a] for w in groups[b])
+        n = len(caps)
+        if rng.random() < 0.25:
+            u, w = rng.sample(range(n), 2)
+            edges.add((min(u, w), max(u, w)))
+        yield build_lp1(Graph(n, edges), caps, rng.randint(1, min(6, n)), t % 2 == 1)
+
+
+def spy_twin_columns(monkeypatch):
+    """Record each _twin_columns call as (centers, result)."""
+    calls = []
+    original = lp_feasibility._twin_columns
+
+    def spy(graph, caps, centers):
+        result = original(graph, caps, centers)
+        calls.append((centers, result))
+        return result
+
+    monkeypatch.setattr(lp_feasibility, "_twin_columns", spy)
+    return calls
+
+
+def spy_tableaus(monkeypatch):
+    """Record each Phase1Tableau as [num_vars, bounded, add_row calls...]."""
+    tableaus = []
+    init, add_row = Phase1Tableau.__init__, Phase1Tableau.add_row
+
+    def spy_init(tab, num_vars, bounded=False):
+        tableaus.append([num_vars, bounded])
+        tab.spied = tableaus[-1]
+        init(tab, num_vars, bounded)
+
+    def spy_add_row(tab, coefs, sense, b):
+        tab.spied.append((list(coefs.items()), sense, b))
+        return add_row(tab, coefs, sense, b)
+
+    monkeypatch.setattr(Phase1Tableau, "__init__", spy_init)
+    monkeypatch.setattr(Phase1Tableau, "add_row", spy_add_row)
+    return tableaus
+
+
+def load_corpus():
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", CORPUS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def solve_text(tmp_path, text):
+    """capkc solve on an instance text, its report discarded; the exit code."""
+    path = tmp_path / "instance.txt"
+    path.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(["solve", str(path)])
+
+
+class TestTwinColumns:
+    """The master holds one column per twin class of centers when the
+    classes at least halve the centers, else one per center."""
+
+    def test_class_master_agrees_with_the_dense_reference(self, monkeypatch):
+        classes = spy_twin_columns(monkeypatch)
+        took = feasible = 0
+        for model in twin_models(seed=28, count=250):
+            classes.clear()
+            res = solve_feasibility(model)
+            ref = _solve_dense(model)
+            assert res.feasible == ref.feasible
+            for r in (res, ref):
+                if r.feasible:
+                    assert verify_assignment_feasible(
+                        model.graph, model.capacities, model.k, r.assignment, 1, model.soft
+                    )
+            twin = classes[0][1] if classes else None
+            if twin is None:
+                continue
+            took += 1
+            feasible += res.feasible
+            if res.feasible:  # the point is constant on each class
+                y = res.assignment.y
+                shared = {}
+                for u, c in zip(classes[0][0], twin):
+                    assert shared.setdefault(c, y[u]) == y[u]
+        assert took >= 100 and feasible >= 50
+
+    def test_classes_are_exactly_the_swappable_centers(self, monkeypatch):
+        classes = spy_twin_columns(monkeypatch)
+        checked = 0
+        for model in twin_models(seed=29, count=200):
+            g, caps = model.graph, model.capacities
+            solve_feasibility(model)
+            for centers, twin in classes:
+                if twin is None:
+                    continue
+                checked += 1
+                assert 2 * len(set(twin)) <= len(centers)
+                for i, u in enumerate(centers):
+                    for j in range(i):
+                        w = centers[j]
+                        swap = {u: w, w: u}
+                        edges = {
+                            tuple(sorted((swap.get(a, a), swap.get(b, b)))) for a, b in g.edges
+                        }
+                        swappable = edges == g.edges and caps[u] == caps[w]
+                        assert (twin[i] == twin[j]) == swappable
+            classes.clear()
+        assert checked >= 80
+
+    def test_twin_heavy_inputs_get_one_column_per_class(self, monkeypatch, tmp_path):
+        corpus = load_corpus()
+        tableaus = spy_tableaus(monkeypatch)
+        gap = format_instance(gen_gap_construction(24)[0])
+        for text, columns in [(corpus.hub_chain(6).text(), 25), (gap, 73)]:
+            tableaus.clear()
+            assert solve_text(tmp_path, text) == 0
+            assert [t[0] for t in tableaus] == [columns]
+
+    def test_other_inputs_keep_one_column_per_center(self, monkeypatch, tmp_path):
+        # hub-sparse (25 centers in 13 classes), the nonuniform gap
+        # instance (37 in 19) and the mixed workload but fig1: the rows
+        # and columns of every master, as recorded before class columns
+        corpus = load_corpus()
+        classes = spy_twin_columns(monkeypatch)
+        tableaus = spy_tableaus(monkeypatch)
+        texts = [corpus.hub_chain(12, nonuniform=True).text()]
+        texts.append(format_instance(gen_gap_construction(24, nonuniform=True)[0]))
+        texts += [inst.text() for inst in corpus.WORKLOADS["mixed"][1]() if inst.name != "fig1"]
+        for text in texts:
+            solve_text(tmp_path, text)
+        assert classes and all(twin is None for _, twin in classes)
+        digest = hashlib.sha256(repr(tableaus).encode()).hexdigest()
+        assert (len(tableaus), digest) == (TWIN_FREE_TABLEAUS, TWIN_FREE_DIGEST)
 
 
 class TestVerify:

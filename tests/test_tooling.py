@@ -123,6 +123,46 @@ def unread_imports_in(folder):
     ]
 
 
+def unread_definitions(texts):
+    """Module-level defs and classes that no other code in the modules names.
+
+    texts maps a module name to its source.  A definition counts as read
+    when a name, an attribute or an imported name spells it anywhere but
+    in its own body, or a literal __all__ lists it; a name spelled only by
+    unread definitions is unread too.  Returns "module:name" strings.
+    """
+    defined = []
+    spelled = {}  # name -> the definitions, (module, name), that spell it
+    exported = set()
+    for module, text in texts.items():
+        for top in ast.parse(text).body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = (module, top.name)
+                defined.append(own)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    spelled.setdefault(node.id, set()).add(own)
+                elif isinstance(node, ast.Attribute):
+                    spelled.setdefault(node.attr, set()).add(own)
+                elif isinstance(node, ast.alias):
+                    spelled.setdefault(node.name, set()).add(own)
+                elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+                ):
+                    exported |= {elt.value for elt in node.value.elts}
+    unread = set()
+    while True:
+        more = {
+            (module, name)
+            for module, name in defined
+            if name not in exported and not spelled.get(name, set()) - unread - {(module, name)}
+        }
+        if more == unread:
+            return sorted(f"{module}:{name}" for module, name in unread)
+        unread = more
+
+
 def imported_modules(text):
     """Top-level names of the modules the module text imports, relative ones left out."""
     names = set()
@@ -163,6 +203,28 @@ class TestImports:
 
     def test_no_test_module_imports_a_name_it_never_reads(self):
         assert unread_imports_in(Path(__file__).resolve().parent) == []
+
+    def test_every_src_definition_is_read_in_src(self):
+        paths = sorted((SRC / "capkc").glob("*.py"))
+        texts = {path.name: path.read_text("utf-8") for path in paths}
+        assert unread_definitions(texts) == []
+
+    def test_an_unread_definition_is_found(self):
+        texts = {
+            "a.py": (
+                "__all__ = ['public']\n"
+                "def public(): return _used()\n"
+                "def _used(): return 1\n"
+                "def _recursive(n): return _recursive(n - 1)\n"
+                "def _only_dead_reads(): return _dead_chain()\n"
+                "def _dead_chain(): return 0\n"
+                "class Holder: pass\n"
+            ),
+            "b.py": "from .a import Holder\n",
+        }
+        assert unread_definitions(texts) == [
+            "a.py:_dead_chain", "a.py:_only_dead_reads", "a.py:_recursive"
+        ]
 
     def test_an_unread_import_is_found(self):
         text = (
