@@ -7,9 +7,9 @@ LP's separation flow.  It keeps the network to itself: a caller gets the
 flows when every client is served, else the sink side of a minimum cut,
 never a node or an arc id.  A client node may stand for several identical
 clients (weights): the LP's cut loop separates on one node per client
-class, or per client, and over classes lays out one node per client only
-for x.  Callers pass int capacities only, so every flow value is an int;
-no floating point.
+class, and splits a class's flow evenly over its clients for x.  Callers
+pass int capacities only, so every flow value is an int; no floating
+point.
 Nothing here rounds, so exact Fractions would work too, but only a test
 passes them.
 Deterministic: arcs are scanned in insertion order, so two runs on
@@ -145,7 +145,9 @@ def bipartite_flow(client_count, offers, demand, weights=None):
     does not reach from the source.  That set is the same for every
     maximum flow (the sink side of the minimal minimum cut), so a weighted
     client is short exactly when the clients it stands for are short in
-    the network with one node for each of them.
+    the network with one node for each of them.  When every client is
+    served, a weighted client's flows split evenly over the clients it
+    stands for are flows of that network that serve each of them.
 
     Every s-t path of the fresh network has three arcs, so Dinic's first
     level graph is the whole network.  Its blocking-flow walk takes the

@@ -8,12 +8,12 @@ seats clients: source -> center u (L(u) * y_u) -> client v in N[u]
 (y_u) -> sink (1), for each center with y_u > 0.  The master point is
 put over its common denominator D, so every capacity is D times the
 rational one; Dinic only compares and adds capacities, so every flow
-and the min cut scale with them.  Each round runs one such flow over a
-client partition fixed at setup, one node per part weighted by its size
-(the classes of clients that reach the same centers, or one part per
-client).  If it serves every client, the client network's flows over D
-are x; otherwise its short parts, the sink side of its min cut expanded
-to clients, are the W of the next inequality.
+and the min cut scale with them.  Each round runs one such flow over the
+client classes (the clients that reach the same centers), one node per
+class weighted by its size.  If it serves every client, each class's
+flow from u, split evenly over the class's clients and put over D, is
+x; otherwise its short classes, the sink side of its min cut expanded to
+clients, are the W of the next inequality.
 Every generated inequality is implied by LP1 (constraints 2+3+4), and each
 round adds an inequality violated by the current master point, so the loop
 terminates: there are finitely many client sets.  A violated inequality is
@@ -516,31 +516,27 @@ def solve_feasibility(model):
         for row in rows.values():
             tab.add_row(row, ">=", 1)
 
-    # Each round separates on a partition of the clients, one flow node per
-    # part weighted by its size.  The short clients of a max flow, the sink
-    # side of the minimal minimum cut, are the same set for every maximum
-    # flow.  Swapping two clients of a class maps the network onto itself,
-    # so that set is a union of classes: the class network's cuts are the
-    # client network's cuts that are unions of classes, at the same
-    # capacity, its short parts expand to exactly the short clients, and
-    # |N[u] cap W| is the total size of the short parts u serves.  A round
-    # whose flow serves everyone runs one more flow, over the clients, for
-    # x, unless every part is one client; so the parts are the classes only
-    # when they at least halve the clients (classes on every input measured
-    # 1-4% slower on the mixed benchmark in 12 of 14 alternated pairs).
-    # Parts are numbered in first-seen client order, so one part per client
-    # is the client network itself.  reach: center column -> its parts.
-    if 2 * len(seeds) <= n:
-        size = [0] * len(seeds)
-        for c in cls:
-            size[c] += 1
-        reach = [[] for _ in range(m)]
-        for c, cols in enumerate(seeds):
-            for i in cols:
-                reach[i].append(c)
-    else:
-        size = [1] * n
-        reach = [sorted(graph.closed_neighborhood(u)) for u in centers]
+    # Each round separates on the client classes, one flow node per class
+    # weighted by its size.  The short clients of a max flow, the sink side
+    # of the minimal minimum cut, are the same set for every maximum flow.
+    # Swapping two clients of a class maps the network onto itself, so that
+    # set is a union of classes: the class network's cuts are the client
+    # network's cuts that are unions of classes, at the same capacity, its
+    # short classes expand to exactly the short clients, and |N[u] cap W|
+    # is the total size of the short classes u serves.  When the flow serves
+    # everyone, x_uv is class c's flow from u over D * |c| for each client v
+    # of c: split evenly, that flow serves each client D and carries at most
+    # y_u * D on an arc u -> v, so it is a serving flow of the client
+    # network.  It is the average of any such flow over the swaps, as the
+    # class master's y is over the twin swaps.  reach: center column -> its
+    # classes.
+    size = [0] * len(seeds)
+    for c in cls:
+        size[c] += 1
+    reach = [[] for _ in range(m)]
+    for c, cols in enumerate(seeds):
+        for i in cols:
+            reach[i].append(c)
 
     for _ in range(_MAX_ROUNDS):
         if not tab.solve():
@@ -555,19 +551,16 @@ def solve_feasibility(model):
         offers = [(caps[centers[i]] * ys[i], reach[i], ys[i]) for i in live]
         _, flows, short = bipartite_flow(len(size), offers, scale, size)
         if short is None:
-            if len(size) < n:  # x needs the client network, over each N[u]
-                offers = [
-                    (supply, sorted(graph.closed_neighborhood(centers[i])), unit)
-                    for i, (supply, _, unit) in zip(live, offers)
-                ]
-                flows = bipartite_flow(n, offers, scale)[1]
             a = Assignment(n)
             for i, u in enumerate(centers):
                 a.y[u] = vals[i]
             for i, pairs in zip(live, flows):
                 u = centers[i]
-                for v, q in pairs:
-                    a.set_x(u, v, Fraction(q, scale))
+                got = dict(pairs)  # class -> its flow from u
+                for v, c in enumerate(cls):
+                    q = got.get(c)
+                    if q:
+                        a.set_x(u, v, Fraction(q, scale * size[c]))
             return _finish(model, a)
 
         coefs = {}

@@ -488,13 +488,16 @@ class TestPinnedOutputs:
     rows: that changes the pivot path, so the point may move, but LP1's
     feasibility, and with it every threshold, cannot.  fig1 was re-recorded
     again when twin classes got one master column each: its 12 centers form
-    4 classes, and its point is now constant on each, the hubs at 3/4."""
+    4 classes, and its point is now constant on each, the hubs at 3/4.  Its
+    x was re-recorded when x became the class flow split evenly: y stayed,
+    and each hub pair, a client class, now gets 1/2 from each hub where it
+    got 1/4 and 3/4."""
 
     CASES = {
         "fig1": (
             lambda: gen_fig1()[0], 3,
             "3/4 3/4 0 0 0 0 3/4 3/4 0 0 0 0",
-            "0501ba06e7abc45e48f68ec0aeb285ea8ca80062c3cb3d7d8871ca040e1f8881",
+            "8481722a40d056078759aafce715ee29b26a01c6387a285cbe3a4f7957357a5c",
         ),
         "random24": (
             lambda: gen_random_connected(24, 0.5, (1, 4), 9, 5), 9,
@@ -631,26 +634,28 @@ def client_classes(model):
     return list(members.values())
 
 
-def client_partition(model):
-    """The parts the cut loop separates on: the classes when they at least
-    halve the clients, else one part per client."""
-    members = client_classes(model)
-    n = model.graph.vertex_count
-    return members if 2 * len(members) <= n else [[v] for v in range(n)]
-
-
 def expand(parts, offers):
-    """Offers over parts as offers over their clients, ascending."""
+    """Offers over classes as offers over their clients, ascending."""
     return [(s, sorted(v for p in ps for v in parts[p]), u) for s, ps, u in offers]
 
 
 def client_answer(parts, n):
-    """A partition-level flow answered by the client network on the expanded offers."""
+    """A class-level flow answered by the client network on the expanded
+    offers: its short clients as classes, or each offer's flows summed per
+    class."""
     part_of = {v: p for p, members in enumerate(parts) for v in members}
 
     def answer(count, offers, demand, weights):
         value, flows, short = bipartite_flow(n, expand(parts, offers), demand)
-        return value, flows, None if short is None else {part_of[v] for v in short}
+        if short is not None:
+            return value, None, {part_of[v] for v in short}
+        sums = []
+        for (_, ps, _), pairs in zip(offers, flows):
+            got = Counter()
+            for v, q in pairs:
+                got[part_of[v]] += q
+            sums.append([(p, got[p]) for p in ps if got[p]])
+        return value, sums, None
 
     return answer
 
@@ -658,14 +663,12 @@ def client_answer(parts, n):
 def spy_flows(monkeypatch, answer=bipartite_flow):
     """Record the cut loop's flows as (client_count, offers, demand, weights, result).
 
-    answer gives the result of each partition-level call, the calls with
-    weights; the others run the real flow.
+    answer gives the result of each call.
     """
     calls = []
 
     def spy(client_count, offers, demand, weights=None):
-        run = bipartite_flow if weights is None else answer
-        result = run(client_count, offers, demand, weights)
+        result = answer(client_count, offers, demand, weights)
         calls.append((client_count, offers, demand, weights, result))
         return result
 
@@ -686,18 +689,17 @@ def spy_rows(monkeypatch):
 
 
 class TestClientClasses:
-    """Each cut round runs one flow over a client partition: its classes when
-    they at least halve the clients, else one part per client.  Its cuts are
-    the client network's, so every row and the final point are unchanged."""
+    """Each cut round runs one flow, over the client classes weighted by
+    their sizes.  Its cuts are the client network's, so every row and y
+    are unchanged, and x is its flow split evenly over each class."""
 
     def test_class_cuts_are_the_client_cuts(self, monkeypatch):
         rows = spy_rows(monkeypatch)
-        used = class_cuts = served = fine_rounds = 0
+        merged = class_cuts = served = 0
         for model in cloned_models(seed=25, count=400):
             g, caps = model.graph, model.capacities
             n = g.vertex_count
-            parts = client_partition(model)
-            coarse = len(parts) < n
+            parts = client_classes(model)
             centers = [u for u in range(n) if caps[u] > 0]
             hoods = [sorted([u] + g.neighbors(u)) for u in centers]
             runs = []
@@ -706,40 +708,28 @@ class TestClientClasses:
                 with monkeypatch.context() as m:
                     calls = spy_flows(m, answer)
                     res = solve_feasibility(model)
-                point = dump_assignment(res.assignment) if res.feasible else None
-                runs.append((point, list(rows), calls))
-            (point, cut_rows, calls), (ref_point, ref_rows, _) = runs
-            # the same rows in the same order, so the same pivots and point
-            assert (point, cut_rows) == (ref_point, ref_rows)
-            # one flow per round; the client network follows only a serving
-            # flow over parts that merge clients, for x
-            second = [j for j, call in enumerate(calls) if call[3] is None]
-            assert second == ([len(calls) - 1] if coarse and point else [])
-            used += coarse
-            fine_rounds += 0 if coarse else len(calls)
+                runs.append((res.assignment.y if res.feasible else None, list(rows), calls))
+            (y, cut_rows, calls), (ref_y, ref_rows, _) = runs
+            # the same rows in the same order, so the same pivots and y
+            assert (y, cut_rows) == (ref_y, ref_rows)
+            merged += len(parts) < n
             short_sets = []
             for j, (count, offers, demand, weights, result) in enumerate(calls):
-                if weights is None:
-                    continue
                 assert (count, weights) == (len(parts), [len(p) for p in parts])
                 clients = expand(parts, offers)
                 assert all(vs in hoods for _, vs, _ in clients)
-                if not coarse:
-                    assert [vs for _, vs, _ in offers] == [vs for _, vs, _ in clients]
                 ref = bipartite_flow(n, clients, demand)
                 short = result[2]
                 if short is None:
-                    served += coarse
-                    assert ref[2] is None
-                    if coarse:
-                        _, next_offers, next_demand, _, _ = calls[j + 1]
-                        assert next_demand == demand
-                        assert [(s, list(vs), u) for s, vs, u in next_offers] == clients
+                    served += 1
+                    assert ref[2] is None and j == len(calls) - 1 and y is not None
                 else:
-                    class_cuts += coarse
+                    class_cuts += 1
                     w_set = {v for p in short for v in parts[p]}
                     assert w_set == ref[2]
                     short_sets.append(w_set)
+            # one flow per round: each adds a cut row, but a serving last one
+            assert len(short_sets) == len(calls) - (y is not None)
             # the cut rows close the row list, one per short flow, with
             # coefficients min(L(u), |N[u] cap W|) for the expanded W
             cuts = cut_rows[len(cut_rows) - len(short_sets):]
@@ -750,52 +740,54 @@ class TestClientClasses:
                 }
                 assert coefs == {i: c for i, c in want.items() if c > 0}
                 assert (sense, b) == (">=", len(w_set))
-        assert used >= 150 and class_cuts >= 60 and served >= 30 and fine_rounds >= 300
+        assert merged >= 350 and class_cuts >= 250 and served >= 120
 
-    def test_hub_chain_runs_one_client_flow(self, monkeypatch):
+    def test_x_is_the_class_flow_split_evenly(self, monkeypatch):
+        checked = 0
+        for model in cloned_models(seed=30, count=300):
+            n = model.graph.vertex_count
+            parts = client_classes(model)
+            with monkeypatch.context() as m:
+                calls = spy_flows(m)
+                res = solve_feasibility(model)
+            if not res.feasible:
+                continue
+            _, _, demand, sizes, (_, flows, _) = calls[-1]
+            y = res.assignment.y
+            live = [u for u in range(n) if model.capacities[u] > 0 and y[u] > 0]
+            want = {}
+            for u, pairs in zip(live, flows):
+                row = {v: F(q, demand * sizes[c]) for c, q in pairs for v in parts[c]}
+                if row:
+                    want[u] = row
+            x = res.assignment.x
+            assert x == want
+            # swapping two clients of a class maps x onto itself
+            for members in parts:
+                for v in members[1:]:
+                    swap = {members[0]: v, v: members[0]}
+                    assert {u: {swap.get(w, w): q for w, q in row.items()}
+                            for u, row in x.items()} == x
+            checked += len(parts) < n
+        assert checked >= 90
+
+    def test_hub_chain_runs_one_class_flow_per_round(self, monkeypatch):
         inst = gen_gap_construction(24, nonuniform=True)[0]
         g = threshold_graph(inst, 1)
         calls = spy_flows(monkeypatch)
         assert solve_feasibility(build_lp1(g, list(inst.capacities), inst.k)).feasible
-        weighted = [weights is not None for _, _, _, weights, _ in calls]
-        # every round but the last ends on a class cut; the last one's class
-        # flow serves everyone and the client network gives x
-        assert weighted == [True] * (len(calls) - 1) + [False]
-        assert len(calls) >= 3 and calls[-2][4][2] is None
+        # every flow is over the classes; every round but the last ends on a
+        # class cut, and the last one's flow serves everyone and gives x
+        assert all(weights is not None for _, _, _, weights, _ in calls)
+        served = [result[2] is None for _, _, _, _, result in calls]
+        assert len(calls) >= 2 and served == [False] * (len(calls) - 1) + [True]
         # the class network's arcs are ints too: supplies, units, the
         # common denominator and the class sizes
         amounts = [
             x for _, offers, demand, weights, _ in calls
-            for x in [demand, *(weights or []), *(a for s, _, u in offers for a in (s, u))]
+            for x in [demand, *weights, *(a for s, _, u in offers for a in (s, u))]
         ]
         assert all(type(x) is int for x in amounts)
-
-    def test_no_class_flow_without_classes(self, monkeypatch):
-        # fig1 has 10 classes for 12 clients (only its hubs pair up), so it
-        # separates on one part per client: the client network itself
-        rng = random.Random(27)
-        inst = gen_fig1()[0]
-        models = [build_lp1(threshold_graph(inst, 1), list(inst.capacities), 3)]
-        for _ in range(40):
-            n = rng.randint(4, 9)
-            caps = [rng.randint(1, 4) for _ in range(n)]
-            models.append(build_lp1(rand_connected_graph(rng, n), caps, rng.randint(2, n)))
-        checked = 0
-        for model in models:
-            g, caps = model.graph, model.capacities
-            n = g.vertex_count
-            if 2 * len(client_classes(model)) <= n:
-                continue
-            hoods = [sorted([u] + g.neighbors(u)) for u in range(n) if caps[u] > 0]
-            with monkeypatch.context() as m:
-                calls = spy_flows(m)
-                solve_feasibility(model)
-            for count, offers, demand, weights, result in calls:
-                assert (count, weights) == (n, [1] * n)
-                assert all(vs in hoods for _, vs, _ in offers)
-                assert repr(result) == repr(bipartite_flow(n, offers, demand))
-            checked += bool(calls)
-        assert checked >= 30
 
 
 def twin_models(seed, count):

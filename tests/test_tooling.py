@@ -237,3 +237,23 @@ class TestImports:
             "print(gcd(4, 6))\n"
         )
         assert unread_imports(text) == [(2, "os"), (4, "lcm")]
+
+
+def calls_to(text, name):
+    """Line numbers of the calls in the module text to name, bare or as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
+class TestSeparation:
+    def test_the_cut_loop_lays_out_one_flow_network(self):
+        # each cut round separates on the client classes alone, and x is
+        # read off that flow: lp_feasibility calls bipartite_flow at one site
+        text = (SRC / "capkc" / "lp_feasibility.py").read_text("utf-8")
+        assert len(calls_to(text, "bipartite_flow")) == 1
+        sample = "f(1)\nflownet.f(2)\ng(f)\n"
+        assert calls_to(sample, "f") == [1, 2]
