@@ -13,6 +13,9 @@ is refused with an InputError (exit 3) before any row is built.
 Twins, vertices with equal (neighbour, weight) lists, share one search:
 a twin's row is its class leader's row with their two entries swapped,
 since every path from either of them leaves through the same edges.
+Where the classes at least halve the vertices, that search runs on the
+quotient graph, one node per class.  An integral weight in a file is read
+as an int, so the common file builds no Fraction.
 """
 
 from __future__ import annotations
@@ -257,14 +260,27 @@ class WeightedMetricInstance:
     def from_weighted_edges(cls, vertex_count, edges, capacities, k, mode):
         """Build the metric as the exact shortest-path closure of the edges.
 
-        One search per class of twins: vertices are walked in the order of
-        their sorted (neighbour, weight) lists, and the first of each class
-        runs a BFS (uniform positive weights) or a Dijkstra search.  A twin
-        s of that leader copies the leader's row and swaps two entries:
+        One search per class of twins: one sort of the (neighbour, weight)
+        lists puts each class in a run, and the first of each class runs a
+        BFS (uniform positive weights) or a Dijkstra search.  A twin s of
+        that leader copies the leader's row and swaps two entries:
         row[leader] = d(leader, s) and row[s] = 0.  For any third vertex v,
         d(s, v) is the minimum over s's list of w + d(u, v), so equal lists
         give equal distances; this holds for zero and p/q weights and for
         isolated vertices alike.  Twins are never adjacent (no self-loops).
+
+        When the classes at least halve the vertices (the rule
+        lp_feasibility._twin_columns applies to centers), the leader searches
+        the quotient graph: one node per class, whose list is its leader's
+        (class, weight) list with duplicates merged.  A class is a module,
+        so a path between two classes maps onto a path of the quotient of
+        the same length, and a quotient path lifts back to one between any
+        two of their members.  The row is expanded by class; two members of
+        one class are twice its lightest edge apart, or INF if it has no
+        edge.  On inputs with few twins the quotient saves little search and
+        its expansion costs a pass over each row (parsing the mixed and
+        exact benchmark inputs took 16-29% longer with the quotient on every
+        input), so there the leader searches the vertices themselves.
         """
         check_vertex_count(vertex_count)
         normalized = []
@@ -289,19 +305,35 @@ class WeightedMetricInstance:
             row.sort()
         weights = {w for row in adj for _, w in row}
         step = weights.pop() if len(weights) == 1 else 0
+        # equal lists sort next to each other: a class is a run, led by its first
+        order = sorted(range(n), key=adj.__getitem__)
+        leaders = []
+        label = [0] * n  # label[v]: v's class, numbered in run order
+        for s in order:
+            if not leaders or adj[s] != adj[leaders[-1]]:
+                leaders.append(s)
+            label[s] = len(leaders) - 1
+        quotient = 2 * len(leaders) <= n
+        # the searched graph: one node per class with its leader's edges, or every vertex
+        nodes = [list({(label[v], w) for v, w in adj[s]}) for s in leaders] if quotient else adj
         # uniform positive weights: BFS scaled by the weight
-        hop_adj = [[v for v, _ in row] for row in adj] if step > 0 else None
+        hop_adj = [[v for v, _ in row] for row in nodes] if step > 0 else None
         scaled = [None] * n
-        leader = None
-        # equal lists sort next to each other, after their class leader
-        for s in sorted(range(n), key=adj.__getitem__):
-            if leader is not None and adj[s] == adj[leader]:
-                row = scaled[leader].copy()
-                row[leader] = row[s]
+        for s in order:
+            c = label[s]
+            lead = leaders[c]
+            if s != lead:
+                row = scaled[lead].copy()
+                row[lead] = row[s]
                 row[s] = 0
             else:
-                leader = s
-                row = _bfs_row(hop_adj, s, step) if step > 0 else _dijkstra_row(adj, s)
+                source = c if quotient else s
+                row = _bfs_row(hop_adj, source, step) if step > 0 else _dijkstra_row(nodes, source)
+                if quotient:
+                    # two members of a class are two edges apart, over its lightest edge
+                    row[c] = 2 * min(w for _, w in adj[s]) if adj[s] else INF
+                    row = list(map(row.__getitem__, label))
+                    row[s] = 0
             scaled[s] = row
         return cls(vertex_count, scaled, scale, capacities, k, mode, normalized)
 
@@ -465,10 +497,16 @@ def parse_instance_text(text):
             u, v = parse_int(parts[1]), parse_int(parts[2])
         except ValueError:
             fail(lineno, "edge endpoints must be integers")
-        try:
-            w = parse_rational(parts[3])
-        except ValueError:
-            fail(lineno, f"bad weight {parts[3]!r}")
+        w = parts[3]
+        if w.isascii() and w.isdigit():  # the common weight: an int, no Fraction
+            w = int(w)
+        else:
+            try:
+                w = parse_rational(w)
+            except ValueError:
+                fail(lineno, f"bad weight {parts[3]!r}")
+            if w.denominator == 1:
+                w = w.numerator
         if u == v:
             fail(lineno, f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):

@@ -371,7 +371,8 @@ def verify_assignment_feasible(graph, capacities, k, assignment, delta, soft=Fal
     Each y and x value's (numerator, denominator) is read once; scale is
     the lcm of the distinct denominators, and every value is put over it
     by one multiplication with scale // denominator, so every test runs on
-    ints, both sides scale times the rational ones.
+    ints, both sides scale times the rational ones.  At delta 1 an x entry
+    uv is tested against N[u] from graph.adjacency, so no hop row is built.
     """
     n = graph.vertex_count
     if assignment.vertex_count != n:
@@ -388,19 +389,27 @@ def verify_assignment_feasible(graph, capacities, k, assignment, delta, soft=Fal
         return False
     if sum(ys) != k * scale:
         return False
-    hops = graph.hop_distances()
+    if delta == 1:
+        adj = graph.adjacency
+
+        def within(u, row):
+            return {u, *adj[u]}.issuperset(row)
+    else:
+        hops = graph.hop_distances()
+
+        def within(u, row):
+            hu = hops[u]
+            return all(hu[v] != INF and hu[v] <= delta for v in row)
     client_total = [0] * n
     ratios = iter(x_ratios)
     for u, row in xs.items():
+        if not within(u, row):
+            return False
         yu = ys[u]
         load = 0
-        hu = hops[u]
         for v, (p, d) in zip(row, ratios):
             q = p * factor[d]
             if q <= 0 or q > yu:
-                return False
-            d = hu[v]
-            if d == INF or d > delta:
                 return False
             load += q
             client_total[v] += q

@@ -60,6 +60,8 @@ def records(text):
 
 def parse_int(token):
     """Parse [+-]?digits in ASCII digits to int; ValueError on anything else."""
+    if token.isascii() and token.isdigit():  # the common token, unsigned
+        return int(token)
     digits = token[1:] if token[:1] in ("+", "-") else token
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"expected an integer, got {token!r}")

@@ -404,6 +404,51 @@ class TestInstanceIO:
         assert "line 5" in str(err.value)
 
 
+class TestWeightTokens:
+    """A weight of ASCII digits is read as an int; no Fraction is built for it."""
+
+    @staticmethod
+    def weight(token):
+        inst = parse_instance_text(GOOD.replace("e 1 2 3/2", f"e 1 2 {token}"))
+        return {(u, v): w for u, v, w in inst.edges}[(1, 2)]
+
+    @pytest.mark.parametrize(
+        "token, value",
+        [("3", 3), ("007", 7), ("0", 0), ("1/2", Fraction(1, 2)), ("4/2", 2), ("+3", 3),
+         ("+0/5", 0), ("-0/3", 0), ("6/4", Fraction(3, 2))],
+    )
+    def test_an_integral_weight_is_an_int(self, token, value):
+        w = self.weight(token)
+        assert w == value
+        assert type(w) is (int if value.denominator == 1 else Fraction)
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [(t, f"bad weight {t!r}") for t in ["1.0", "1e3", "1_0", "\u0663", "\u00b2", "1/0"]]
+        + [("-1", "edge weight must be >= 0")],
+    )
+    def test_other_tokens_keep_their_messages(self, token, message):
+        with pytest.raises(InputError) as err:
+            self.weight(token)
+        assert str(err.value) == f"line 6: {message}"
+
+    def test_parsing_the_nonuniform_gap_instance_builds_no_fraction(self, monkeypatch):
+        text = format_instance(gen_gap_construction(24, nonuniform=True)[0])
+        made = []
+        real = Fraction.__new__
+
+        def spy(cls, *args, **kwargs):
+            made.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", spy)
+        inst = parse_instance_text(text)
+        monkeypatch.undo()
+        assert made == []
+        assert inst.vertex_count == 523 and len(inst.edges) == 990
+        assert {type(w) for *_, w in inst.edges} == {int}
+
+
 # ---------------------------------------------------------------------------
 # the integer metric against a plain-Fraction Dijkstra
 
@@ -521,26 +566,54 @@ def twin_graphs(draw):
 
 
 def spy_searches(monkeypatch):
-    """Record the source of every closure or hop-row search from here on."""
-    sources = []
+    """Record (source, node count) of every closure or hop-row search from here on."""
+    searches = []
     for name in ("_bfs_row", "_dijkstra_row"):
         real = getattr(graph_core, name)
 
         def spy(adjacency, s, *rest, real=real):
-            sources.append(s)
+            searches.append((s, len(adjacency)))
             return real(adjacency, s, *rest)
 
         monkeypatch.setattr(graph_core, name, spy)
-    return sources
+    return searches
 
 
-def neighbour_lists(inst):
-    """Each vertex's sorted (neighbour, weight) list, from the instance's edges."""
-    lists = [[] for _ in range(inst.vertex_count)]
-    for u, v, w in inst.edges:
+def neighbour_lists(n, edges):
+    """Each vertex's sorted (neighbour, weight) list."""
+    lists = [[] for _ in range(n)]
+    for u, v, w in edges:
         lists[u].append((v, w))
         lists[v].append((u, w))
     return [tuple(sorted(lst)) for lst in lists]
+
+
+@st.composite
+def halving_twin_graphs(draw):
+    """A twin_graphs draw with clones added until its classes at least halve the vertices.
+
+    An added clone copies a vertex's edges and is not joined to it, so it
+    joins that vertex's class (a clone of an isolated vertex joins the
+    isolated class): n grows, the number of classes does not.  Integral
+    weights are ints in some draws, as the file reader gives them.
+    """
+    n, edges = draw(twin_graphs())
+    while 2 * len(set(neighbour_lists(n, edges))) > n:
+        orig, clone = draw(st.integers(0, n - 1)), n
+        n += 1
+        edges += [(clone, v if u == orig else u, w) for u, v, w in edges if orig in (u, v)]
+    if draw(st.booleans()):
+        edges = [(u, v, int(w) if w.denominator == 1 else w) for u, v, w in edges]
+    label = draw(st.permutations(range(n)))
+    return n, [(label[u], label[v], w) for u, v, w in draw(st.permutations(edges))]
+
+
+def closure(n, edges, monkeypatch):
+    """The instance of the edges, and the (source, node count) of each search it ran."""
+    searches = spy_searches(monkeypatch)
+    inst = WeightedMetricInstance.from_weighted_edges(n, edges, [1] * n, 1, "hard")
+    monkeypatch.undo()
+    return inst, searches
 
 
 class TestTwinRows:
@@ -551,10 +624,9 @@ class TestTwinRows:
     def test_rows_match_floyd_warshall_with_one_search_per_class(self, graph):
         n, edges = graph
         with pytest.MonkeyPatch.context() as monkeypatch:
-            sources = spy_searches(monkeypatch)
-            inst = WeightedMetricInstance.from_weighted_edges(n, edges, [1] * n, 1, "hard")
+            inst, searches = closure(n, edges, monkeypatch)
         assert exact_metric(inst) == floyd_warshall(n, edges)
-        assert len(sources) == len(set(neighbour_lists(inst)))
+        assert len(searches) == len(set(neighbour_lists(n, edges)))
 
     @pytest.mark.parametrize(
         "build, searches, n",
@@ -567,12 +639,59 @@ class TestTwinRows:
         ids=["gap-24-nonuniform", "fig1", "x3c"],
     )
     def test_one_search_per_neighbour_list_class(self, monkeypatch, build, searches, n):
-        sources = spy_searches(monkeypatch)
+        spied = spy_searches(monkeypatch)
         inst = build()
-        lists = neighbour_lists(inst)
+        lists = neighbour_lists(inst.vertex_count, inst.edges)
         assert inst.vertex_count == n
-        assert len(sources) == searches == len(set(lists))
-        assert len({lists[s] for s in sources}) == searches
+        assert len(spied) == searches == len(set(lists))
+        # these classes halve the vertices, so each class is searched once,
+        # from its own node of the quotient, which has one node per class
+        assert sorted(s for s, _ in spied) == list(range(searches))
+        assert {size for _, size in spied} == {searches}
+
+
+class TestQuotientRows:
+    """Where twin classes at least halve the vertices, each class searches the quotient."""
+
+    @METRIC_SETTINGS
+    @given(halving_twin_graphs())
+    def test_rows_match_floyd_warshall_with_one_quotient_search_per_class(self, graph):
+        n, edges = graph
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            inst, searches = closure(n, edges, monkeypatch)
+        classes = len(set(neighbour_lists(n, edges)))
+        assert 2 * classes <= n
+        assert exact_metric(inst) == floyd_warshall(n, edges)
+        assert sorted(s for s, _ in searches) == list(range(classes))
+        assert {size for _, size in searches} == {classes}
+
+    @pytest.mark.parametrize("weight", [1, Fraction(1, 2), 0], ids=["unit", "p/q", "zero"])
+    @pytest.mark.parametrize(
+        "isolated, quotient", [(0, True), (1, False), (2, True), (3, True)]
+    )
+    def test_the_quotient_needs_classes_that_halve_the_vertices(
+        self, monkeypatch, weight, isolated, quotient
+    ):
+        # K_{2,2} is two classes of two; the isolated vertices are one more class
+        n = 4 + isolated
+        edges = [(0, 2, weight), (0, 3, weight), (1, 2, weight), (1, 3, weight)]
+        inst, searches = closure(n, edges, monkeypatch)
+        classes = 2 + (isolated > 0)
+        assert exact_metric(inst) == floyd_warshall(n, edges)
+        assert len(searches) == classes
+        assert {size for _, size in searches} == {classes if quotient else n}
+
+    def test_members_of_a_class_meet_over_its_lightest_edge(self, monkeypatch):
+        # classes {0}, {1}, {2, 3}, {4, 5, 8, 9} (isolated), {6, 7}
+        edges = [(0, 2, Fraction(1, 2)), (0, 3, Fraction(1, 2)), (1, 2, 3), (1, 3, 3),
+                 (1, 6, 0), (1, 7, 0)]
+        inst, searches = closure(10, edges, monkeypatch)
+        d = exact_metric(inst)
+        assert {size for _, size in searches} == {5}
+        assert d == floyd_warshall(10, edges)
+        assert (d[2][3], d[6][7], d[4][5], d[8][9], d[4][8]) == (1, 0, INF, INF, INF)
+        assert (d[0][1], d[0][6], d[2][6], d[3][7]) == (Fraction(7, 2), Fraction(7, 2), 3, 3)
+        assert all(d[v][v] == 0 for v in range(10))
 
 
 class TestVertexLimit:

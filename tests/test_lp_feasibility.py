@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capkc import lp_feasibility
+from capkc import graph_core, lp_feasibility
 from capkc.assignment import Assignment, dump_assignment
 from capkc.cli import main
 from capkc.errors import InputError, PipelineError
@@ -1050,8 +1050,8 @@ def rand_split(rng, parts):
     return [w / sum(weights) for w in weights]
 
 
-def rand_lp1_point(rng, soft):
-    """A random LP1-feasible (graph, caps, k, assignment, delta).
+def rand_lp1_point(rng, soft, delta=None):
+    """A random LP1-feasible (graph, caps, k, assignment, delta); delta 1..3 unless given.
 
     x splits each client over up to three centers within delta hops (a
     whole client is the int 1); y is the least each center needs, plus
@@ -1066,7 +1066,8 @@ def rand_lp1_point(rng, soft):
         graph = Graph(n, list(left.edges) + [(u + m, v + m) for u, v in right.edges])
     else:
         graph = rand_connected_graph(rng, n)
-    delta = rng.randint(1, 3)
+    if delta is None:
+        delta = rng.randint(1, 3)
     hops = graph.hop_distances()
     a = Assignment(n)
     for v in range(n):
@@ -1159,6 +1160,46 @@ class TestIntVerify:
         if not soft:
             clauses.add("y > 1")
         assert set(alone) == clauses and min(alone.values()) >= 10, alone
+
+
+
+class TestDistanceOneVerify:
+    """At distance 1 the check reads N[u] from the adjacency, never a hop row."""
+
+    def test_solve_feasibility_on_fig1_builds_no_hop_row(self, monkeypatch):
+        inst = gen_fig1()[0]
+        model = build_lp1(threshold_graph(inst, 1), list(inst.capacities), 3)
+        built = []
+        real = graph_core._bfs_row
+
+        def spy(adjacency, s, step):
+            built.append(s)
+            return real(adjacency, s, step)
+
+        monkeypatch.setattr(graph_core, "_bfs_row", spy)
+        assert solve_feasibility(model).feasible
+        assert built == []
+
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    def test_distance_one_answers_equal_the_hop_row_answers(self, soft):
+        # x entries drawn within 1 or 2 hops, so the points checked at
+        # distance 1 hold entries at 0, 1 and 2 hops; perturbed copies break
+        # the other clauses
+        rng = random.Random(131 + soft)
+        answers, reach = Counter(), Counter()
+        for _ in range(300):
+            graph, caps, k, a, _ = rand_lp1_point(rng, soft, delta=rng.choice((1, 2)))
+            hops = graph.hop_distances()
+            reach.update(hops[u][v] for u, row in a.x.items() for v in row)
+            cases = [(graph, caps, k, a)] + [
+                perturb(rng, graph, caps, k, a, 2)[:4] for _ in range(3)
+            ]
+            for case in cases:
+                ok = verify_assignment_feasible(*case, 1, soft)
+                assert ok == (not lp1_failures(*case, 1, soft))
+                answers[ok] += 1
+        assert set(reach) == {0, 1, 2} and min(reach.values()) >= 100, reach
+        assert min(answers.values()) >= 100, answers
 
 
 LP_DUMP = """\\ LP1 feasibility model (no objective)

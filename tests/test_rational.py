@@ -1,8 +1,11 @@
 """The text layer every reader shares: [+-]?digits(/digits)?, fields, files."""
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capkc.errors import InputError
 from capkc.rational import (
@@ -53,11 +56,24 @@ def test_parse_int_accepts_signed_ascii_digits(token, value):
 
 
 @pytest.mark.parametrize(
-    "token", ["", "+", "1_0", "\u0661", "\uff11", "1/1", "1.0", "1e3", " 1", "1 ", "0x10"]
+    "token",
+    ["", "+", "1_0", "\u0661", "\u0663", "\uff11", "\u00b2", "1\u00b2", "1/1", "1.0", "1e3",
+     " 1", "1 ", "0x10"],
 )
 def test_parse_int_rejects_everything_else_with_value_error(token):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected an integer"):
         parse_int(token)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.text(st.sampled_from("0189+-/._e \u0663\u00b2\uff11"), max_size=4))
+def test_parse_int_accepts_exactly_the_signed_ascii_digits(token):
+    # the unsigned fast path must refuse what the grammar refuses
+    if re.fullmatch("[+-]?[0-9]+", token):
+        assert parse_int(token) == int(token)
+    else:
+        with pytest.raises(ValueError, match="expected an integer"):
+            parse_int(token)
 
 
 def test_records_cut_comments_and_skip_blank_lines():
