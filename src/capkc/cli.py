@@ -281,7 +281,7 @@ def _cmd_solve(args):
     _print("at the largest radius the relaxation still needs:")
     for _, old_ids, _, _, found in plan:
         if found is not None:
-            _print(f"  component of {old_ids[0]}: needs {found[0]} centers")
+            _print(f"  component of {old_ids[0]}: needs {_centers(found[0])}")
     for _, old_ids, _, k_cap, found in plan:
         if found is None:
             _print(
@@ -289,6 +289,10 @@ def _cmd_solve(args):
                 f" for every budget up to {k_cap}"
             )
     return 2
+
+
+def _centers(count):
+    return "1 center" if count == 1 else f"{count} centers"
 
 
 def _cmd_verify(args):
@@ -300,7 +304,7 @@ def _cmd_verify(args):
         _print(f"invalid: {exc}")
         return 2
     _print(
-        f"valid: {solution.open_count()} centers within radius"
+        f"valid: {_centers(solution.open_count())} within radius"
         f" {format_rational(solution.radius)}"
     )
     return 0

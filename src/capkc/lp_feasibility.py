@@ -19,7 +19,9 @@ round adds an inequality violated by the current master point, so the loop
 terminates: there are finitely many client sets.  A violated inequality is
 new, as the master point meets every row the tableau holds.  In hard mode
 the master's y_u <= 1 are the tableau's implicit column bounds (its
-bounded-variable simplex), not rows; soft mode has no upper bound.
+bounded-variable simplex), not rows; soft mode has no upper bound.  An
+artificial column of that phase-1 simplex leaves the tableau with the
+basis, as it can never return.
 When the twin classes of centers (equal capacity, and equal open or equal
 closed neighbourhoods) at least halve the centers, the master holds one
 column per class, the y its members share, and each round expands its
@@ -114,7 +116,7 @@ def _eliminate(row, rhs, den, col, prow, prhs, pden):
     return _reduce(row, rhs, den)
 
 
-def _entering(wrow, art_cols, bland):
+def _entering(wrow, bland):
     """The pricing step: the column whose rise lowers w, or None at the optimum.
 
     Dantzig's rule takes the largest wrow entry, ties to the smallest column;
@@ -123,14 +125,12 @@ def _entering(wrow, art_cols, bland):
     entering = None
     if bland:
         for c in sorted(wrow):
-            if wrow[c] > 0 and c not in art_cols:
+            if wrow[c] > 0:
                 return c
         return None
     best = None
     for c, v in wrow.items():
-        if v <= 0 or c in art_cols:
-            continue
-        if best is None or v > best or (v == best and c < entering):
+        if v > 0 and (best is None or v > best or (v == best and c < entering)):
             best = v
             entering = c
     return entering
@@ -145,6 +145,14 @@ class Phase1Tableau:
     and a cold solve each round would repeat every pivot made so far.
     Anti-cycling: Dantzig entering, falling back to Bland's rule after a
     degenerate streak; leaving ties always break on the smallest basis column.
+
+    Each >= or == row starts basic in an artificial column.  An artificial
+    that leaves the basis can never return, so _pivot drops its column,
+    which only the pivot row holds (Dantzig's two-phase method; Chvatal
+    1983, ch. 8): art_cols holds only basic artificials, and no other row
+    or the objective row ever reads one.  Where phase 1 reaches w = 0, a
+    degenerate pivot expels each basic artificial whose row holds another
+    column; a row with none is redundant, and its artificial stays at 0.
 
     Rows are fraction-free: row i is mat[i] (column -> nonzero int) over one
     positive int den[i], with right-hand side rhs[i] / den[i], so its basic
@@ -241,8 +249,14 @@ class Phase1Tableau:
     def _pivot(self, pr, entering):
         mat, rhs, den = self.mat, self.rhs, self.den
         prow, rp = mat[pr], rhs[pr]
-        # entering moves to the end of the row's column order, which
-        # _expel_artificials scans to pick its pivot column
+        # a leaving artificial never returns, so its column goes with it;
+        # it is basic, so the pivot row is the only row that holds it
+        leaving = self.basis[pr]
+        if leaving in self.art_cols:
+            self.art_cols.remove(leaving)
+            del prow[leaving]
+        # entering moves to the end of the row's column order, which the
+        # degenerate pivots at the end of phase 1 scan for their column
         p = prow.pop(entering)
         prow[entering] = p
         if p < 0:
@@ -255,35 +269,6 @@ class Phase1Tableau:
                 mat[i], rhs[i], den[i] = _eliminate(row, rhs[i], den[i], entering, prow, rp, p)
         mat[pr], rhs[pr], den[pr] = prow, rp, p
         self.basis[pr] = entering
-
-    def _expel_artificials(self):
-        """Degenerate-pivot every basic artificial out, then drop dead columns.
-
-        Runs only at w = 0, where each basic artificial sits at rhs 0: the
-        pivot moves no mass, but once an artificial is nonbasic it is pinned
-        to 0 and later pivots cannot disturb the row it used to patch.  Rows
-        with no structural entry left are redundant and inert; their
-        artificial stays, marked live.
-        """
-        live = set()
-        for i, bc in enumerate(self.basis):
-            if bc not in self.art_cols:
-                continue
-            entering = None
-            for c, v in self.mat[i].items():
-                if c != bc and c not in self.art_cols and v != 0:
-                    entering = c
-                    break
-            if entering is None:
-                live.add(bc)
-            else:
-                self._pivot(i, entering)
-        dead = self.art_cols - live
-        if dead:
-            for row in self.mat:
-                for c in row.keys() & dead:
-                    del row[c]
-            self.art_cols = live
 
     def solve(self):
         """Drive the basic-artificial total to 0.  True iff feasible."""
@@ -300,13 +285,15 @@ class Phase1Tableau:
             wrow, wrhs, wden = _eliminate(wrow, wrhs, wden, basis[i], mat[i], rhs[i], den[i])
         wrow = {c: -v for c, v in wrow.items()}
         wrhs = -wrhs
-        if wrhs == 0:
-            self._expel_artificials()
-            return True
 
         degenerate_streak = pivots = flips = 0
-        for _ in range(_MAX_PIVOTS):
-            entering = _entering(wrow, art_cols, degenerate_streak >= _BLAND_AFTER)
+        while wrhs != 0:
+            if pivots + flips >= _MAX_PIVOTS:
+                raise PipelineError(
+                    f"phase-1 simplex exceeded the pivot budget: {pivots} pivots"
+                    f" and {flips} bound flips over {len(mat)} rows"
+                )
+            entering = _entering(wrow, degenerate_streak >= _BLAND_AFTER)
             if entering is None:
                 return False  # w minimized at a positive value
             # ratio test: the least step t at which a basic value reaches a
@@ -352,13 +339,12 @@ class Phase1Tableau:
                     wrow, wrhs, wden = _eliminate(
                         wrow, wrhs, wden, entering, mat[pr], rhs[pr], den[pr]
                     )
-            if wrhs == 0:
-                self._expel_artificials()
-                return True
-        raise PipelineError(
-            f"phase-1 simplex exceeded the pivot budget: {pivots} pivots"
-            f" and {flips} bound flips over {len(mat)} rows"
-        )
+        # w = 0 leaves each basic artificial at 0, so a degenerate pivot on
+        # any other column of its row expels it; a row with none is redundant
+        for i, bc in enumerate(basis):
+            if bc in art_cols and len(mat[i]) > 1:
+                self._pivot(i, next(c for c in mat[i] if c != bc))
+        return True
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,22 @@ class TestSolve:
         assert "status: infeasible" in report
         assert report.count("needs 2 centers") == 2
 
+    def test_infeasible_report_counts_one_center_in_the_singular(self, tmp_path, capsys):
+        # two isolated vertices with k = 1: each component needs one center
+        inst = tmp_path / "two.txt"
+        inst.write_text("capkc 1 2 0 1 hard\nv 0 1\nv 1 1\n")
+        assert main(["solve", str(inst)]) == 2
+        report = capsys.readouterr().out
+        assert "  component of 0: needs 1 center\n  component of 1: needs 1 center\n" in report
+
+    def test_verify_counts_one_center_in_the_singular(self, tmp_path, capsys):
+        inst = path_instance(tmp_path, [5, 5, 5], 1)
+        out = tmp_path / "sol.txt"
+        assert main(["solve", str(inst), "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(inst), str(out)]) == 0
+        assert capsys.readouterr().out == "valid: 1 center within radius 1\n"
+
     def test_exact_mode(self, tmp_path, capsys):
         inst = path_instance(tmp_path, [5, 5, 5, 5, 5], 1)
         assert main(["solve", str(inst), "--mode", "exact"]) == 0

@@ -53,6 +53,12 @@ CORPUS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
 TWIN_FREE_TABLEAUS = 27
 TWIN_FREE_DIGEST = "5e7a1ae6c48e73f98860d9659fd65504edc767077abf3878761475acfccf3183"
 
+# TestLiveColumns: steps and sha256 of the repr of every _pivot (row,
+# entering) and _complement column, recorded while the tableau still
+# eliminated the columns of artificials that had left the basis
+PIVOT_PATH_STEPS = 2495
+PIVOT_PATH_DIGEST = "a525c03f6275673720dba793740e23723fe3b96559cc495a39df589a263857dc"
+
 
 def solve(graph, caps, k, soft=False, method="cuts"):
     model = build_lp1(graph, list(caps), k, soft)
@@ -284,9 +290,9 @@ class TestBoundedTableau:
             seen["warm_on_flipped"] += any(coefs.get(c) for c in tab.flipped)
             return add_row(tab, coefs, sense, b)
 
-        def spy_entering(wrow, art_cols, bland_rule):
+        def spy_entering(wrow, bland_rule):
             seen["bland"] += bland_rule
-            return entering(wrow, art_cols, bland_rule)
+            return entering(wrow, bland_rule)
 
         monkeypatch.setattr(Phase1Tableau, "_complement", spy_complement)
         monkeypatch.setattr(Phase1Tableau, "add_row", spy_add_row)
@@ -944,6 +950,78 @@ class TestTwinColumns:
         assert classes and all(twin is None for _, twin in classes)
         digest = hashlib.sha256(repr(tableaus).encode()).hexdigest()
         assert (len(tableaus), digest) == (TWIN_FREE_TABLEAUS, TWIN_FREE_DIGEST)
+
+
+def solve_unit_systems():
+    """unit_systems(Random(37), 300) through phase1_feasible and through
+    the bounded tableau, fed in two batches."""
+    rng = random.Random(37)
+    for nv, rows in unit_systems(rng, 300):
+        phase1_feasible(nv, rows)
+        cut = rng.randint(0, len(rows))
+        bounded_solve(nv, rows, [slice(0, cut), slice(cut, None)])
+
+
+def cut_loop_models(count):
+    """Seeded gen_random_connected(14, 1.0, (1, 4), 4, s) models at radius 1, hard and soft."""
+    for seed in range(count):
+        inst = gen_random_connected(14, 1.0, (1, 4), 4, seed)
+        graph = threshold_graph(inst, 1)
+        for soft in (False, True):
+            yield build_lp1(graph, list(inst.capacities), 4, soft)
+
+
+class TestLiveColumns:
+    """An artificial never re-enters the basis, so it leaves the tableau
+    with the basis: only a basic artificial has a column."""
+
+    def test_only_basic_artificials_hold_a_column(self, monkeypatch):
+        add_row, pivot = Phase1Tableau.add_row, Phase1Tableau._pivot
+        broken = []  # per pivot: whether the tableau broke the rule after it
+
+        def spy_add_row(tab, coefs, sense, b):
+            add_row(tab, coefs, sense, b)
+            # every artificial column this tableau has had
+            tab.arts = getattr(tab, "arts", set()) | tab.art_cols
+
+        def spy_pivot(tab, pr, entering):
+            pivot(tab, pr, entering)
+            basic = set(tab.basis)
+            dead = tab.arts - basic
+            broken.append(
+                not tab.art_cols <= basic or any(dead & row.keys() for row in tab.mat)
+            )
+
+        monkeypatch.setattr(Phase1Tableau, "add_row", spy_add_row)
+        monkeypatch.setattr(Phase1Tableau, "_pivot", spy_pivot)
+        solve_unit_systems()
+        for model in cut_loop_models(30):
+            solve_feasibility(model)
+        assert len(broken) > 1000
+        assert sum(broken) == 0, f"{sum(broken)} of {len(broken)} pivots"
+
+    def test_pivot_path_is_pinned(self, monkeypatch, tmp_path):
+        # every pivot (row, entering column) and every complemented column
+        # of the unit systems and of the hub and mixed benchmark solves,
+        # recorded while dead artificial columns were still eliminated
+        path = []
+        pivot, complement = Phase1Tableau._pivot, Phase1Tableau._complement
+        monkeypatch.setattr(
+            Phase1Tableau, "_pivot",
+            lambda tab, pr, entering: path.append(("pivot", pr, entering))
+            or pivot(tab, pr, entering),
+        )
+        monkeypatch.setattr(
+            Phase1Tableau, "_complement",
+            lambda tab, col: path.append(("complement", col)) or complement(tab, col),
+        )
+        solve_unit_systems()
+        corpus = load_corpus()
+        insts = [corpus.hub_chain(6), corpus.hub_chain(12, nonuniform=True)]
+        for inst in insts + corpus.WORKLOADS["mixed"][1]():
+            solve_text(tmp_path, inst.text())
+        digest = hashlib.sha256(repr(path).encode()).hexdigest()
+        assert (len(path), digest) == (PIVOT_PATH_STEPS, PIVOT_PATH_DIGEST)
 
 
 class TestVerify:

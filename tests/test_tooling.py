@@ -124,42 +124,63 @@ def unread_imports_in(folder):
 
 
 def unread_definitions(texts):
-    """Module-level defs and classes that no other code in the modules names.
+    """Module-level defs and classes, and _-prefixed methods, that no other code names.
 
     texts maps a module name to its source.  A definition counts as read
     when a name, an attribute or an imported name spells it anywhere but
     in its own body, or a literal __all__ lists it; a name spelled only by
-    unread definitions is unread too.  Returns "module:name" strings.
+    unread definitions is unread too.  A method is checked when its name
+    starts with _ but is not a __dunder__, and is reported as Class.name.
+    Returns "module:name" strings.
     """
-    defined = []
-    spelled = {}  # name -> the definitions, (module, name), that spell it
+    defined = {}  # (module, label) -> the name a reader spells
+    spelled = {}  # name -> the definitions, (module, label), that spell it
     exported = set()
+
+    def spell(tree, own):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                spelled.setdefault(node.id, set()).add(own)
+            elif isinstance(node, ast.Attribute):
+                spelled.setdefault(node.attr, set()).add(own)
+            elif isinstance(node, ast.alias):
+                spelled.setdefault(node.name, set()).add(own)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(elt.value for elt in node.value.elts)
+
     for module, text in texts.items():
         for top in ast.parse(text).body:
-            own = None
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = (module, top.name)
-                defined.append(own)
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    spelled.setdefault(node.id, set()).add(own)
-                elif isinstance(node, ast.Attribute):
-                    spelled.setdefault(node.attr, set()).add(own)
-                elif isinstance(node, ast.alias):
-                    spelled.setdefault(node.name, set()).add(own)
-                elif isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                spell(top, None)
+                continue
+            own = (module, top.name)
+            defined[own] = top.name
+            if not isinstance(top, ast.ClassDef):
+                spell(top, own)
+                continue
+            for child in ast.iter_child_nodes(top):
+                name = getattr(child, "name", "")
+                if (
+                    isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and name.startswith("_")
+                    and not (name.startswith("__") and name.endswith("__"))
                 ):
-                    exported |= {elt.value for elt in node.value.elts}
+                    method = (module, f"{top.name}.{name}")
+                    defined[method] = name
+                    spell(child, method)
+                else:
+                    spell(child, own)
     unread = set()
     while True:
         more = {
-            (module, name)
-            for module, name in defined
-            if name not in exported and not spelled.get(name, set()) - unread - {(module, name)}
+            own
+            for own, name in defined.items()
+            if name not in exported and not spelled.get(name, set()) - unread - {own}
         }
         if more == unread:
-            return sorted(f"{module}:{name}" for module, name in unread)
+            return sorted(f"{module}:{label}" for module, label in unread)
         unread = more
 
 
@@ -218,12 +239,19 @@ class TestImports:
                 "def _recursive(n): return _recursive(n - 1)\n"
                 "def _only_dead_reads(): return _dead_chain()\n"
                 "def _dead_chain(): return 0\n"
-                "class Holder: pass\n"
+                "class Holder:\n"
+                "    def __init__(self): self._live()\n"
+                "    def _live(self): return self._helper()\n"
+                "    def _helper(self): return 1\n"
+                "    def _orphan(self): return self._orphan_helper()\n"
+                "    def _orphan_helper(self): return 2\n"
+                "    def __len__(self): return 0\n"
             ),
             "b.py": "from .a import Holder\n",
         }
         assert unread_definitions(texts) == [
-            "a.py:_dead_chain", "a.py:_only_dead_reads", "a.py:_recursive"
+            "a.py:Holder._orphan", "a.py:Holder._orphan_helper",
+            "a.py:_dead_chain", "a.py:_only_dead_reads", "a.py:_recursive",
         ]
 
     def test_an_unread_import_is_found(self):
