@@ -1,21 +1,24 @@
 """Unweighted graphs, hop metrics, thresholding, instance I/O.
 
 Everything downstream works on hop distances of a thresholded graph, so this
-module is the single place that touches weighted input.  The metric is one
-table: an int matrix over one positive int scale, the lcm of the input's
-denominators, so every threshold test is one int comparison and a Fraction
-is built only where a distance is reported.  Unreachable pairs are
-represented by the INF sentinel, which only ever participates in
-comparisons, never in arithmetic.  The table is dense, so an instance may
-have at most MAX_VERTICES vertices; a larger one, or one without vertices,
-is refused with an InputError (exit 3) before any row is built.
+module is the single place that touches weighted input.  The metric is int
+rows over one positive int scale, the lcm of the input's denominators, so
+every threshold test is one int comparison and a Fraction is built only
+where a distance is reported.  Unreachable pairs are represented by the INF
+sentinel, which only ever participates in comparisons, never in arithmetic.
+An instance may have at most MAX_VERTICES vertices, so a dense table of
+them stays in bounds; a larger one, or one without vertices, is refused
+with an InputError (exit 3) before any row is built.
 
-Twins, vertices with equal (neighbour, weight) lists, share one search:
-a twin's row is its class leader's row with their two entries swapped,
-since every path from either of them leaves through the same edges.
-Where the classes at least halve the vertices, that search runs on the
-quotient graph, one node per class.  An integral weight in a file is read
-as an int, so the common file builds no Fraction.
+Twins, vertices with equal (neighbour, weight) lists, share one search,
+since every path from either of them leaves through the same edges.  Where
+the classes at least halve the vertices, that search runs on the quotient
+graph, one node per class, and the metric stays there: candidate radii and
+threshold graphs read one row per class, and a vertex row is expanded from
+its class row on its first read.  Elsewhere the rows form a dense table, a
+twin's row being its class leader's with their two entries swapped.  An
+integral weight in a file is read as an int, so the common file builds no
+Fraction.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from itertools import combinations, product
 
 from .errors import InputError
 from .rational import (
@@ -34,7 +38,7 @@ INF = float("inf")
 HARD = "hard"
 SOFT = "soft"
 
-# Largest instance whose n x n metric table is built (about 4M entries).
+# Largest instance whose n x n metric table may be built (about 4M entries).
 MAX_VERTICES = 2048
 
 
@@ -103,7 +107,8 @@ class Graph:
         IndexError.
         """
         if self._hops is None:
-            self._hops = _HopRows(self.adjacency)
+            adjacency = self.adjacency
+            self._hops = _Rows(self.vertex_count, lambda u: _bfs_row(adjacency, u, 1))
         return self._hops
 
     def is_connected(self):
@@ -183,25 +188,32 @@ def _dijkstra_row(adjacency, s):
     return row
 
 
-class _HopRows:
-    """Unit-step distance rows over list adjacency, each built on first read."""
+class _Rows:
+    """Rows 0..n-1 of a table, row u made by build(u) on its first read and cached."""
 
-    __slots__ = ("_adjacency", "_rows")
+    __slots__ = ("_build", "_rows")
 
-    def __init__(self, adjacency):
-        self._adjacency = adjacency
-        self._rows = [None] * len(adjacency)
+    def __init__(self, n, build):
+        self._build = build
+        self._rows = [None] * n
 
     def __len__(self):
         return len(self._rows)
 
     def __getitem__(self, u):
         if not 0 <= u < len(self._rows):  # a negative u must not wrap around
-            raise IndexError(f"hop row {u} out of range [0,{len(self._rows)})")
+            raise IndexError(f"row {u} out of range [0,{len(self._rows)})")
         row = self._rows[u]
         if row is None:
-            row = self._rows[u] = _bfs_row(self._adjacency, u, 1)
+            row = self._rows[u] = self._build(u)
         return row
+
+
+def _class_row(rows, label, u):
+    """Vertex u's metric row, read off the row of its class."""
+    row = list(map(rows[label[u]].__getitem__, label))
+    row[u] = 0
+    return row
 
 
 def induced_subgraph(graph, vertices):
@@ -222,16 +234,22 @@ def induced_subgraph(graph, vertices):
 class WeightedMetricInstance:
     """A problem statement: metric distances, capacities, k, hard/soft mode.
 
-    The metric is one int table: scaled[u][v] is d(u,v) times scale, the
-    lcm of the denominators of the input distances (1 for integer input),
-    and pairs in different components hold INF.  For an int d,
-    d / scale <= r holds iff d <= floor(r * scale), so every threshold
-    test compares scaled entries with cutoff(r); an exact distance is
+    The metric is int rows: scaled[u][v] is d(u,v) times scale, the lcm of
+    the denominators of the input distances (1 for integer input), and
+    pairs in different components hold INF.  For an int d, d / scale <= r
+    holds iff d <= floor(r * scale), so every threshold test compares
+    scaled entries with cutoff(r); an exact distance is
     Fraction(scaled[u][v], scale), built only where one is reported.
-    Capacities are nonnegative integers.  At most MAX_VERTICES vertices.
+    classes is None when scaled is a dense list of rows.  Otherwise it is
+    (members, rows): members[c] lists the vertices of twin class c in
+    ascending order, rows[c][c'] is the scaled distance between a member of
+    class c and one of c' (for c' = c, between two members of c: twice its
+    lightest edge, or INF if it has none), and scaled[u] is expanded from
+    u's class row on its first read.  Capacities are nonnegative integers.
+    At most MAX_VERTICES vertices.
     """
 
-    def __init__(self, vertex_count, scaled, scale, capacities, k, mode, edges):
+    def __init__(self, vertex_count, scaled, scale, capacities, k, mode, edges, classes=None):
         if mode not in (HARD, SOFT):
             raise InputError(f"mode must be '{HARD}' or '{SOFT}', got {mode!r}")
         if k < 1:
@@ -240,6 +258,7 @@ class WeightedMetricInstance:
         self.vertex_count = vertex_count
         self.scaled = scaled
         self.scale = scale
+        self.classes = classes
         self.capacities = list(capacities)
         self.k = k
         self.mode = mode
@@ -262,12 +281,12 @@ class WeightedMetricInstance:
 
         One search per class of twins: one sort of the (neighbour, weight)
         lists puts each class in a run, and the first of each class runs a
-        BFS (uniform positive weights) or a Dijkstra search.  A twin s of
-        that leader copies the leader's row and swaps two entries:
-        row[leader] = d(leader, s) and row[s] = 0.  For any third vertex v,
-        d(s, v) is the minimum over s's list of w + d(u, v), so equal lists
-        give equal distances; this holds for zero and p/q weights and for
-        isolated vertices alike.  Twins are never adjacent (no self-loops).
+        BFS (uniform positive weights) or a Dijkstra search.  For any third
+        vertex v, d(s, v) is the minimum over s's list of w + d(u, v), so
+        twins have equal distances to every other vertex; this holds for
+        zero and p/q weights and for isolated vertices alike.  Twins are
+        never adjacent (no self-loops), and two of them are twice their
+        lightest edge apart, or INF if they have no edge.
 
         When the classes at least halve the vertices (the rule
         lp_feasibility._twin_columns applies to centers), the leader searches
@@ -275,12 +294,14 @@ class WeightedMetricInstance:
         (class, weight) list with duplicates merged.  A class is a module,
         so a path between two classes maps onto a path of the quotient of
         the same length, and a quotient path lifts back to one between any
-        two of their members.  The row is expanded by class; two members of
-        one class are twice its lightest edge apart, or INF if it has no
-        edge.  On inputs with few twins the quotient saves little search and
-        its expansion costs a pass over each row (parsing the mixed and
-        exact benchmark inputs took 16-29% longer with the quotient on every
-        input), so there the leader searches the vertices themselves.
+        two of their members.  The instance keeps these class rows (see
+        classes) and expands a vertex row only when it is read.  On inputs
+        with few twins the quotient saves little search and its expansion
+        costs a pass over each row (parsing the mixed and exact benchmark
+        inputs took 16-29% longer with the quotient on every input), so
+        there the leader searches the vertices themselves, each twin copies
+        its leader's row and swaps two entries (row[leader] = d(leader, s),
+        row[s] = 0), and the rows form a dense table.
         """
         check_vertex_count(vertex_count)
         normalized = []
@@ -305,7 +326,8 @@ class WeightedMetricInstance:
             row.sort()
         weights = {w for row in adj for _, w in row}
         step = weights.pop() if len(weights) == 1 else 0
-        # equal lists sort next to each other: a class is a run, led by its first
+        # equal lists sort next to each other, ascending within a run: a class
+        # is a run, led by its first member
         order = sorted(range(n), key=adj.__getitem__)
         leaders = []
         label = [0] * n  # label[v]: v's class, numbered in run order
@@ -318,22 +340,29 @@ class WeightedMetricInstance:
         nodes = [list({(label[v], w) for v, w in adj[s]}) for s in leaders] if quotient else adj
         # uniform positive weights: BFS scaled by the weight
         hop_adj = [[v for v, _ in row] for row in nodes] if step > 0 else None
+
+        if quotient:
+            rows = []
+            members = [[] for _ in leaders]
+            for c, s in enumerate(leaders):
+                row = _bfs_row(hop_adj, c, step) if step > 0 else _dijkstra_row(nodes, c)
+                # two members of a class are two edges apart, over its lightest edge
+                row[c] = 2 * min(w for _, w in adj[s]) if adj[s] else INF
+                rows.append(row)
+            for s in order:
+                members[label[s]].append(s)
+            scaled = _Rows(n, lambda u: _class_row(rows, label, u))
+            return cls(vertex_count, scaled, scale, capacities, k, mode, normalized,
+                       (members, rows))
         scaled = [None] * n
         for s in order:
-            c = label[s]
-            lead = leaders[c]
+            lead = leaders[label[s]]
             if s != lead:
                 row = scaled[lead].copy()
                 row[lead] = row[s]
                 row[s] = 0
             else:
-                source = c if quotient else s
-                row = _bfs_row(hop_adj, source, step) if step > 0 else _dijkstra_row(nodes, source)
-                if quotient:
-                    # two members of a class are two edges apart, over its lightest edge
-                    row[c] = 2 * min(w for _, w in adj[s]) if adj[s] else INF
-                    row = list(map(row.__getitem__, label))
-                    row[s] = 0
+                row = _bfs_row(hop_adj, s, step) if step > 0 else _dijkstra_row(nodes, s)
             scaled[s] = row
         return cls(vertex_count, scaled, scale, capacities, k, mode, normalized)
 
@@ -375,27 +404,50 @@ class WeightedMetricInstance:
 def candidate_radii(inst):
     """Strictly increasing list of the distinct finite pairwise distances.
 
-    The diagonal d(v, v) = 0 counts, so the list starts at 0.
+    The diagonal d(v, v) = 0 counts, so the list starts at 0.  With twin
+    classes, each pair of classes is read once, and a class's own distance
+    counts when it has two members.
     """
-    vals = set()
-    for u, row in enumerate(inst.scaled):
-        vals.update(row[u:])
+    if inst.classes is None:
+        vals = set()
+        for u, row in enumerate(inst.scaled):
+            vals.update(row[u:])
+    else:
+        members, rows = inst.classes
+        vals = {0}
+        for c, row in enumerate(rows):
+            vals.update(row[c + 1:])
+            if len(members[c]) > 1:
+                vals.add(row[c])
     vals.discard(INF)
     return [Fraction(d, inst.scale) for d in sorted(vals)]
 
 
 def threshold_graph(inst, r):
-    """Edge uv iff u != v and d(u,v) <= r; the bottleneck reduction step."""
+    """Edge uv iff u != v and d(u,v) <= r; the bottleneck reduction step.
+
+    With twin classes, each pair of classes is tested once and a passing
+    pair gives the edges between all of their members.
+    """
     if r < 0:
         raise InputError("threshold radius must be >= 0")
     cutoff = inst.cutoff(r)
     n = inst.vertex_count
-    edges = [
-        (u, v)
-        for u, row in enumerate(inst.scaled)
-        for v in range(u + 1, n)
-        if row[v] <= cutoff
-    ]
+    if inst.classes is None:
+        edges = [
+            (u, v)
+            for u, row in enumerate(inst.scaled)
+            for v in range(u + 1, n)
+            if row[v] <= cutoff
+        ]
+        return Graph(n, edges)
+    members, rows = inst.classes
+    edges = []
+    for c, row in enumerate(rows):
+        near = [v for d, group in zip(row[c + 1:], members[c + 1:]) if d <= cutoff for v in group]
+        edges += product(members[c], near)
+        if row[c] <= cutoff:
+            edges += combinations(members[c], 2)
     return Graph(n, edges)
 
 

@@ -1,4 +1,5 @@
-"""Test fixtures: random graphs, LP points, the dense LP1 reference, chain shifts, gadgets."""
+"""Test fixtures: random graphs, LP points, chain shifts, gadgets, and the dense
+references for LP1 and for the metric scans."""
 
 import functools
 import math
@@ -27,8 +28,26 @@ def trace_text(trace):
 
 
 def exact_metric(inst):
-    """An instance's metric as Fractions, rebuilt from its scaled int table."""
+    """An instance's metric as Fractions, rebuilt from its scaled int rows."""
     return [[d if d == INF else Fraction(d, inst.scale) for d in row] for row in inst.scaled]
+
+
+def dense_radii(inst):
+    """candidate_radii read off every vertex row: the reference for the class scan."""
+    vals = set()
+    for u, row in enumerate(inst.scaled):
+        vals.update(row[u:])
+    vals.discard(INF)
+    return [Fraction(d, inst.scale) for d in sorted(vals)]
+
+
+def dense_threshold_graph(inst, r):
+    """threshold_graph tested on every vertex pair: the reference for the class scan."""
+    cutoff = inst.cutoff(r)
+    n = inst.vertex_count
+    return Graph(n, [
+        (u, v) for u, row in enumerate(inst.scaled) for v in range(u + 1, n) if row[v] <= cutoff
+    ])
 
 
 # A comment may hold anything but a line break: str.splitlines also breaks

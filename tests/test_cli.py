@@ -1,12 +1,14 @@
 """Command line behavior: subcommands, exit codes, file round trips."""
 
 import hashlib
+import importlib.util
 import random
 import re
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -877,6 +879,44 @@ class TestHopRowsOnDemand:
     def test_a_soft_solve_reads_only_anchor_hop_rows(self, tmp_path, monkeypatch, capsys):
         # the anchor stages read hops[s][v] from anchor s, never a row per vertex
         self.solve_and_check_rows(tmp_path, monkeypatch, capsys, ["--mode", SOFT])
+
+
+def load_corpus():
+    """The benchmark's instance builders, perfbench/corpus.py."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestMetricRowsOnDemand:
+    """Where twin classes halve the vertices, the metric keeps one row per
+    class; a solve expands only the vertex rows it reads, those of the
+    centers that serve a client."""
+
+    def test_a_hub_sparse_solve_builds_one_row_per_serving_center(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the hub-sparse benchmark input: 277 vertices in 61 twin classes
+        (inst,) = load_corpus().WORKLOADS["hub-sparse"][1]()
+        path = tmp_path / "hub-sparse.txt"
+        path.write_text(inst.text())
+        built = []
+        real = graph_core._class_row
+
+        def spy(rows, label, u):
+            built.append(u)
+            return real(rows, label, u)
+
+        monkeypatch.setattr(graph_core, "_class_row", spy)
+        assert main(["solve", str(path)]) == 0
+        report = capsys.readouterr().out
+        assert report.startswith("status: solved")
+        assigns = [line.split() for line in report.splitlines() if line.startswith("assign ")]
+        serving = {int(center) for _, _, center in assigns}
+        assert len(built) == 17
+        assert set(built) == serving
 
 
 def sweep_instance(tmp_path, seed):

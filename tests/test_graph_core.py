@@ -33,6 +33,8 @@ from helpers import (
     METRIC_SETTINGS,
     Refused,
     assert_outcome,
+    dense_radii,
+    dense_threshold_graph,
     exact_metric,
     pq_weights,
     radii_and_midpoints,
@@ -651,7 +653,8 @@ class TestTwinRows:
 
 
 class TestQuotientRows:
-    """Where twin classes at least halve the vertices, each class searches the quotient."""
+    """Where twin classes at least halve the vertices, each class searches the quotient,
+    and the metric keeps one row per class."""
 
     @METRIC_SETTINGS
     @given(halving_twin_graphs())
@@ -664,6 +667,44 @@ class TestQuotientRows:
         assert exact_metric(inst) == floyd_warshall(n, edges)
         assert sorted(s for s, _ in searches) == list(range(classes))
         assert {size for _, size in searches} == {classes}
+
+    @METRIC_SETTINGS
+    @given(halving_twin_graphs())
+    def test_class_scans_match_the_scan_of_every_vertex_pair(self, graph):
+        n, edges = graph
+        inst = WeightedMetricInstance.from_weighted_edges(n, edges, [1] * n, 1, "hard")
+        members, rows = inst.classes
+        assert sorted(v for group in members for v in group) == list(range(n))
+        assert len(rows) == len(members) == len(set(neighbour_lists(n, edges)))
+        radii = candidate_radii(inst)
+        assert radii == dense_radii(inst)
+        for r in radii_and_midpoints(radii):
+            assert threshold_graph(inst, r) == dense_threshold_graph(inst, r), r
+        assert exact_metric(inst) == floyd_warshall(n, edges)
+
+    def test_vertex_rows_are_built_on_first_read(self, monkeypatch):
+        # classes {0, 1}, {2, 3} of K_{2,2} plus the isolated {4, 5}
+        edges = [(0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1)]
+        inst = WeightedMetricInstance.from_weighted_edges(6, edges, [1] * 6, 1, "hard")
+        built = []
+        real = graph_core._class_row
+
+        def spy(rows, label, u):
+            built.append(u)
+            return real(rows, label, u)
+
+        monkeypatch.setattr(graph_core, "_class_row", spy)
+        assert candidate_radii(inst) == [0, 1, 2]
+        assert threshold_graph(inst, 1).edges == {(0, 2), (0, 3), (1, 2), (1, 3)}
+        assert built == []
+        assert inst.scaled[1] == [2, 0, 1, 1, INF, INF]
+        assert inst.scaled[1] is inst.scaled[1] and built == [1]
+        assert inst.reach((2, 2, 2, 2, 4, 5)) == 2 and built == [1, 2, 4, 5]
+        assert len(inst.scaled) == 6
+        for u in (-1, 6):
+            with pytest.raises(IndexError):
+                inst.scaled[u]
+        assert built == [1, 2, 4, 5]
 
     @pytest.mark.parametrize("weight", [1, Fraction(1, 2), 0], ids=["unit", "p/q", "zero"])
     @pytest.mark.parametrize(

@@ -127,10 +127,11 @@ def unread_definitions(texts):
     """Module-level defs and classes, and _-prefixed methods, that no other code names.
 
     texts maps a module name to its source.  A definition counts as read
-    when a name, an attribute or an imported name spells it anywhere but
-    in its own body, or a literal __all__ lists it; a name spelled only by
-    unread definitions is unread too.  A method is checked when its name
-    starts with _ but is not a __dunder__, and is reported as Class.name.
+    when a literal __all__ lists it, or when a name, an attribute or an
+    imported name spells it in module-level code or in the body of another
+    definition that counts as read; so definitions that spell only each
+    other are unread.  A method is checked when its name starts with _ but
+    is not a __dunder__, and is reported as Class.name.
     Returns "module:name" strings.
     """
     defined = {}  # (module, label) -> the name a reader spells
@@ -172,16 +173,18 @@ def unread_definitions(texts):
                     spell(child, method)
                 else:
                     spell(child, own)
-    unread = set()
+    # the least fixpoint from the roots: module-level code (None) and __all__;
+    # a definition spelled only by itself or by unread ones, a cycle too, stays unread
+    read = set()
     while True:
         more = {
             own
             for own, name in defined.items()
-            if name not in exported and not spelled.get(name, set()) - unread - {own}
+            if name in exported or (spelled.get(name, set()) - {own}) & (read | {None})
         }
-        if more == unread:
-            return sorted(f"{module}:{label}" for module, label in unread)
-        unread = more
+        if more == read:
+            return sorted(f"{module}:{label}" for module, label in defined.keys() - read)
+        read = more
 
 
 def imported_modules(text):
@@ -239,6 +242,8 @@ class TestImports:
                 "def _recursive(n): return _recursive(n - 1)\n"
                 "def _only_dead_reads(): return _dead_chain()\n"
                 "def _dead_chain(): return 0\n"
+                "def _a(): return _b()\n"
+                "def _b(): return _a()\n"
                 "class Holder:\n"
                 "    def __init__(self): self._live()\n"
                 "    def _live(self): return self._helper()\n"
@@ -250,7 +255,7 @@ class TestImports:
             "b.py": "from .a import Holder\n",
         }
         assert unread_definitions(texts) == [
-            "a.py:Holder._orphan", "a.py:Holder._orphan_helper",
+            "a.py:Holder._orphan", "a.py:Holder._orphan_helper", "a.py:_a", "a.py:_b",
             "a.py:_dead_chain", "a.py:_only_dead_reads", "a.py:_recursive",
         ]
 
