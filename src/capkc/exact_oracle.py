@@ -15,7 +15,9 @@ them.  Deliberately simple and exact.
 
 It refuses an instance whose work bound, the number of candidate sets
 times the n clients, exceeds ENUMERATION_LIMIT = ten million: every set
-that survives both tests costs one seat flow over all n clients.  The
+that survives both tests costs one seat flow, which reads the n entries
+of each chosen center's row to group the clients before its flow runs
+on the client classes.  The
 277-vertex hub-sparse benchmark instance (25 positive-capacity vertices,
 k = 18) has C(25, 18) = 480,700 sets, about 1.3e8 set-client pairs, so
 it is refused at once; counting sets alone let it run for more than four

@@ -6,10 +6,12 @@ seat flow of x_rounding, the soft solver and the exact oracle, and for the
 LP's separation flow.  It keeps the network to itself: a caller gets the
 flows when every client is served, else the sink side of a minimum cut,
 never a node or an arc id.  A client node may stand for several identical
-clients (weights): the LP's cut loop separates on one node per client
-class, and splits a class's flow evenly over its clients for x.  Callers
-pass int capacities only, so every flow value is an int; no floating
-point.
+clients (weights), and both callers lay out one node per client class:
+the LP's cut loop separates on the classes of its seed rows and splits a
+class's flow evenly over its clients for x, and the seat flow groups the
+clients that reach the same offers and seats a class's flow on its
+members one by one.  Callers pass int capacities only, so every flow
+value is an int; no floating point.
 Nothing here rounds, so exact Fractions would work too, but only a test
 passes them.
 Deterministic: arcs are scanned in insertion order, so two runs on

@@ -10,8 +10,14 @@ so anything short of that is an upstream bug, not bad input.
 The soft solver and the exact oracle end with the same b-matching, so
 seat_flow is the one place that lays it out, and reads the seating off
 the flows of flownet.bipartite_flow, which also builds the LP's separation
-flow.  The module also owns the Solution record, the hard-mode top-up to
-k centers (open_unused), its independent validator, and the solution text
+flow.  Clients that reach the same offered centers are interchangeable in
+it, so the flow runs on client classes, one node weighted by its size per
+class, and each class's flow seats its members in ascending order.  On
+the hub-sparse benchmark input that is 1 class node and 17 offer arcs
+instead of 277 client nodes and 4,709 arcs.
+
+The module also owns the Solution record, the hard-mode top-up to k
+centers (open_unused), its independent validator, and the solution text
 format shared by the soft solver, the exact oracle and the command line
 tools.
 """
@@ -165,23 +171,48 @@ def seat_flow(dist, bound, offers):
     dist is any table indexable by center with len n: Graph's hop table
     (rows built on first read, so only the offered centers' rows are) or
     an instance's scaled metric.  offers lists (center, seats); client v
-    may sit at center u iff dist[u][v] <= bound, which INF never is.  The
-    network is flownet.bipartite_flow's, with seats as each offer's
-    supply and unit arcs to the clients and the sink.  Returns (seated,
-    phi): the flow value, and phi[v] the one center with flow to client
-    v, or None when some client stays unseated.
+    may sit at center u iff dist[u][v] <= bound, which INF never is.
+
+    Clients that reach the same offers are interchangeable, so the flow
+    runs on client classes: the clients grouped by the offers within
+    `bound` of them, classes numbered in first-seen client order, each
+    listing its members in ascending order.  The network is
+    flownet.bipartite_flow's, with seats as each offer's supply and the
+    class sizes as weights.  A client flow summed over each class is a
+    class flow and the expansion below turns a class flow back into a
+    client flow, so both networks have the same maximum value.  The
+    expansion takes the offers in order, and offer u's flow q to class c
+    seats the next q members of c.  Returns (seated, phi): the flow value,
+    and phi[v] the center client v sits at, or None when some client stays
+    unseated.
     """
     n = len(dist)
-    seated, flows, _ = bipartite_flow(n, [
-        (seats, [v for v, d in enumerate(dist[u]) if d <= bound], 1)
-        for u, seats in offers
-    ], 1)
+    within = [[d <= bound for d in dist[u]] for u, _ in offers]
+    index = {}
+    members = []
+    reached = [[] for _ in offers]
+    for v, key in enumerate(zip(*within) if offers else [()] * n):
+        c = index.get(key)
+        if c is None:
+            c = index[key] = len(members)
+            members.append([])
+            for i, inside in enumerate(key):
+                if inside:
+                    reached[i].append(c)
+        members[c].append(v)
+    seated, flows, _ = bipartite_flow(len(members), [
+        (seats, classes, 1) for (_, seats), classes in zip(offers, reached)
+    ], 1, [len(group) for group in members])
     if flows is None:
         return seated, None
     phi = [-1] * n
+    taken = [0] * len(members)
     for (u, _), pairs in zip(offers, flows):
-        for v, _ in pairs:
-            phi[v] = u
+        for c, q in pairs:
+            start = taken[c]
+            for v in members[c][start:start + q]:
+                phi[v] = u
+            taken[c] = start + q
     return seated, phi
 
 

@@ -1,5 +1,5 @@
 """Test fixtures: random graphs, LP points, chain shifts, gadgets, and the dense
-references for LP1 and for the metric scans."""
+references for LP1, for the metric scans and for the seat flow."""
 
 import functools
 import math
@@ -11,6 +11,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from capkc.assignment import Assignment
+from capkc.flownet import bipartite_flow
 from capkc.graph_core import INF, Graph
 from capkc.lp_feasibility import (
     FeasibilityResult,
@@ -48,6 +49,22 @@ def dense_threshold_graph(inst, r):
     return Graph(n, [
         (u, v) for u, row in enumerate(inst.scaled) for v in range(u + 1, n) if row[v] <= cutoff
     ])
+
+
+def client_seat_flow(dist, bound, offers):
+    """x_rounding.seat_flow with one node per client: the reference for the class flow."""
+    n = len(dist)
+    seated, flows, _ = bipartite_flow(n, [
+        (seats, [v for v, d in enumerate(dist[u]) if d <= bound], 1)
+        for u, seats in offers
+    ], 1)
+    if flows is None:
+        return seated, None
+    phi = [-1] * n
+    for (u, _), pairs in zip(offers, flows):
+        for v, _ in pairs:
+            phi[v] = u
+    return seated, phi
 
 
 # A comment may hold anything but a line break: str.splitlines also breaks

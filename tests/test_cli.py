@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capkc import cli, graph_core
+from capkc import cli, graph_core, x_rounding
 from capkc.assignment import global_delta, parse_assignment_text
 from capkc.cli import (
     _budget_range,
@@ -23,6 +23,7 @@ from capkc.cli import (
     main,
 )
 from capkc.exact_oracle import exact_opt, feasible_at
+from capkc.flownet import bipartite_flow
 from capkc.graph_core import (
     HARD,
     MAX_VERTICES,
@@ -228,7 +229,10 @@ class TestPinnedFractionalSolve:
     integer one; the threshold 9/5 and radius 109/20 are not integers.
     The certificate was re-recorded when hard mode's y <= 1 became column
     bounds of the LP tableau: the LP point, and so the rounding steps, moved,
-    while the report, the solution and the LP dump did not.
+    while the report, the solution and the LP dump did not.  The solution
+    was re-recorded when the seat flow moved to client classes: three
+    clients sit at other open centers, while the report, the certificate,
+    the LP dump and the verified radius did not change.
     """
 
     def test_outputs_are_unchanged(self, tmp_path, capsys):
@@ -250,7 +254,7 @@ class TestPinnedFractionalSolve:
             "lp dump": sha256(dump.read_bytes()),
         } == {
             "report": "0f78fa30e9795c3b1009db0e93b0288ae1ac37f54b47fefc2321d3079f0ee008",
-            "solution": "5367c4bdbebb7da01efa8f3f282b909219b9025d559ab96235838e85cacf2b80",
+            "solution": "af2d32d6527e54fe4412594defba52bb41c78e5da11d475c21856f9025379961",
             "certificate": "b879ff027021fe12c1f54d91680844508581df6cc7d0bca9058b47749bd50580",
             "lp dump": "203d7751d45483dedf7119ea3d389d289985362855da91159e8adc24a062e992",
         }
@@ -260,7 +264,10 @@ class TestPinnedSoftAndOracle:
     """Soft rounding and the brute-force oracle on p/q weights, pinned byte for byte.
 
     The digests were taken before the three seat-flow networks were
-    folded into one builder.
+    folded into one builder.  The radius 5/2 answer was re-recorded when
+    the seat flow moved to client classes: the same center set, with four
+    clients seated at other centers, so its reach fell from 5/2 to 7/3;
+    the optimum did not change.
     """
 
     def test_soft_solve_is_unchanged(self, tmp_path, capsys):
@@ -284,7 +291,7 @@ class TestPinnedSoftAndOracle:
         at_radius = capsys.readouterr().out
         assert {"optimum": sha256(optimum), "radius 5/2": sha256(at_radius)} == {
             "optimum": "fe296e2d8be616f0f39d7b63795fb460398e8fc6bbed77e893eda12d27191df3",
-            "radius 5/2": "be6883250fc5537d11e42619a77576162fee3b024b29c0c8f84778f9d1a5e27c",
+            "radius 5/2": "eea7bcf8744483bbddfde3394401942a8a9c8c646049cbaf78390194a983ccc6",
         }
 
 
@@ -917,6 +924,34 @@ class TestMetricRowsOnDemand:
         serving = {int(center) for _, _, center in assigns}
         assert len(built) == 17
         assert set(built) == serving
+
+
+class TestSeatFlowOnClasses:
+    """The seat flow of a solve runs on client classes: the clients that
+    reach the same open centers share one weighted node."""
+
+    @pytest.mark.parametrize("workload, nodes, arcs", [
+        # one node per client before: 277 nodes and 4,709 offer arcs
+        ("hub-sparse", 1, 17),
+        # one node per client before: 103 nodes and 965 offer arcs
+        ("hub-dense", 2, 19),
+    ])
+    def test_a_benchmark_solve_runs_one_seat_flow_over_classes(
+        self, workload, nodes, arcs, tmp_path, monkeypatch, capsys
+    ):
+        (inst,) = load_corpus().WORKLOADS[workload][1]()
+        path = tmp_path / f"{workload}.txt"
+        path.write_text(inst.text())
+        flows = []
+
+        def spy(client_count, offers, demand, weights=None):
+            flows.append((client_count, sum(len(clients) for _, clients, _ in offers)))
+            return bipartite_flow(client_count, offers, demand, weights)
+
+        monkeypatch.setattr(x_rounding, "bipartite_flow", spy)
+        assert main(["solve", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("status: solved")
+        assert flows == [(nodes, arcs)]
 
 
 def sweep_instance(tmp_path, seed):

@@ -290,3 +290,17 @@ class TestSeparation:
         assert len(calls_to(text, "bipartite_flow")) == 1
         sample = "f(1)\nflownet.f(2)\ng(f)\n"
         assert calls_to(sample, "f") == [1, 2]
+
+    def test_the_seat_flow_is_the_one_other_flow_network(self):
+        # the soft solver and the oracle seat clients through
+        # x_rounding.seat_flow, the one bipartite_flow call outside the cut loop
+        texts = {path.name: path.read_text("utf-8") for path in (SRC / "capkc").glob("*.py")}
+        sites = {name: calls_to(text, "bipartite_flow") for name, text in texts.items()}
+        assert {name: len(lines) for name, lines in sites.items() if lines} == {
+            "lp_feasibility.py": 1, "x_rounding.py": 1,
+        }
+        (seat,) = [
+            node for node in ast.parse(texts["x_rounding.py"]).body
+            if isinstance(node, ast.FunctionDef) and node.name == "seat_flow"
+        ]
+        assert seat.lineno <= sites["x_rounding.py"][0] <= seat.end_lineno

@@ -1,17 +1,20 @@
 """Client assignment from integral openings, plus the solution format."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capkc import x_rounding
 from capkc.assignment import Assignment
 from capkc.errors import InputError, PipelineError, ValidationError
 from capkc.graph_core import INF, Graph, WeightedMetricInstance
 from capkc.shifting import RoundingContext
 from capkc.caterpillar import round_y
+from capkc.flownet import bipartite_flow
 from capkc.x_rounding import (
     Solution,
     format_solution,
@@ -27,6 +30,7 @@ from capkc.x_rounding import (
 from helpers import (
     Refused,
     assert_outcome,
+    client_seat_flow,
     rand_connected_graph,
     two_hub_gadget,
     two_hub_witness,
@@ -125,6 +129,93 @@ class TestSeatFlow:
     def test_zero_seats_serve_nobody(self):
         dist = [[0, 0], [0, 0]]
         assert seat_flow(dist, 0, [(0, 0), (1, 2)]) == (2, [1, 1])
+
+    def test_a_class_seats_its_members_in_order(self):
+        # clients 0 and 2 reach both centers and form class 0, client 1
+        # reaches center 1 only; center 0's one unit goes to class 0 and
+        # seats client 0, center 1's unit there seats the next member, 2
+        dist = [[0, INF, 0], [0, 0, 0], [INF, INF, INF]]
+        assert seat_flow(dist, 0, [(0, 1), (1, 2)]) == (3, [0, 1, 1])
+
+
+def seat_table(rng):
+    """A seeded seat_flow input (dist, bound, offers) of up to 12 clients.
+
+    Entries are ints 0..5 or INF, and most clients copy one of a few
+    columns, so classes of several clients are common.  A column may be
+    all INF, a client no offer reaches.  Seats are 0..6 per offer, or a
+    capacity times a multiplicity as the soft solver and the oracle offer
+    them; either may be 0.
+    """
+    n = rng.randint(1, 12) if rng.random() < 0.97 else 0
+    entries = (0, 1, 2, 3, 4, 5, INF)
+    columns = [[rng.choice(entries) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.2:
+        columns.append([INF] * n)
+    dist = [[0] * n for _ in range(n)]
+    for v in range(n):
+        column = rng.choice(columns) if rng.random() < 0.7 else [rng.choice(entries) for _ in range(n)]
+        for u in range(n):
+            dist[u][v] = column[u]
+    centers = rng.sample(range(n), rng.randint(0, min(n, 5)))
+    if rng.random() < 0.5:
+        offers = [(u, rng.randint(0, 6)) for u in centers]
+    else:
+        offers = [(u, rng.choice((0, 1, 2, 3, 4)) * rng.randint(1, 3)) for u in centers]
+    return dist, rng.randint(1, 5), offers
+
+
+class TestSeatFlowOnClasses:
+    """seat_flow's flow over client classes seats as many clients as the
+    flow with one node per client (tests/helpers.py client_seat_flow), and
+    its seating expands the class flow exactly."""
+
+    def test_the_class_flow_seats_what_the_client_flow_seats(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            result = bipartite_flow(*args)
+            calls.append((args, result))
+            return result
+
+        monkeypatch.setattr(x_rounding, "bipartite_flow", spy)
+        outcomes = Counter()
+        for seed in range(400):
+            dist, bound, offers = seat_table(random.Random(seed))
+            calls.clear()
+            seated, phi = seat_flow(dist, bound, offers)
+            ref_seated, ref_phi = client_seat_flow(dist, bound, offers)
+            assert seated == ref_seated, seed
+            assert (phi is None) == (ref_phi is None), seed
+            outcomes[phi is None] += 1
+            # the classes: clients keyed by the offers within bound, in
+            # first-seen order, each listing its members in ascending order
+            classes = {}
+            for v in range(len(dist)):
+                key = tuple(i for i, (u, _) in enumerate(offers) if dist[u][v] <= bound)
+                classes.setdefault(key, []).append(v)
+            ((count, class_offers, demand, weights), (_, flows, _)), = calls
+            assert (count, demand, weights) == (
+                len(classes), 1, [len(members) for members in classes.values()]
+            ), seed
+            assert class_offers == [
+                (seats, [c for c, key in enumerate(classes) if i in key], 1)
+                for i, (_, seats) in enumerate(offers)
+            ], seed
+            if phi is None:
+                continue
+            centers = dict(offers)
+            for v, u in enumerate(phi):
+                assert u in centers and dist[u][v] <= bound, (seed, v)
+            loads = Counter(phi)
+            for u, seats in offers:
+                assert loads[u] <= seats, (seed, u)
+            for (u, _), pairs in zip(offers, flows):
+                flow = dict(pairs)
+                for c, members in enumerate(classes.values()):
+                    assert sum(phi[v] == u for v in members) == flow.get(c, 0), (seed, u, c)
+        # both answers are common in the seeded tables
+        assert min(outcomes.values()) >= 100, outcomes
 
 
 class TestAfterYRounding:
