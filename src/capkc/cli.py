@@ -16,10 +16,12 @@ threshold graph into connected components, binary-searches the smallest
 per-component budget whose relaxation is feasible, and accepts the
 radius once those budgets fit inside k.  The first accepted radius is
 therefore also a certified lower bound on the optimum, and the reported
-hop radius bounds the stretch against it.  Seat counts (the largest
-capacities must add up to the clients) give each budget search its
-first probe, and pass over, without any LP or subgraph, a radius below
-the largest whose counts alone already exceed k.  The largest radius is
+hop radius bounds the stretch against it.  Seat counts (a center u
+serves at most min(L(u), |N[u]|) clients per unit of opening, and the
+budget's largest such counts must add up to the clients) give each
+budget search its first probe, and pass over, without any LP or
+subgraph, a radius below the largest whose counts alone already exceed
+k.  The largest radius is
 always planned in full: its plan is the infeasible report.
 """
 
@@ -69,20 +71,23 @@ def _print(line=""):
     sys.stdout.write(line + "\n")
 
 
-def _budget_range(capacities, k_cap, soft):
-    """The budgets k' that capacity alone does not rule out, as (lo, hi).
+def _budget_range(seats, k_cap, soft):
+    """The budgets k' that seat counts alone do not rule out, as (lo, hi).
 
-    Summing LP1's serve rows (sum_u x_uv = 1) against its load rows
-    (sum_v x_uv <= L(u) y_u) gives sum_u L(u) y_u >= n.  With sum y = k'
-    and, in hard mode, y <= 1, the left side is at most the k' largest
-    capacities (soft mode: k' times the largest), so every k' below lo is
-    infeasible.  In hard mode LP1 pins capacity-0 vertices at y = 0, so
-    every k' above the P positive-capacity vertices is infeasible too and
-    hi = min(k_cap, P).  The range is empty (lo > hi) when no budget fits,
-    as for a component without positive capacity.
+    seats[u] is the most clients u serves per unit of y: min(L(u), |N[u]|)
+    (_seats), or any larger bound such as L(u) itself.  LP1's load rows
+    (sum_v x_uv <= L(u) y_u) and x_uv <= y_u over the clients v in N[u]
+    bound what u serves by seats[u] * y_u, and its serve rows
+    (sum_u x_uv = 1) add up to n, so sum_u seats[u] y_u >= n.  With
+    sum y = k' and, in hard mode, y <= 1, the left side is at most the k'
+    largest seat counts (soft mode: k' times the largest), so every k'
+    below lo is infeasible.  In hard mode LP1 pins capacity-0 vertices at
+    y = 0, so every k' above the P positive-capacity vertices is
+    infeasible too and hi = min(k_cap, P).  The range is empty (lo > hi)
+    when no budget fits, as for a component without positive capacity.
     """
-    n = len(capacities)
-    caps = sorted((c for c in capacities if c > 0), reverse=True)
+    n = len(seats)
+    caps = sorted((c for c in seats if c > 0), reverse=True)
     if not caps:
         return 1, 0
     if soft:
@@ -90,6 +95,16 @@ def _budget_range(capacities, k_cap, soft):
     seats = accumulate(caps)
     lo = next((i for i, s in enumerate(seats, 1) if s >= n), len(caps) + 1)
     return lo, min(k_cap, len(caps))
+
+
+def _seats(graph, vertices, capacities):
+    """min(L(u), |N[u]|) for each u of vertices, capacities[i] being L(vertices[i]).
+
+    N[u] is u's closed neighbourhood in graph, which a component of it
+    holds whole.
+    """
+    adj = graph.adjacency
+    return [min(c, len(adj[u]) + 1) for u, c in zip(vertices, capacities)]
 
 
 def _minimal_budget(graph, capacities, lo, hi, soft):
@@ -131,7 +146,7 @@ def _components(inst, r, soft, last):
     for comp in connected_components(g):  # ascending ids, as old_ids
         caps = [inst.capacities[v] for v in comp]
         k_cap = inst.k if soft else min(inst.k, len(comp))
-        parts.append((comp, caps, k_cap, _budget_range(caps, k_cap, soft)))
+        parts.append((comp, caps, k_cap, _budget_range(_seats(g, comp, caps), k_cap, soft)))
     ranges = [rng for *_, rng in parts]
     if not last and (any(lo > hi for lo, hi in ranges) or sum(lo for lo, _ in ranges) > inst.k):
         return None
@@ -299,7 +314,7 @@ def _cmd_verify(args):
     inst = read_instance(args.instance)
     solution = read_solution(args.solution)
     try:
-        _validate(inst, solution, inst.mode == SOFT)
+        _validate(inst, solution, (args.mode or inst.mode) == SOFT)
     except ValidationError as exc:
         _print(f"invalid: {exc}")
         return 2
@@ -405,6 +420,12 @@ def build_parser():
     verify = sub.add_parser("verify", help="validate a solution file")
     verify.add_argument("instance")
     verify.add_argument("solution")
+    verify.add_argument(
+        "--mode",
+        choices=[HARD, SOFT],
+        default=None,
+        help="check in this mode instead of the instance's own",
+    )
     verify.set_defaults(func=_cmd_verify)
 
     gen = sub.add_parser("gen", help="generate a built-in instance")

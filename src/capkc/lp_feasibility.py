@@ -12,8 +12,12 @@ and the min cut scale with them.  Each round runs one such flow over the
 client classes (the clients that reach the same centers), one node per
 class weighted by its size.  If it serves every client, each class's
 flow from u, split evenly over the class's clients and put over D, is
-x; otherwise its short classes, the sink side of its min cut expanded to
-clients, are the W of the next inequality.
+the x each of them gets from u.  Where the classes at least halve the
+clients, the point stores it once per class, x keyed by client class
+(assignment.py), so no per-client x is built: 25 entries instead of 541
+on the hub-sparse benchmark input; otherwise once per client.  If the
+flow falls short, its short classes, the sink side of its min cut
+expanded to clients, are the W of the next inequality.
 Every generated inequality is implied by LP1 (constraints 2+3+4), and each
 round adds an inequality violated by the current master point, so the loop
 terminates: there are finitely many client sets.  A violated inequality is
@@ -351,6 +355,20 @@ class Phase1Tableau:
 # verification (constraints 1-5 and 7 exactly, plus the distance rule)
 
 
+def _partition(classes, n):
+    """True iff classes lists disjoint clients of 0..n-1, each class keyed by its first member.
+
+    Every client it does not list is a class of its own, so such classes
+    cover each client exactly once.
+    """
+    listed = [v for members in classes.values() for v in members]
+    return (
+        all(members and members[0] == c for c, members in classes.items())
+        and len(set(listed)) == len(listed)
+        and 0 <= min(listed) and max(listed) < n
+    )
+
+
 def verify_assignment_feasible(graph, capacities, k, assignment, delta, soft=False):
     """True iff the assignment meets LP1 with every x entry within delta hops.
 
@@ -359,9 +377,17 @@ def verify_assignment_feasible(graph, capacities, k, assignment, delta, soft=Fal
     by one multiplication with scale // denominator, so every test runs on
     ints, both sides scale times the rational ones.  At delta 1 an x entry
     uv is tested against N[u] from graph.adjacency, so no hop row is built.
+    x is keyed by client class (assignment.py): an entry x[u][c] serves
+    each member of c, so every member must lie within delta of u, the
+    entry counts |c| times in u's load, and c's total is each member's.
+    The classes must partition the clients, and an entry may not be keyed
+    by a member other than its class's key.
     """
     n = graph.vertex_count
     if assignment.vertex_count != n:
+        return False
+    classes = assignment.classes
+    if classes and not _partition(classes, n):
         return False
     xs = assignment.x
     y_ratios = [q.as_integer_ratio() for q in assignment.y]
@@ -378,14 +404,14 @@ def verify_assignment_feasible(graph, capacities, k, assignment, delta, soft=Fal
     if delta == 1:
         adj = graph.adjacency
 
-        def within(u, row):
-            return {u, *adj[u]}.issuperset(row)
+        def within(u, clients):
+            return {u, *adj[u]}.issuperset(clients)
     else:
         hops = graph.hop_distances()
 
-        def within(u, row):
-            hu = hops[u]
-            return all(hu[v] != INF and hu[v] <= delta for v in row)
+        def within(u, clients):
+            d = max(map(hops[u].__getitem__, clients))
+            return d <= delta and d != INF
     client_total = [0] * n
     ratios = iter(x_ratios)
     for u, row in xs.items():
@@ -399,8 +425,22 @@ def verify_assignment_feasible(graph, capacities, k, assignment, delta, soft=Fal
                 return False
             load += q
             client_total[v] += q
+        if classes:
+            # the other members of each class served here
+            for c in classes.keys() & row.keys():
+                members = classes[c]
+                if not within(u, members):
+                    return False
+                p, d = row[c].as_integer_ratio()
+                load += (len(members) - 1) * p * factor[d]
         if load > capacities[u] * yu:
             return False
+    for c, members in classes.items():
+        t = client_total[c]
+        for v in members[1:]:
+            if client_total[v]:
+                return False  # an entry keyed by a member, not by its class
+            client_total[v] = t
     return all(t == scale for t in client_total)
 
 
@@ -464,6 +504,19 @@ def _merge(twin, coefs):
     return out
 
 
+def _client_partition(cls, size):
+    """(key, classes): each class's first client, and the members of each
+    class of two or more clients under that key, as Assignment.classes."""
+    key = [0] * len(size)
+    for v in range(len(cls) - 1, -1, -1):
+        key[cls[v]] = v
+    classes = {key[c]: [] for c in range(len(size)) if size[c] > 1}
+    for v, c in enumerate(cls):
+        if size[c] > 1:
+            classes[key[c]].append(v)
+    return key, {c: tuple(members) for c, members in classes.items()}
+
+
 def solve_feasibility(model):
     """Decide LP1 by the cut loop; the FeasibilityResult holds a verified point."""
     graph, caps, k, soft = model.graph, model.capacities, model.k, model.soft
@@ -523,8 +576,10 @@ def solve_feasibility(model):
     # of c: split evenly, that flow serves each client D and carries at most
     # y_u * D on an arc u -> v, so it is a serving flow of the client
     # network.  It is the average of any such flow over the swaps, as the
-    # class master's y is over the twin swaps.  reach: center column -> its
-    # classes.
+    # class master's y is over the twin swaps.  Where the classes at least
+    # halve the clients, the point keeps x on them: x[u][c] is that value,
+    # stored once under c's first client, with the partition
+    # (assignment.py).  reach: center column -> its classes.
     size = [0] * len(seeds)
     for c in cls:
         size[c] += 1
@@ -546,16 +601,23 @@ def solve_feasibility(model):
         offers = [(caps[centers[i]] * ys[i], reach[i], ys[i]) for i in live]
         _, flows, short = bipartite_flow(len(size), offers, scale, size)
         if short is None:
-            a = Assignment(n)
+            key, classes = _client_partition(cls, size)
+            spread = {}  # class key -> the clients its x is stored under
+            if 2 * len(size) > n:
+                # classes that do not halve the clients save less than the
+                # class lookups of radius_of and the check cost (hub-dense:
+                # 97 classes of 103 clients): x keyed by client
+                spread, classes = classes, {}
+            a = Assignment(n, classes=classes)
             for i, u in enumerate(centers):
                 a.y[u] = vals[i]
             for i, pairs in zip(live, flows):
                 u = centers[i]
-                got = dict(pairs)  # class -> its flow from u
-                for v, c in enumerate(cls):
-                    q = got.get(c)
+                for c, q in pairs:
                     if q:
-                        a.set_x(u, v, Fraction(q, scale * size[c]))
+                        value = Fraction(q, scale * size[c])
+                        for v in spread.get(key[c], (key[c],)):
+                            a.set_x(u, v, value)
             return _finish(model, a)
 
         coefs = {}

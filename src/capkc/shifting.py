@@ -8,7 +8,11 @@ in proportion, through one transfer (_move_x), and every step writes its
 certificate line, with the delta it leaves, through one recorder (_record).
 The transfer nets its amounts on int (numerator, denominator) pairs and
 builds one Fraction per x entry it changes; verify_assignment_feasible,
-which chain_shift calls after every move, checks LP1 on ints too.
+which chain_shift calls after every move, checks LP1 on ints too.  x is
+keyed by client class (assignment.py): a move scales a center's whole row
+by one share, so x that is equal across a class stays equal across it,
+and every primitive works on the class entries, one per class instead of
+one per client, with radius_of reading each class's farthest member.
 
 Every primitive re-checks its algebraic laws after mutating (exact rational
 comparisons, zero tolerance); a failed law is a PipelineError because only a

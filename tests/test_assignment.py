@@ -88,6 +88,50 @@ class TestRadius:
             radius_of(a, g, 1)
 
 
+def classed():
+    """small() over the path 0 - 1 - 2 - 3 with clients 1, 2 and 3 in one class."""
+    a = Assignment(4, classes={1: (1, 2, 3)})
+    a.y = [Fraction(1, 2), Fraction(1), Fraction(0), Fraction(0)]
+    a.set_x(0, 0, Fraction(1, 2))
+    a.set_x(1, 0, Fraction(1, 2))
+    a.set_x(1, 1, Fraction(1))
+    return a
+
+
+class TestClassKey:
+    """x keyed by client class: one entry serves every member of its class."""
+
+    def test_x_items_and_copy_give_the_client_view(self):
+        a = classed()
+        clients = [(0, 0, Fraction(1, 2)), (1, 0, Fraction(1, 2))] + [
+            (1, v, Fraction(1)) for v in (1, 2, 3)
+        ]
+        assert sum(len(row) for row in a.x.values()) == 3
+        assert list(a.x_items()) == clients
+        b = a.copy()
+        assert b.classes == {} and list(b.x_items()) == clients
+        assert b.x == {0: {0: Fraction(1, 2)}, 1: {0: Fraction(1, 2), 1: 1, 2: 1, 3: 1}}
+        b.set_x(1, 2, Fraction(1, 3))  # the copy is deep
+        assert a.x_row(1) == {0: Fraction(1, 2), 1: Fraction(1)}
+
+    def test_dump_is_that_of_the_client_view(self):
+        a = classed()
+        assert dump_assignment(a) == dump_assignment(a.copy())
+        assert dump_assignment(a).count("\nx 1 ") == 4
+
+    def test_radius_reads_the_farthest_member(self):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        a = classed()
+        assert [radius_of(a, g, u) for u in range(4)] == [0, 2, 0, 0]
+        assert global_delta(a, g) == 2 == global_delta(a.copy(), g)
+
+    def test_a_member_across_components_is_named(self):
+        g = Graph(4, [(0, 1), (1, 2)])
+        for a in (classed(), classed().copy()):
+            with pytest.raises(PipelineError, match=r"x\[1,3\] > 0 across components"):
+                radius_of(a, g, 1)
+
+
 DUMP = """y 0 1/2
 y 1 1
 y 2 0

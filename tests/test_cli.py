@@ -19,6 +19,7 @@ from capkc.assignment import global_delta, parse_assignment_text
 from capkc.cli import (
     _budget_range,
     _minimal_budget,
+    _seats,
     build_parser,
     main,
 )
@@ -30,6 +31,7 @@ from capkc.graph_core import (
     SOFT,
     Graph,
     WeightedMetricInstance,
+    candidate_radii,
     connected_components,
     induced_subgraph,
     read_instance,
@@ -367,6 +369,37 @@ class TestVerify:
         (tmp_path / "junk.txt").write_text("hello\n")
         assert main(["verify", str(inst), str(tmp_path / "junk.txt")]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mode_option_checks_a_soft_solution_of_a_hard_file(self, tmp_path, capsys, seed):
+        # `gen random --n 14 --k 5`: the soft solve stacks a center, which
+        # the file's hard mode refuses; --mode soft checks it as written
+        path = tmp_path / "inst.txt"
+        assert main(["gen", "random", "--n", "14", "--k", "5", "--seed", str(seed),
+                     "--out", str(path)]) == 0
+        out = tmp_path / "sol.txt"
+        assert main(["solve", str(path), "--mode", SOFT, "-o", str(out)]) == 0
+        assert max(read_solution(out).centers.values()) > 1
+        capsys.readouterr()
+        assert main(["verify", str(path), str(out)]) == 2
+        assert re.match(r"invalid: .*hard mode cannot open \d+ centers at", capsys.readouterr().out)
+        assert main(["verify", str(path), str(out), "--mode", HARD]) == 2
+        capsys.readouterr()
+        assert main(["verify", str(path), str(out), "--mode", SOFT]) == 0
+        assert capsys.readouterr().out.startswith("valid: 5 centers within radius")
+
+    def test_mode_option_checks_a_hard_solution_of_a_soft_file(self, tmp_path, capsys):
+        inst = WeightedMetricInstance.from_weighted_edges(
+            3, [(0, 1, 1), (1, 2, 1)], [3, 3, 3], 1, SOFT
+        )
+        path, out = tmp_path / "inst.txt", tmp_path / "sol.txt"
+        write_instance(inst, path)
+        assert main(["solve", str(path), "--mode", HARD, "-o", str(out)]) == 0
+        capsys.readouterr()
+        for mode in ([], ["--mode", SOFT], ["--mode", HARD]):
+            assert main(["verify", str(path), str(out), *mode]) == 0
+        assert main(["verify", str(path), str(out), "--mode", "exact"]) == 3
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestGen:
@@ -790,10 +823,58 @@ class TestBudgetSearch:
     def test_no_budget_outside_the_seat_range_is_feasible(self, case):
         g, caps, soft = case
         top = g.vertex_count + soft
-        lo, hi = _budget_range(caps, top, soft)
+        lo, hi = _budget_range(_seats(g, range(g.vertex_count), caps), top, soft)
         for kk in range(1, top + 1):
             if not lo <= kk <= hi:
                 assert not solve_feasibility(build_lp1(g, caps, kk, soft=soft)).feasible, kk
+
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    def test_the_neighbourhood_floor_never_passes_the_minimal_budget(self, tmp_path, soft):
+        # every component of every radius of seeded p/q instances: the
+        # floor over min(L(u), |N[u]|) is at most the least feasible
+        # budget that a binary search from 1 finds, and at least the
+        # floor over the capacities alone
+        tighter = exact = 0
+        for seed in range(30):
+            inst = read_instance(sweep_instance(tmp_path, seed))
+            for r in candidate_radii(inst):
+                g = threshold_graph(inst, r)
+                for comp in connected_components(g):
+                    sub, old_ids = induced_subgraph(g, comp)
+                    caps = [inst.capacities[v] for v in old_ids]
+                    k_cap = inst.k if soft else min(inst.k, len(comp))
+                    lo, hi = _budget_range(_seats(g, comp, caps), k_cap, soft)
+                    assert _seats(sub, range(len(comp)), caps) == _seats(g, comp, caps)
+                    cap_lo, cap_hi = _budget_range(caps, k_cap, soft)
+                    assert lo >= cap_lo and hi == cap_hi
+                    found = _minimal_budget(sub, caps, 1, cap_hi, soft)
+                    if found is not None:
+                        assert lo <= found[0]
+                        exact += lo == found[0]
+                    tighter += lo > cap_lo
+        assert tighter >= 80 and exact >= 1000, (tighter, exact)
+
+    def test_the_mixed_corpus_probes_two_budgets_fewer(self, tmp_path, monkeypatch, capsys):
+        # unit-sparse-0 at radii 1 and 2: its floor over capacities, 2,
+        # was infeasible; its neighbourhoods alone now rule 2 out
+        probes = []
+        real = cli.solve_feasibility
+
+        def spy(model):
+            probes.append(model.k)
+            return real(model)
+
+        monkeypatch.setattr(cli, "solve_feasibility", spy)
+        per_instance = {}
+        for inst in load_corpus().WORKLOADS["mixed"][1]():
+            path = tmp_path / f"{inst.name}.txt"
+            path.write_text(inst.text())
+            before = len(probes)
+            main(["solve", str(path)])
+            per_instance[inst.name] = len(probes) - before
+        capsys.readouterr()
+        assert per_instance["unit-sparse-0"] == 1  # 3 with the capacity floor
+        assert len(probes) == 25  # 27 with the capacity floor
 
     @pytest.mark.parametrize("family", ["fig1", "gap-24-nonuniform"])
     def test_a_feasible_floor_costs_one_lp(self, monkeypatch, family):
@@ -924,6 +1005,40 @@ class TestMetricRowsOnDemand:
         serving = {int(center) for _, _, center in assigns}
         assert len(built) == 17
         assert set(built) == serving
+
+
+class TestClassKeyedAssignment:
+    """The LP point reaches round_y with x keyed by client class where the
+    classes at least halve the clients, and keyed by client otherwise."""
+
+    @pytest.mark.parametrize("workload, entries, classes, multi", [
+        # 277 clients in 13 classes; keyed by client before: 541 entries
+        ("hub-sparse", 25, 13, 13),
+        # 103 clients in 97 classes, which do not halve them: by client
+        ("hub-dense", 238, 103, 0),
+    ])
+    def test_a_benchmark_solve_rounds_a_class_keyed_point(
+        self, workload, entries, classes, multi, tmp_path, monkeypatch, capsys
+    ):
+        (inst,) = load_corpus().WORKLOADS[workload][1]()
+        path = tmp_path / f"{workload}.txt"
+        path.write_text(inst.text())
+        points = []
+        real = cli.round_y
+
+        def spy(ctx, assignment, k):
+            listed = sum(len(members) for members in assignment.classes.values())
+            points.append((
+                sum(len(row) for row in assignment.x.values()),
+                len(assignment.classes) + assignment.vertex_count - listed,
+                len(assignment.classes),
+            ))
+            return real(ctx, assignment, k)
+
+        monkeypatch.setattr(cli, "round_y", spy)
+        assert main(["solve", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("status: solved")
+        assert points == [(entries, classes, multi)]
 
 
 class TestSeatFlowOnClasses:

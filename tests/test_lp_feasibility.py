@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capkc import graph_core, lp_feasibility
-from capkc.assignment import Assignment, dump_assignment
+from capkc.assignment import Assignment, dump_assignment, global_delta, radius_of
+from capkc.caterpillar import round_y
 from capkc.cli import main
 from capkc.errors import InputError, PipelineError
 from capkc.flownet import MaxFlowNetwork, bipartite_flow
@@ -27,6 +28,7 @@ from capkc.lp_feasibility import (
     solve_feasibility,
     verify_assignment_feasible,
 )
+from capkc.shifting import RoundingContext
 
 from helpers import (
     Refused,
@@ -49,15 +51,19 @@ CORPUS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
 
 # TestTwinColumns: sha256 of the repr of every master's [columns, bounded,
 # add_row calls...] over the inputs that do not halve their centers,
-# recorded before the master had class columns
-TWIN_FREE_TABLEAUS = 27
-TWIN_FREE_DIGEST = "5e7a1ae6c48e73f98860d9659fd65504edc767077abf3878761475acfccf3183"
+# recorded before the master had class columns (27 masters, digest
+# 5e7a1ae6...), less the two masters of unit-sparse-0 at radii 1 and 2,
+# which the neighbourhood-capped seat floor now rejects without an LP
+TWIN_FREE_TABLEAUS = 25
+TWIN_FREE_DIGEST = "62a3e0520081598a0a81f453d2dd5d27bc476e5c107b0090a2064be4aa5c0eb2"
 
 # TestLiveColumns: steps and sha256 of the repr of every _pivot (row,
 # entering) and _complement column, recorded while the tableau still
-# eliminated the columns of artificials that had left the basis
-PIVOT_PATH_STEPS = 2495
-PIVOT_PATH_DIGEST = "a525c03f6275673720dba793740e23723fe3b96559cc495a39df589a263857dc"
+# eliminated the columns of artificials that had left the basis (2495
+# steps, digest a525c03f...), less the 9 and 18 steps of the two
+# unit-sparse-0 LPs that the neighbourhood-capped seat floor now skips
+PIVOT_PATH_STEPS = 2468
+PIVOT_PATH_DIGEST = "7b5f9142776d532045846a132736f62ac77d64348fe53a0a2e7772718ff1f7f2"
 
 
 def solve(graph, caps, k, soft=False, method="cuts"):
@@ -766,8 +772,12 @@ class TestClientClasses:
                 row = {v: F(q, demand * sizes[c]) for c, q in pairs for v in parts[c]}
                 if row:
                     want[u] = row
-            x = res.assignment.x
+            x = res.assignment.copy().x  # the client view
             assert x == want
+            # keyed by class, each under its first client, where the
+            # classes at least halve the clients; by client otherwise
+            keyed = {p[0]: tuple(p) for p in parts if len(p) > 1} if 2 * len(parts) <= n else {}
+            assert res.assignment.classes == keyed
             # swapping two clients of a class maps x onto itself
             for members in parts:
                 for v in members[1:]:
@@ -794,6 +804,78 @@ class TestClientClasses:
             for x in [demand, *weights, *(a for s, _, u in offers for a in (s, u))]
         ]
         assert all(type(x) is int for x in amounts)
+
+
+def classed_models(seed, count):
+    """Seeded LP1 models whose client classes halve the clients.
+
+    A random connected graph, then one to four capacity-0 true twins of
+    each vertex (the vertex and its neighbours), which join its class.
+    Hard and soft alternate.
+    """
+    rng = random.Random(seed)
+    for t in range(count):
+        n = rng.randint(4, 10)
+        g = rand_connected_graph(rng, n)
+        edges = set(g.edges)
+        caps = [rng.choice((0, 3, 4, 6, 8, 12)) for _ in range(n)]
+        for v in range(n):
+            for _ in range(rng.randint(1, 4)):
+                edges.update((u, len(caps)) for u in g.neighbors(v) + [v])
+                caps.append(0)
+        k = rng.randint(2, max(2, n // 2))
+        yield build_lp1(Graph(len(caps), edges), caps, k, t % 2 == 1)
+
+
+def class_copy(a):
+    """A deep copy that keeps the class key (copy() gives the client view)."""
+    b = Assignment(a.vertex_count, a.y, classes=dict(a.classes))
+    b.x = {u: dict(row) for u, row in a.x.items()}
+    return b
+
+
+class TestClassKeyedPoint:
+    """Where the client classes halve the clients, the LP point keeps x on
+    them; every reader of x answers for it as for its client expansion."""
+
+    def test_a_class_point_reads_as_its_client_expansion(self):
+        keyed = rounded = 0
+        answers = Counter()
+        for model in classed_models(seed=35, count=600):
+            res = solve_feasibility(model)
+            if not res.feasible or not res.assignment.classes:
+                continue
+            g, caps, k, soft = model
+            point = res.assignment
+            keyed += 1
+            pairs = [(point, point.copy())]
+            if not soft:
+                rounded += any(q.denominator != 1 for q in point.y)
+                a, e = class_copy(point), point.copy()
+                runs = []
+                for b in (a, e):
+                    ctx = RoundingContext(g, caps, trace=[])
+                    runs.append((round_y(ctx, b, k), ctx.trace, dump_assignment(b)))
+                assert runs[0] == runs[1]  # stretch, trace and dump
+                assert a.classes == point.classes and not e.classes
+                pairs.append((a, e))
+            for a, e in pairs:
+                assert sum(map(len, a.x.values())) < sum(map(len, e.x.values()))
+                assert list(a.x_items()) == list(e.x_items())
+                assert dump_assignment(a) == dump_assignment(e)
+                n = g.vertex_count
+                assert [radius_of(a, g, u) for u in range(n)] == [
+                    radius_of(e, g, u) for u in range(n)
+                ]
+                assert global_delta(a, g) == global_delta(e, g)
+                for delta in range(1, 8):
+                    ok = verify_assignment_feasible(g, caps, k, a, delta, soft)
+                    assert ok == verify_assignment_feasible(g, caps, k, e, delta, soft)
+                    assert ok == (not lp1_failures(g, caps, k, e, delta, soft))
+                    answers[ok] += 1
+        assert keyed >= 150 and rounded >= 35 and min(answers.values()) >= 40, (
+            keyed, rounded, answers
+        )
 
 
 def twin_models(seed, count):
@@ -1080,6 +1162,80 @@ class TestVerify:
         for v in range(3):
             a.set_x(0, v, F(1))
         assert not verify_assignment_feasible(g, [3, 0, 0], 1, a, 99)
+
+
+# The path 0 - 1 - 2 - 3 - 4 with a chord 0 - 2, so 1 and 2 are both in
+# N[0], 3 is two hops from 0 and 4 three.  Centers 0 and 3 are open; 0
+# serves itself and the class {1, 2}, 3 serves 3 and 4.
+CLASS_GRAPH = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+
+
+def class_point(classes, x, caps0=3, caps3=2):
+    """(caps, assignment) on CLASS_GRAPH with k = 2, y_0 = y_3 = 1."""
+    a = Assignment(5, [1, 0, 0, 1, 0], classes=classes)
+    for (u, c), q in x.items():
+        a.set_x(u, c, F(q))
+    return [caps0, 0, 0, caps3, 0], a
+
+
+BASE_X = {(0, 0): 1, (0, 1): 1, (3, 3): 1, (3, 4): 1}
+
+
+def base_x_without(key):
+    return {k: q for k, q in BASE_X.items() if k != key}
+
+
+class TestClassKeyedVerify:
+    """A class entry serves each member of its class: every member is held
+    to the distance rule, the load counts it once per member, and the
+    classes must partition the clients."""
+
+    def test_the_base_point_is_feasible_as_its_client_expansion(self):
+        caps, a = class_point({1: (1, 2)}, BASE_X)
+        for delta in (1, 2):
+            assert verify_assignment_feasible(CLASS_GRAPH, caps, 2, a, delta)
+            assert not lp1_failures(CLASS_GRAPH, caps, 2, a.copy(), delta, False)
+
+    @pytest.mark.parametrize("delta", [1, 2], ids=["outside-N", "beyond-delta"])
+    def test_each_member_is_held_to_the_distance_rule(self, delta):
+        # 0's class also holds the member 3 (2 hops) or 4 (3 hops), which
+        # 3 no longer serves; the loads still fit
+        far = 2 + delta
+        caps, a = class_point({1: (1, 2, far)}, base_x_without((3, far)), caps0=4)
+        assert not verify_assignment_feasible(CLASS_GRAPH, caps, 2, a, delta)
+        assert verify_assignment_feasible(CLASS_GRAPH, caps, 2, a, delta + 1)
+
+    def test_the_load_is_weighted_by_class_size(self):
+        # 0 serves 1 + 2 * 1 = 3 clients; unweighted, its load would be 2
+        caps, a = class_point({1: (1, 2)}, BASE_X, caps0=2)
+        assert not verify_assignment_feasible(CLASS_GRAPH, caps, 2, a, 1)
+        assert lp1_failures(CLASS_GRAPH, caps, 2, a.copy(), 1, False) == {"load"}
+
+    @pytest.mark.parametrize(
+        "classes, x, caps3",
+        [
+            ({1: (1,)}, BASE_X, 2),  # 2 left out of its class: nobody serves it
+            # 2 in two classes: 3 is served only through the class of 2,
+            # which no entry serves, and 0's load counts 2 clients, not 3
+            ({1: (1, 2), 2: (2, 3)}, base_x_without((3, 3)), 2),
+            ({1: (1, 2, 2)}, BASE_X, 2),  # a member listed twice
+            # a class keyed by a client outside it: 3 would serve 1 and 2
+            # through 4's entry while 0 serves 1 too
+            ({4: (1, 2)}, BASE_X, 3),
+            ({1: (1, 2, 9)}, BASE_X, 2),  # a member above n - 1
+            # a member below 0, which would index client 4 from the end
+            ({1: (1, 2, -1)}, base_x_without((3, 4)), 2),
+            # an entry keyed by a member other than its class's key: 3 gives
+            # 2 a half more on top of its class's whole serving
+            ({1: (1, 2)}, {**BASE_X, (3, 2): F(1, 2)}, 3),
+        ],
+        ids=["misses", "repeats-across", "repeats-within", "key-outside", "above-n",
+             "below-0", "member-key"],
+    )
+    def test_the_classes_must_partition_the_clients(self, classes, x, caps3):
+        caps, a = class_point(classes, x, caps0=4, caps3=caps3)
+        for delta in (1, 2, 3):
+            assert not verify_assignment_feasible(CLASS_GRAPH, caps, 2, a, delta)
 
 
 def lp1_failures(graph, caps, k, a, delta, soft):
