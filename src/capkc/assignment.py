@@ -8,12 +8,12 @@ client is a class of its own, keyed by itself.  So x[u][c] is the x value
 that each member of class c gets from u, and an Assignment built client
 by client, with no classes, is keyed center -> client.
 solve_feasibility keys its LP point by the cut loop's client classes, the
-clients that reach the same centers, where they at least halve the
-clients (25 entries over 13 classes instead of 541 client entries on
-the hub-sparse benchmark input), and by client otherwise.  The y-moves
-of shifting.py move x in proportion to y, so x that is equal across a
-class stays equal across it, and the class key holds through the
-y-rounding.  x_items, dump_assignment and copy give the client view.
+clients that reach the same centers: 25 entries over 13 classes instead
+of 541 client entries on the hub-sparse benchmark input, and 213 over 97
+instead of 238 on the hub-dense one.  The y-moves of shifting.py move x
+in proportion to y, so x that is equal across a class stays equal across
+it, and the class key holds through the y-rounding.  x_items,
+dump_assignment and copy give the client view.
 
 All values are exact rationals.  Mutation happens through set_x/add_x so the
 positivity invariant can't silently break.

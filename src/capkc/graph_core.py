@@ -59,6 +59,16 @@ def check_capacities(capacities, n):
             raise InputError(f"capacity of vertex {v} must be a nonnegative integer")
 
 
+def classes_pay(classes, items):
+    """True iff classes that group items at least halve them.
+
+    The one rule by which a class structure stands in for the items it
+    groups: the metric's twin classes for its vertices, and the cut
+    loop's twin classes for its master's centers.
+    """
+    return 2 * classes <= items
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
@@ -288,9 +298,8 @@ class WeightedMetricInstance:
         never adjacent (no self-loops), and two of them are twice their
         lightest edge apart, or INF if they have no edge.
 
-        When the classes at least halve the vertices (the rule
-        lp_feasibility._twin_columns applies to centers), the leader searches
-        the quotient graph: one node per class, whose list is its leader's
+        When the classes pay (classes_pay), the leader searches the
+        quotient graph: one node per class, whose list is its leader's
         (class, weight) list with duplicates merged.  A class is a module,
         so a path between two classes maps onto a path of the quotient of
         the same length, and a quotient path lifts back to one between any
@@ -335,7 +344,7 @@ class WeightedMetricInstance:
             if not leaders or adj[s] != adj[leaders[-1]]:
                 leaders.append(s)
             label[s] = len(leaders) - 1
-        quotient = 2 * len(leaders) <= n
+        quotient = classes_pay(len(leaders), n)
         # the searched graph: one node per class with its leader's edges, or every vertex
         nodes = [list({(label[v], w) for v, w in adj[s]}) for s in leaders] if quotient else adj
         # uniform positive weights: BFS scaled by the weight

@@ -12,10 +12,9 @@ and the min cut scale with them.  Each round runs one such flow over the
 client classes (the clients that reach the same centers), one node per
 class weighted by its size.  If it serves every client, each class's
 flow from u, split evenly over the class's clients and put over D, is
-the x each of them gets from u.  Where the classes at least halve the
-clients, the point stores it once per class, x keyed by client class
-(assignment.py), so no per-client x is built: 25 entries instead of 541
-on the hub-sparse benchmark input; otherwise once per client.  If the
+the x each of them gets from u.  The point stores it once per class,
+x keyed by client class (assignment.py), so no per-client x is built:
+25 entries instead of 541 on the hub-sparse benchmark input.  If the
 flow falls short, its short classes, the sink side of its min cut
 expanded to clients, are the W of the next inequality.
 Every generated inequality is implied by LP1 (constraints 2+3+4), and each
@@ -26,10 +25,11 @@ the master's y_u <= 1 are the tableau's implicit column bounds (its
 bounded-variable simplex), not rows; soft mode has no upper bound.  An
 artificial column of that phase-1 simplex leaves the tableau with the
 basis, as it can never return.
-When the twin classes of centers (equal capacity, and equal open or equal
-closed neighbourhoods) at least halve the centers, the master holds one
-column per class, the y its members share, and each round expands its
-point to the centers before the flow; otherwise one column per center.
+The master holds one column per twin class of centers (equal capacity,
+and equal open or equal closed neighbourhoods), the y its members share,
+and each round expands its point to the centers before the flow.  Where
+the classes do not pay (graph_core.classes_pay), each center is a class
+of its own.
 
 Vertices with capacity 0 get y pinned to 0 up front; with the pin, k larger
 than the number of positive-capacity vertices is naturally infeasible in
@@ -38,14 +38,14 @@ hard mode.  _lp1_rows lays out the full LP1 over (x, y) for the text dump.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
 from .assignment import Assignment
 from .errors import InputError, PipelineError
 from .flownet import bipartite_flow
-from .graph_core import INF, check_capacities
+from .graph_core import INF, check_capacities, classes_pay
 from .rational import write_text
 
 _MAX_PIVOTS = 500_000
@@ -458,7 +458,7 @@ def _finish(model, assignment):
 
 
 def _twin_columns(graph, caps, centers):
-    """Each center column's master column, one per twin class; None if that saves little.
+    """Each center column's master column: one per twin class where the classes pay.
 
     Twins are centers with equal capacity and equal open neighbourhoods
     (false twins, never adjacent) or equal closed ones (true twins, always
@@ -469,15 +469,17 @@ def _twin_columns(graph, caps, centers):
     run and compares neighbour lists in place; keying a dict by neighbour
     tuples read the mixed benchmark's peak_alloc_mib 3.5% higher, as freed
     small tuples stay on the interpreter's free lists.  Classes are
-    numbered in first-seen center order, and None unless they at least
-    halve the centers.
+    numbered in first-seen center order.  Unless they pay
+    (graph_core.classes_pay), each center keeps a column of its own: the
+    identity map.
     """
     adj = graph.adjacency
+    m = len(centers)
     # twins have equal capacity and degree, so these pairs bound the classes
-    # from below; that settles 25 of the 27 scans of a mixed benchmark pass,
+    # from below; that settles 23 of the 25 scans of a mixed benchmark pass,
     # where running every scan in full took 2% of the pass
-    if 2 * len({(caps[u], len(adj[u])) for u in centers}) > len(centers):
-        return None
+    if not classes_pay(len({(caps[u], len(adj[u])) for u in centers}), m):
+        return list(range(m))
     leader = {}  # center -> the first center of its class, where that is another
 
     def join(us, hood):
@@ -492,16 +494,28 @@ def _twin_columns(graph, caps, centers):
     join(solo, {u: sorted(graph.closed_neighborhood(u)) for u in solo})
     classes = {}
     out = [classes.setdefault(leader.get(u, u), len(classes)) for u in centers]
-    return out if 2 * len(classes) <= len(centers) else None
+    return out if classes_pay(len(classes), m) else list(range(m))
 
 
-def _merge(twin, coefs):
-    """Center-column coefficients summed onto their master columns."""
-    out = {}
-    for i, c in coefs.items():
-        t = twin[i]
-        out[t] = out.get(t, 0) + c
-    return out
+def _add_seed_rows(tab, seeds, twin):
+    """Add each seed's row, sum of y over its center columns >= 1, on master columns.
+
+    Distinct seeds can merge into one master row, which is added once.
+    Its key is the row's repr, which compares as its item tuple does, and
+    the keys die with this call: held through the cut loop, they read the
+    mixed benchmark's peak_alloc_mib 5% higher.  Item tuples as keys read
+    it 2% higher even here, as freed small tuples stay on the
+    interpreter's free lists, where tracemalloc still counts them.
+    """
+    added = set()
+    for cols in seeds:
+        row = {}
+        for i in cols:
+            row[twin[i]] = row.get(twin[i], 0) + 1
+        key = repr(row)
+        if key not in added:
+            added.add(key)
+            tab.add_row(row, ">=", 1)
 
 
 def _client_partition(cls, size):
@@ -538,8 +552,8 @@ def solve_feasibility(model):
             return FeasibilityResult(None)  # nobody can serve v
         cls.append(seeds.setdefault(cols, len(seeds)))
 
-    # The master holds one column per twin class of centers when the
-    # classes at least halve them, else one per center.  Swapping two
+    # The master holds one column per twin class of centers; where the
+    # classes do not pay, each center is a class of its own.  Swapping two
     # twins is an automorphism of the graph that keeps capacities, so it
     # maps LP1 onto itself; LP1 is convex, so if it is feasible, so is the
     # average of a feasible point over those swaps, whose y is constant on
@@ -549,20 +563,9 @@ def solve_feasibility(model):
     # infeasible; each round expands the master point to the centers and
     # separates on it, so a violated cut is violated in the master too.
     twin = _twin_columns(graph, caps, centers)
-    if twin is None:
-        tab = Phase1Tableau(m, bounded=not soft)  # hard mode: y <= 1 as bounds
-        tab.add_row({i: 1 for i in range(m)}, "==", k)
-        for cols in seeds:
-            tab.add_row({c: 1 for c in cols}, ">=", 1)
-    else:
-        tab = Phase1Tableau(max(twin) + 1, bounded=not soft)
-        tab.add_row(_merge(twin, dict.fromkeys(range(m), 1)), "==", k)
-        rows = {}  # distinct client rows can merge into one master row
-        for cols in seeds:
-            row = _merge(twin, dict.fromkeys(cols, 1))
-            rows.setdefault(tuple(row.items()), row)
-        for row in rows.values():
-            tab.add_row(row, ">=", 1)
+    tab = Phase1Tableau(max(twin) + 1, bounded=not soft)  # hard mode: y <= 1 as bounds
+    tab.add_row(Counter(twin), "==", k)
+    _add_seed_rows(tab, seeds, twin)
 
     # Each round separates on the client classes, one flow node per class
     # weighted by its size.  The short clients of a max flow, the sink side
@@ -576,10 +579,10 @@ def solve_feasibility(model):
     # of c: split evenly, that flow serves each client D and carries at most
     # y_u * D on an arc u -> v, so it is a serving flow of the client
     # network.  It is the average of any such flow over the swaps, as the
-    # class master's y is over the twin swaps.  Where the classes at least
-    # halve the clients, the point keeps x on them: x[u][c] is that value,
-    # stored once under c's first client, with the partition
-    # (assignment.py).  reach: center column -> its classes.
+    # class master's y is over the twin swaps.  The point keeps x on the
+    # classes: x[u][c] is that value, stored once under c's first client,
+    # with the partition (assignment.py).  reach: center column -> its
+    # classes.
     size = [0] * len(seeds)
     for c in cls:
         size[c] += 1
@@ -592,8 +595,7 @@ def solve_feasibility(model):
         if not tab.solve():
             return FeasibilityResult(None)
         vals = tab.values()
-        if twin is not None:
-            vals = [vals[t] for t in twin]
+        vals = [vals[t] for t in twin]
         # the master point over its common denominator: y_i = ys[i] / scale
         scale = lcm(*(q.denominator for q in vals))
         ys = [q.numerator * (scale // q.denominator) for q in vals]
@@ -602,12 +604,6 @@ def solve_feasibility(model):
         _, flows, short = bipartite_flow(len(size), offers, scale, size)
         if short is None:
             key, classes = _client_partition(cls, size)
-            spread = {}  # class key -> the clients its x is stored under
-            if 2 * len(size) > n:
-                # classes that do not halve the clients save less than the
-                # class lookups of radius_of and the check cost (hub-dense:
-                # 97 classes of 103 clients): x keyed by client
-                spread, classes = classes, {}
             a = Assignment(n, classes=classes)
             for i, u in enumerate(centers):
                 a.y[u] = vals[i]
@@ -615,21 +611,20 @@ def solve_feasibility(model):
                 u = centers[i]
                 for c, q in pairs:
                     if q:
-                        value = Fraction(q, scale * size[c])
-                        for v in spread.get(key[c], (key[c],)):
-                            a.set_x(u, v, value)
+                        a.set_x(u, key[c], Fraction(q, scale * size[c]))
             return _finish(model, a)
 
-        coefs = {}
+        coefs = {}  # on master columns
+        lhs = 0
         for i, u in enumerate(centers):
             c = min(caps[u], sum(size[p] for p in reach[i] if p in short))
             if c > 0:
-                coefs[i] = c
+                coefs[twin[i]] = coefs.get(twin[i], 0) + c
+                lhs += c * ys[i]
         w_size = sum(size[p] for p in short)
-        lhs = sum(c * ys[i] for i, c in coefs.items())
         if lhs >= w_size * scale:
             raise PipelineError("separated inequality is not violated; cut logic bug")
-        tab.add_row(coefs if twin is None else _merge(twin, coefs), ">=", w_size)
+        tab.add_row(coefs, ">=", w_size)
     raise PipelineError(
         f"cut loop exceeded the round budget: {_MAX_ROUNDS} rounds over {len(tab.mat)} rows"
     )

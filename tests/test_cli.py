@@ -33,6 +33,7 @@ from capkc.graph_core import (
     WeightedMetricInstance,
     candidate_radii,
     connected_components,
+    format_instance,
     induced_subgraph,
     read_instance,
     threshold_graph,
@@ -854,27 +855,66 @@ class TestBudgetSearch:
                     tighter += lo > cap_lo
         assert tighter >= 80 and exact >= 1000, (tighter, exact)
 
-    def test_the_mixed_corpus_probes_two_budgets_fewer(self, tmp_path, monkeypatch, capsys):
-        # unit-sparse-0 at radii 1 and 2: its floor over capacities, 2,
-        # was infeasible; its neighbourhoods alone now rule 2 out
-        probes = []
-        real = cli.solve_feasibility
+    def test_the_benchmark_solves_probe_these_budgets(self, tmp_path, monkeypatch, capsys):
+        # every LP the search runs, as (radius, least vertex of the
+        # component, budget, feasible): test_lp_feasibility.py's SEARCH_LPS
+        # pins the pivots and masters of these models apart from the
+        # search.  The mixed inputs run 25 LPs; with the seat floor over
+        # capacities alone they ran 27, as unit-sparse-0's floor of 2 was
+        # probed, infeasible, at radii 1 and 2
+        corpus = load_corpus()
+        insts = [corpus.hub_chain(6), corpus.hub_chain(12, nonuniform=True)]
+        texts = [(inst.name, inst.text()) for inst in insts]
+        gap = format_instance(gen_gap_construction(24, nonuniform=True)[0])
+        texts.append(("gap-24-nonuniform", gap))
+        texts += [(inst.name, inst.text()) for inst in corpus.WORKLOADS["mixed"][1]()]
+        plan, subgraph, solve = cli._plan, cli.induced_subgraph, cli.solve_feasibility
+        radius, least, probes = [], {}, {}
 
-        def spy(model):
-            probes.append(model.k)
-            return real(model)
+        def spy_plan(inst, r, soft, last):
+            radius[:] = [str(r)]
+            return plan(inst, r, soft, last)
 
-        monkeypatch.setattr(cli, "solve_feasibility", spy)
-        per_instance = {}
-        for inst in load_corpus().WORKLOADS["mixed"][1]():
-            path = tmp_path / f"{inst.name}.txt"
-            path.write_text(inst.text())
-            before = len(probes)
+        def spy_subgraph(g, comp):
+            sub, old_ids = subgraph(g, comp)
+            least[id(sub)] = old_ids[0]
+            return sub, old_ids
+
+        def spy_solve(model):
+            res = solve(model)
+            probe = (radius[0], least[id(model.graph)], model.k, res.feasible)
+            probes.setdefault(name, []).append(probe)
+            return res
+
+        monkeypatch.setattr(cli, "_plan", spy_plan)
+        monkeypatch.setattr(cli, "induced_subgraph", spy_subgraph)
+        monkeypatch.setattr(cli, "solve_feasibility", spy_solve)
+        for name, text in texts:
+            path = tmp_path / "instance.txt"
+            path.write_text(text)
             main(["solve", str(path)])
-            per_instance[inst.name] = len(probes) - before
         capsys.readouterr()
-        assert per_instance["unit-sparse-0"] == 1  # 3 with the capacity floor
-        assert len(probes) == 25  # 27 with the capacity floor
+        assert probes == {
+            "hub-chain-uniform-g6": [("1", 0, 10, True)],
+            "hub-chain-nonuniform-g12": [("1", 0, 17, True)],
+            "gap-24-nonuniform": [("1", 0, 23, True)],
+            "unit-sparse-0": [("3", 0, 2, True)],
+            "unit-sparse-1": [("1", 0, 3, False), ("2", 0, 3, True)],
+            "unit-sparse-2": [("1", 0, 3, False), ("2", 0, 3, True)],
+            "unit-sparse-3": [("1", 0, 4, False), ("2", 0, 4, True)],
+            "unit-dense-0": [("1", 0, 4, True)],
+            "unit-dense-1": [("1", 0, 4, False), ("2", 0, 4, True)],
+            "unit-dense-2": [("1", 0, 5, True)],
+            "weighted-0": [("7", 0, 2, True)],
+            "weighted-1": [("5", 0, 2, False), ("6", 0, 2, False), ("7", 0, 2, False),
+                           ("8", 0, 2, True)],
+            "weighted-2": [("7", 0, 3, True)],
+            "weighted-3": [("6", 0, 3, True)],
+            "soft-0": [("1", 0, 2, False), ("1", 0, 3, True)],
+            "soft-1": [("1", 0, 3, False), ("1", 0, 4, True)],
+            "soft-2": [("1", 0, 4, True)],
+            "fig1": [("2", 0, 2, True), ("2", 6, 2, True)],
+        }
 
     @pytest.mark.parametrize("family", ["fig1", "gap-24-nonuniform"])
     def test_a_feasible_floor_costs_one_lp(self, monkeypatch, family):
@@ -1008,14 +1048,14 @@ class TestMetricRowsOnDemand:
 
 
 class TestClassKeyedAssignment:
-    """The LP point reaches round_y with x keyed by client class where the
-    classes at least halve the clients, and keyed by client otherwise."""
+    """The LP point reaches round_y with x keyed by client class."""
 
     @pytest.mark.parametrize("workload, entries, classes, multi", [
         # 277 clients in 13 classes; keyed by client before: 541 entries
         ("hub-sparse", 25, 13, 13),
-        # 103 clients in 97 classes, which do not halve them: by client
-        ("hub-dense", 238, 103, 0),
+        # 103 clients in 97 classes, 6 of them pairs; by client before
+        # (the classes do not halve the clients): 238 entries
+        ("hub-dense", 213, 97, 6),
     ])
     def test_a_benchmark_solve_rounds_a_class_keyed_point(
         self, workload, entries, classes, multi, tmp_path, monkeypatch, capsys

@@ -49,19 +49,54 @@ RATIONAL_DIGEST = "55ea1c3fc8bc078c135bf6ab9d321e0482625a2762f3e5bd1779b7eb0074b
 
 CORPUS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
 
+# The LPs that capkc solve's budget search ran on the hub-dense and
+# hub-sparse benchmark inputs, the nonuniform gap instance and the mixed
+# benchmark inputs, in that order, as (input, radius, least vertex of the
+# component, budget).  The pins below solve these models directly, so a
+# change to which budgets the search probes moves TestBudgetSearch's pin
+# (test_cli.py), not them.
+SEARCH_LPS = (
+    ("hub-chain-uniform-g6", "1", 0, 10),
+    ("hub-chain-nonuniform-g12", "1", 0, 17),
+    ("gap-24-nonuniform", "1", 0, 23),
+    ("unit-sparse-0", "3", 0, 2),
+    ("unit-sparse-1", "1", 0, 3),
+    ("unit-sparse-1", "2", 0, 3),
+    ("unit-sparse-2", "1", 0, 3),
+    ("unit-sparse-2", "2", 0, 3),
+    ("unit-sparse-3", "1", 0, 4),
+    ("unit-sparse-3", "2", 0, 4),
+    ("unit-dense-0", "1", 0, 4),
+    ("unit-dense-1", "1", 0, 4),
+    ("unit-dense-1", "2", 0, 4),
+    ("unit-dense-2", "1", 0, 5),
+    ("weighted-0", "7", 0, 2),
+    ("weighted-1", "5", 0, 2),
+    ("weighted-1", "6", 0, 2),
+    ("weighted-1", "7", 0, 2),
+    ("weighted-1", "8", 0, 2),
+    ("weighted-2", "7", 0, 3),
+    ("weighted-3", "6", 0, 3),
+    ("soft-0", "1", 0, 2),
+    ("soft-0", "1", 0, 3),
+    ("soft-1", "1", 0, 3),
+    ("soft-1", "1", 0, 4),
+    ("soft-2", "1", 0, 4),
+    ("fig1", "2", 0, 2),
+    ("fig1", "2", 6, 2),
+)
+
 # TestTwinColumns: sha256 of the repr of every master's [columns, bounded,
-# add_row calls...] over the inputs that do not halve their centers,
-# recorded before the master had class columns (27 masters, digest
-# 5e7a1ae6...), less the two masters of unit-sparse-0 at radii 1 and 2,
-# which the neighbourhood-capped seat floor now rejects without an LP
+# add_row calls...] over the SEARCH_LPS models whose twin classes do not
+# halve the centers (all but hub-dense's and fig1's), recorded while
+# those masters were built on a path of their own, one column per center
 TWIN_FREE_TABLEAUS = 25
 TWIN_FREE_DIGEST = "62a3e0520081598a0a81f453d2dd5d27bc476e5c107b0090a2064be4aa5c0eb2"
 
 # TestLiveColumns: steps and sha256 of the repr of every _pivot (row,
-# entering) and _complement column, recorded while the tableau still
-# eliminated the columns of artificials that had left the basis (2495
-# steps, digest a525c03f...), less the 9 and 18 steps of the two
-# unit-sparse-0 LPs that the neighbourhood-capped seat floor now skips
+# entering) and _complement column of the unit systems and of the
+# SEARCH_LPS models but the gap one, recorded while the tableau still
+# eliminated the columns of artificials that had left the basis
 PIVOT_PATH_STEPS = 2468
 PIVOT_PATH_DIGEST = "7b5f9142776d532045846a132736f62ac77d64348fe53a0a2e7772718ff1f7f2"
 
@@ -774,9 +809,9 @@ class TestClientClasses:
                     want[u] = row
             x = res.assignment.copy().x  # the client view
             assert x == want
-            # keyed by class, each under its first client, where the
-            # classes at least halve the clients; by client otherwise
-            keyed = {p[0]: tuple(p) for p in parts if len(p) > 1} if 2 * len(parts) <= n else {}
+            # keyed by class, each class of two or more clients under its
+            # first client
+            keyed = {p[0]: tuple(p) for p in parts if len(p) > 1}
             assert res.assignment.classes == keyed
             # swapping two clients of a class maps x onto itself
             for members in parts:
@@ -956,9 +991,26 @@ def solve_text(tmp_path, text):
         return main(["solve", str(path)])
 
 
+def search_models(exclude=()):
+    """The SEARCH_LPS models, in order, but those of the inputs in exclude."""
+    corpus = load_corpus()
+    insts = [corpus.hub_chain(6), corpus.hub_chain(12, nonuniform=True)]
+    texts = {inst.name: inst.text() for inst in insts + corpus.WORKLOADS["mixed"][1]()}
+    texts["gap-24-nonuniform"] = format_instance(gen_gap_construction(24, nonuniform=True)[0])
+    for name, r, least, k in SEARCH_LPS:
+        if name in exclude:
+            continue
+        inst = graph_core.parse_instance_text(texts[name])
+        g = threshold_graph(inst, Fraction(r))
+        (comp,) = [comp for comp in graph_core.connected_components(g) if comp[0] == least]
+        sub, _ = graph_core.induced_subgraph(g, comp)
+        yield build_lp1(sub, [inst.capacities[v] for v in comp], k, inst.mode == graph_core.SOFT)
+
+
 class TestTwinColumns:
     """The master holds one column per twin class of centers when the
-    classes at least halve the centers, else one per center."""
+    classes at least halve the centers; else the map is the identity, one
+    column per center."""
 
     def test_class_master_agrees_with_the_dense_reference(self, monkeypatch):
         classes = spy_twin_columns(monkeypatch)
@@ -973,9 +1025,9 @@ class TestTwinColumns:
                     assert verify_assignment_feasible(
                         model.graph, model.capacities, model.k, r.assignment, 1, model.soft
                     )
-            twin = classes[0][1] if classes else None
-            if twin is None:
+            if not classes or classes[0][1] == list(range(len(classes[0][0]))):
                 continue
+            twin = classes[0][1]
             took += 1
             feasible += res.feasible
             if res.feasible:  # the point is constant on each class
@@ -986,16 +1038,16 @@ class TestTwinColumns:
         assert took >= 100 and feasible >= 50
 
     def test_classes_are_exactly_the_swappable_centers(self, monkeypatch):
+        # where the classes of swappable centers halve the centers, the map
+        # numbers exactly them; elsewhere it is the identity, whether the
+        # (capacity, degree) prefilter or the full scan settles that
         classes = spy_twin_columns(monkeypatch)
-        checked = 0
+        checked = Counter()
         for model in twin_models(seed=29, count=200):
             g, caps = model.graph, model.capacities
             solve_feasibility(model)
             for centers, twin in classes:
-                if twin is None:
-                    continue
-                checked += 1
-                assert 2 * len(set(twin)) <= len(centers)
+                swappable = {}  # (i, j), j < i: whether centers i and j swap
                 for i, u in enumerate(centers):
                     for j in range(i):
                         w = centers[j]
@@ -1003,10 +1055,19 @@ class TestTwinColumns:
                         edges = {
                             tuple(sorted((swap.get(a, a), swap.get(b, b)))) for a, b in g.edges
                         }
-                        swappable = edges == g.edges and caps[u] == caps[w]
-                        assert (twin[i] == twin[j]) == swappable
+                        swappable[i, j] = edges == g.edges and caps[u] == caps[w]
+                m = len(centers)
+                count = sum(not any(swappable[i, j] for j in range(i)) for i in range(m))
+                if 2 * count <= m:
+                    checked["classes"] += 1
+                    assert all((twin[i] == twin[j]) == s for (i, j), s in swappable.items())
+                else:
+                    pairs = {(caps[u], len(g.adjacency[u])) for u in centers}
+                    checked["prefilter" if 2 * len(pairs) > m else "scan"] += 1
+                    assert twin == list(range(m))
             classes.clear()
-        assert checked >= 80
+        classed, prefiltered, scanned = checked["classes"], checked["prefilter"], checked["scan"]
+        assert classed >= 80 and prefiltered >= 40 and scanned >= 3, checked
 
     def test_twin_heavy_inputs_get_one_column_per_class(self, monkeypatch, tmp_path):
         corpus = load_corpus()
@@ -1017,19 +1078,15 @@ class TestTwinColumns:
             assert solve_text(tmp_path, text) == 0
             assert [t[0] for t in tableaus] == [columns]
 
-    def test_other_inputs_keep_one_column_per_center(self, monkeypatch, tmp_path):
+    def test_other_inputs_keep_one_column_per_center(self, monkeypatch):
         # hub-sparse (25 centers in 13 classes), the nonuniform gap
         # instance (37 in 19) and the mixed workload but fig1: the rows
         # and columns of every master, as recorded before class columns
-        corpus = load_corpus()
         classes = spy_twin_columns(monkeypatch)
         tableaus = spy_tableaus(monkeypatch)
-        texts = [corpus.hub_chain(12, nonuniform=True).text()]
-        texts.append(format_instance(gen_gap_construction(24, nonuniform=True)[0]))
-        texts += [inst.text() for inst in corpus.WORKLOADS["mixed"][1]() if inst.name != "fig1"]
-        for text in texts:
-            solve_text(tmp_path, text)
-        assert classes and all(twin is None for _, twin in classes)
+        for model in search_models(exclude=("hub-chain-uniform-g6", "fig1")):
+            solve_feasibility(model)
+        assert classes and all(twin == list(range(len(centers))) for centers, twin in classes)
         digest = hashlib.sha256(repr(tableaus).encode()).hexdigest()
         assert (len(tableaus), digest) == (TWIN_FREE_TABLEAUS, TWIN_FREE_DIGEST)
 
@@ -1082,9 +1139,9 @@ class TestLiveColumns:
         assert len(broken) > 1000
         assert sum(broken) == 0, f"{sum(broken)} of {len(broken)} pivots"
 
-    def test_pivot_path_is_pinned(self, monkeypatch, tmp_path):
+    def test_pivot_path_is_pinned(self, monkeypatch):
         # every pivot (row, entering column) and every complemented column
-        # of the unit systems and of the hub and mixed benchmark solves,
+        # of the unit systems and of the hub and mixed benchmark LPs,
         # recorded while dead artificial columns were still eliminated
         path = []
         pivot, complement = Phase1Tableau._pivot, Phase1Tableau._complement
@@ -1098,10 +1155,8 @@ class TestLiveColumns:
             lambda tab, col: path.append(("complement", col)) or complement(tab, col),
         )
         solve_unit_systems()
-        corpus = load_corpus()
-        insts = [corpus.hub_chain(6), corpus.hub_chain(12, nonuniform=True)]
-        for inst in insts + corpus.WORKLOADS["mixed"][1]():
-            solve_text(tmp_path, inst.text())
+        for model in search_models(exclude=("gap-24-nonuniform",)):
+            solve_feasibility(model)
         digest = hashlib.sha256(repr(path).encode()).hexdigest()
         assert (len(path), digest) == (PIVOT_PATH_STEPS, PIVOT_PATH_DIGEST)
 

@@ -291,6 +291,21 @@ class TestSeparation:
         sample = "f(1)\nflownet.f(2)\ng(f)\n"
         assert calls_to(sample, "f") == [1, 2]
 
+    def test_the_cut_loop_builds_one_master(self):
+        # the master reads a twin-class column map on every input, the
+        # identity where the classes do not pay, so src/ constructs a
+        # Phase1Tableau at one site, in solve_feasibility
+        texts = {path.name: path.read_text("utf-8") for path in (SRC / "capkc").glob("*.py")}
+        sites = {name: calls_to(text, "Phase1Tableau") for name, text in texts.items()}
+        assert {name: len(lines) for name, lines in sites.items() if lines} == {
+            "lp_feasibility.py": 1,
+        }
+        (solve,) = [
+            node for node in ast.parse(texts["lp_feasibility.py"]).body
+            if isinstance(node, ast.FunctionDef) and node.name == "solve_feasibility"
+        ]
+        assert solve.lineno <= sites["lp_feasibility.py"][0] <= solve.end_lineno
+
     def test_the_seat_flow_is_the_one_other_flow_network(self):
         # the soft solver and the oracle seat clients through
         # x_rounding.seat_flow, the one bipartite_flow call outside the cut loop
